@@ -5,8 +5,10 @@
 #   ci.sh test     hermetic release build + full test suite + property suites
 #   ci.sh golden   end-to-end smokes: golden sweeps, kill-and-resume,
 #                  telemetry determinism (memo on/off, tick/event, jobs)
-#   ci.sh perf     sim_throughput bench + speedup-floor gate
-#                  (BENCH_sim.json ratios vs committed BENCH_baseline.json)
+#   ci.sh perf     sim_throughput and models benches + perf gate
+#                  (BENCH_sim.json ratios vs the committed floors, and
+#                  BENCH_models.json medians vs the committed ceilings
+#                  in BENCH_baseline.json)
 #   ci.sh serve    daemon crash-recovery smoke (kill -9 mid-batch,
 #                  restart at a different --jobs, byte-for-byte response
 #                  diff) + seeded chaos run with a warning-free
@@ -193,9 +195,14 @@ stage_perf() {
     # and records machine-readable speedup ratios.
     cargo bench --offline -p contention-bench --bench sim_throughput
 
-    echo "==> perf-regression gate (ratios vs committed floors)"
+    echo "==> model-evaluation bench (writes BENCH_models.json)"
+    # Includes the Scenario-2 Evaluator::bound solve at the default
+    # 128-node budget, whose median has an absolute ceiling.
+    cargo bench --offline -p contention-bench --bench models
+
+    echo "==> perf-regression gate (ratios vs committed floors, medians vs ceilings)"
     cargo build --release --offline -p contention-bench --bin perf_gate
-    target/release/perf_gate BENCH_baseline.json BENCH_sim.json
+    target/release/perf_gate BENCH_baseline.json BENCH_sim.json BENCH_models.json
 }
 
 stage_serve() {

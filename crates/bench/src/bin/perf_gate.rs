@@ -1,8 +1,9 @@
 //! Perf-regression gate — diffs measured speedup ratios against
-//! committed floors.
+//! committed floors, and measured bench medians against absolute
+//! ceilings.
 //!
 //! ```text
-//! perf_gate [<baseline.json>] [<measured.json>]
+//! perf_gate [<baseline.json>] [<measured.json>] [<models.json>]
 //! ```
 //!
 //! The baseline (default `BENCH_baseline.json`, committed at the repo
@@ -14,6 +15,15 @@
 //! member. Every floor must have a measured ratio at or above it; a
 //! missing ratio is itself a failure, so silently dropping a benchmark
 //! from the suite cannot pass the gate.
+//!
+//! The baseline may also carry a `ceilings_ms` object mapping bench
+//! names to the largest acceptable median wall-clock time in
+//! milliseconds. Those are checked against the `benchmarks` array of
+//! the models file (default `BENCH_models.json`, written by the
+//! `models` bench); a missing bench or an unreadable models file fails
+//! the gate the same way a missing ratio does. A ratio floor catches an
+//! engine that lost ground against its reference; a ceiling catches a
+//! layer that got slower in absolute terms, such as the exact-ILP solve.
 //!
 //! The gate never stops at the first problem: every failing ratio is
 //! collected and the full list reported at the end, together with a
@@ -30,14 +40,23 @@
 use obs::json::{parse, Json};
 use std::process::ExitCode;
 
+fn load_doc(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+    parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
+}
+
 /// Loads a JSON document and extracts one named object member as
 /// `(key, f64)` pairs, in file order.
 fn load_member(path: &str, member: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+    let doc = load_doc(path)?;
     let obj = doc
         .get(member)
         .ok_or_else(|| format!("{path}: missing \"{member}\" object"))?;
+    number_pairs(path, member, obj)
+}
+
+/// The `(key, f64)` pairs of an object member, in file order.
+fn number_pairs(path: &str, member: &str, obj: &Json) -> Result<Vec<(String, f64)>, String> {
     let Json::Obj(pairs) = obj else {
         return Err(format!("{path}: \"{member}\" is not an object"));
     };
@@ -49,6 +68,67 @@ fn load_member(path: &str, member: &str) -> Result<Vec<(String, f64)>, String> {
                 .ok_or_else(|| format!("{path}: {member}.{k} is not a number"))
         })
         .collect()
+}
+
+/// The optional `ceilings_ms` member of the baseline (empty if absent).
+fn load_ceilings(path: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = load_doc(path)?;
+    match doc.get("ceilings_ms") {
+        Some(obj) => number_pairs(path, "ceilings_ms", obj),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// The median wall-clock time of every bench in a `BENCH_<group>.json`
+/// file, in milliseconds.
+fn load_medians_ms(path: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = load_doc(path)?;
+    let benches = doc
+        .get("benchmarks")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{path}: missing \"benchmarks\" array"))?;
+    benches
+        .iter()
+        .map(|b| {
+            let name = b.get("name").and_then(Json::as_str);
+            let median = b.get("median_ns").and_then(Json::as_f64);
+            match (name, median) {
+                (Some(n), Some(ns)) => Ok((n.to_string(), ns / 1e6)),
+                _ => Err(format!("{path}: bench entry without name or median_ns")),
+            }
+        })
+        .collect()
+}
+
+/// Checks every ceiling against the measured medians, printing one row
+/// per ceiling and appending each violation to `failures`.
+fn check_ceilings(ceilings: &[(String, f64)], models_path: &str, failures: &mut Vec<String>) {
+    let medians = match load_medians_ms(models_path) {
+        Ok(m) => m,
+        Err(e) => {
+            failures.push(format!("ceilings unchecked: {e}"));
+            return;
+        }
+    };
+    println!("perf gate: {models_path} vs ceilings_ms");
+    println!("{:<32} {:>9} {:>9}  verdict", "bench", "ceiling", "median");
+    for (name, ceiling) in ceilings {
+        match medians.iter().find(|(k, _)| k == name) {
+            Some((_, measured)) if measured <= ceiling => {
+                println!("{name:<32} {ceiling:>9.3} {measured:>9.3}  ok");
+            }
+            Some((_, measured)) => {
+                println!("{name:<32} {ceiling:>9.3} {measured:>9.3}  ABOVE CEILING");
+                failures.push(format!(
+                    "{name} (ceiling {ceiling:.3} ms, measured {measured:.3} ms)"
+                ));
+            }
+            None => {
+                println!("{name:<32} {ceiling:>9.3} {:>9}  MISSING", "-");
+                failures.push(format!("{name} (missing from {models_path})"));
+            }
+        }
+    }
 }
 
 /// Reads `meta.config_fingerprint` if the document carries one.
@@ -63,9 +143,10 @@ fn load_fingerprint(path: &str) -> Option<String> {
 
 const REBLESS_HINT: &str = "hint: if this change is intentional, re-bless BENCH_baseline.json: \
      copy the new ratios from BENCH_sim.json into \"floors\" (backed off for runner noise) and \
-     update meta.config_fingerprint to the measured value";
+     update meta.config_fingerprint to the measured value; a bench above its \"ceilings_ms\" \
+     entry got slower in absolute terms, so look for the regression before raising the ceiling";
 
-fn run(baseline_path: &str, measured_path: &str) -> Result<bool, String> {
+fn run(baseline_path: &str, measured_path: &str, models_path: &str) -> Result<bool, String> {
     let floors = match load_member(baseline_path, "floors") {
         Ok(f) => f,
         Err(e) => {
@@ -79,6 +160,7 @@ fn run(baseline_path: &str, measured_path: &str) -> Result<bool, String> {
     if floors.is_empty() {
         return Err(format!("{baseline_path}: \"floors\" object is empty"));
     }
+    let ceilings = load_ceilings(baseline_path)?;
     let ratios = load_member(measured_path, "ratios")?;
 
     println!("perf gate: {measured_path} vs floors in {baseline_path}");
@@ -101,6 +183,10 @@ fn run(baseline_path: &str, measured_path: &str) -> Result<bool, String> {
                 failures.push(format!("{name} (missing from {measured_path})"));
             }
         }
+    }
+
+    if !ceilings.is_empty() {
+        check_ceilings(&ceilings, models_path, &mut failures);
     }
 
     // Staleness check: floors blessed against one engine configuration
@@ -152,9 +238,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline = args.first().map_or("BENCH_baseline.json", String::as_str);
     let measured = args.get(1).map_or("BENCH_sim.json", String::as_str);
-    match run(baseline, measured) {
+    let models = args.get(2).map_or("BENCH_models.json", String::as_str);
+    match run(baseline, measured, models) {
         Ok(true) => {
-            println!("perf gate: all floors hold");
+            println!("perf gate: all floors and ceilings hold");
             ExitCode::SUCCESS
         }
         Ok(false) => {
@@ -172,6 +259,9 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Baselines without `ceilings_ms` never read the models file.
+    const NO_MODELS: &str = "/nonexistent/models.json";
+
     fn write_tmp(name: &str, body: &str) -> String {
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, body).expect("write tmp");
@@ -188,7 +278,7 @@ mod tests {
             "perf_gate_meas_ok.json",
             "{\"ratios\": {\"a\": 2.0, \"b\": 0.9, \"extra\": 0.1}}",
         );
-        assert_eq!(run(&b, &m), Ok(true));
+        assert_eq!(run(&b, &m, NO_MODELS), Ok(true));
     }
 
     #[test]
@@ -198,23 +288,23 @@ mod tests {
             "{\"floors\": {\"a\": 1.5, \"gone\": 1.0}}",
         );
         let m = write_tmp("perf_gate_meas_fail.json", "{\"ratios\": {\"a\": 1.4}}");
-        assert_eq!(run(&b, &m), Ok(false));
+        assert_eq!(run(&b, &m, NO_MODELS), Ok(false));
     }
 
     #[test]
     fn gate_rejects_malformed_inputs() {
         let empty = write_tmp("perf_gate_empty.json", "{\"floors\": {}}");
         let m = write_tmp("perf_gate_meas_any.json", "{\"ratios\": {\"a\": 1.0}}");
-        assert!(run(&empty, &m).is_err());
+        assert!(run(&empty, &m, NO_MODELS).is_err());
         let noobj = write_tmp("perf_gate_noobj.json", "{\"floors\": 3}");
-        assert!(run(&noobj, &m).is_err());
-        assert!(run("/nonexistent/base.json", &m).is_err());
+        assert!(run(&noobj, &m, NO_MODELS).is_err());
+        assert!(run("/nonexistent/base.json", &m, NO_MODELS).is_err());
     }
 
     #[test]
     fn missing_baseline_error_carries_rebless_hint() {
         let m = write_tmp("perf_gate_meas_hint.json", "{\"ratios\": {\"a\": 1.0}}");
-        let err = run("/nonexistent/base.json", &m).unwrap_err();
+        let err = run("/nonexistent/base.json", &m, NO_MODELS).unwrap_err();
         assert!(err.contains("re-bless"), "{err}");
     }
 
@@ -228,12 +318,12 @@ mod tests {
             "perf_gate_meas_fp_ok.json",
             "{\"meta\": {\"config_fingerprint\": \"aaaa\"}, \"ratios\": {\"a\": 2.0}}",
         );
-        assert_eq!(run(&b, &m_ok), Ok(true));
+        assert_eq!(run(&b, &m_ok, NO_MODELS), Ok(true));
         let m_stale = write_tmp(
             "perf_gate_meas_fp_stale.json",
             "{\"meta\": {\"config_fingerprint\": \"bbbb\"}, \"ratios\": {\"a\": 2.0}}",
         );
-        assert_eq!(run(&b, &m_stale), Ok(false));
+        assert_eq!(run(&b, &m_stale, NO_MODELS), Ok(false));
     }
 
     #[test]
@@ -248,6 +338,47 @@ mod tests {
         );
         // a below floor, b missing, c below floor — all three must fail
         // (exercised via the boolean; the list itself goes to stderr).
-        assert_eq!(run(&b, &m), Ok(false));
+        assert_eq!(run(&b, &m, NO_MODELS), Ok(false));
+    }
+
+    #[test]
+    fn ceilings_bound_the_measured_medians() {
+        let b = write_tmp(
+            "perf_gate_base_ceil.json",
+            "{\"floors\": {\"a\": 1.0}, \"ceilings_ms\": {\"solve\": 25.0}}",
+        );
+        let m = write_tmp("perf_gate_meas_ceil.json", "{\"ratios\": {\"a\": 2.0}}");
+        let models = |name: &str, median_ns: u64| {
+            write_tmp(
+                name,
+                &format!(
+                    "{{\"group\": \"models\", \"benchmarks\": [{{\"name\": \"solve\", \
+                     \"median_ns\": {median_ns}, \"min_ns\": 1, \"max_ns\": 1, \"samples\": 1, \
+                     \"iters_per_sample\": 1, \"elements\": 128}}]}}"
+                ),
+            )
+        };
+        let fast = models("perf_gate_models_fast.json", 5_000_000);
+        assert_eq!(run(&b, &m, &fast), Ok(true));
+        // A revert to a ~100 ms solve trips the 25 ms ceiling.
+        let slow = models("perf_gate_models_slow.json", 100_000_000);
+        assert_eq!(run(&b, &m, &slow), Ok(false));
+        // A bench that vanished, or no models file at all, fails too.
+        let other = write_tmp(
+            "perf_gate_models_other.json",
+            "{\"benchmarks\": [{\"name\": \"other\", \"median_ns\": 1}]}",
+        );
+        assert_eq!(run(&b, &m, &other), Ok(false));
+        assert_eq!(run(&b, &m, NO_MODELS), Ok(false));
+    }
+
+    #[test]
+    fn malformed_ceilings_are_rejected() {
+        let b = write_tmp(
+            "perf_gate_base_badceil.json",
+            "{\"floors\": {\"a\": 1.0}, \"ceilings_ms\": {\"solve\": \"fast\"}}",
+        );
+        let m = write_tmp("perf_gate_meas_badceil.json", "{\"ratios\": {\"a\": 2.0}}");
+        assert!(run(&b, &m, NO_MODELS).is_err());
     }
 }

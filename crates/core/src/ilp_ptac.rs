@@ -38,10 +38,14 @@ pub struct IlpPtacOptions {
     /// Deployment-scenario tailoring (Table 5), applied to the analysed
     /// task and — when contender constraints are on — to contenders.
     pub scenario: ScenarioConstraints,
-    /// Branch & bound node budget before falling back to the LP
-    /// relaxation. The relaxation value dominates the ILP optimum, so
-    /// the fallback bound stays sound; it is at most a fraction of a
-    /// percent looser on degenerate (symmetric-plateau) instances.
+    /// Branch & bound node budget. A search that does not close within
+    /// it degrades differently per entry point: only
+    /// [`IlpPtacModel::solve_detailed`] relaxes to the LP, whose value
+    /// dominates the ILP optimum and so stays sound (at most a fraction
+    /// of a percent looser on degenerate, symmetric-plateau instances).
+    /// [`IlpPtacModel::solve_exact`] reports the exhaustion instead, and
+    /// the [`Evaluator`](crate::evaluate::Evaluator) then degrades to
+    /// the fTC bound.
     pub node_budget: u64,
 }
 

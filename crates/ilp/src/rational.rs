@@ -3,9 +3,17 @@
 //! The simplex engine in this crate pivots on [`Rational`] values so that
 //! feasibility and optimality decisions are exact: no epsilon tuning, no
 //! accumulation of floating-point error. Numerators and denominators are
-//! kept reduced (via gcd) after every operation, and multiplications
-//! pre-reduce cross factors, which keeps magnitudes small for the modest
-//! problem sizes produced by the contention models.
+//! kept reduced after every operation, and multiplications pre-reduce
+//! cross factors, which keeps magnitudes small for the modest problem
+//! sizes produced by the contention models.
+//!
+//! Most tableau entries are zero or integers, so every operation first
+//! takes an exact shortcut for those operands: `0 + x`, `0 · x`, integer
+//! sums and products, and integer-plus-fraction (whose result is already
+//! reduced) run no gcd at all. Only genuinely fractional operands pay for
+//! the gcd, which is a binary (shift-and-subtract) gcd. Every path uses
+//! checked `i128` arithmetic and panics with `rational overflow` rather
+//! than wrapping, in every build profile.
 //!
 //! # Examples
 //!
@@ -23,14 +31,42 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Greatest common divisor of two non-negative `i128` values.
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor (binary gcd); `gcd(0, b) == b`.
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    if a == 1 || b == 1 {
+        return 1;
     }
-    a
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// The overflow panic shared by every arithmetic path.
+#[cold]
+#[inline(never)]
+fn overflow() -> ! {
+    panic!("rational overflow")
+}
+
+/// Unwraps a checked `i128` operation, panicking on overflow.
+#[inline]
+fn checked(v: Option<i128>) -> i128 {
+    match v {
+        Some(v) => v,
+        None => overflow(),
+    }
 }
 
 /// An exact rational number with `i128` numerator and denominator.
@@ -40,8 +76,10 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
 ///
 /// # Panics
 ///
-/// Arithmetic panics on `i128` overflow (after reduction). The linear
-/// programs built by this workspace stay far below that range.
+/// Arithmetic and comparison panic with `rational overflow` when a
+/// reduced result or an intermediate product does not fit in `i128`, in
+/// release builds too. The linear programs built by this workspace stay
+/// far below that range.
 ///
 /// # Examples
 ///
@@ -77,11 +115,23 @@ impl Rational {
     /// ```
     pub fn new(numer: i128, denom: i128) -> Self {
         assert!(denom != 0, "rational denominator must be non-zero");
-        let sign = if denom < 0 { -1 } else { 1 };
-        let g = gcd(numer.unsigned_abs() as i128, denom.unsigned_abs() as i128).max(1);
+        if denom == 1 {
+            return Rational { numer, denom };
+        }
+        Rational::reduced(numer, denom)
+    }
+
+    /// Reduces `numer / denom` (`denom != 0`) to canonical form.
+    fn reduced(numer: i128, denom: i128) -> Rational {
+        if numer == 0 {
+            return Rational::ZERO;
+        }
+        let g = gcd(numer.unsigned_abs(), denom.unsigned_abs());
+        let n = i128::try_from(numer.unsigned_abs() / g).unwrap_or_else(|_| overflow());
+        let d = i128::try_from(denom.unsigned_abs() / g).unwrap_or_else(|_| overflow());
         Rational {
-            numer: sign * numer / g,
-            denom: sign * denom / g,
+            numer: if (numer < 0) != (denom < 0) { -n } else { n },
+            denom: d,
         }
     }
 
@@ -158,14 +208,26 @@ impl Rational {
     /// assert_eq!(Rational::new(-7, 2).ceil(), -3);
     /// ```
     pub const fn ceil(&self) -> i128 {
-        -((-self.numer).div_euclid(self.denom))
+        // A canonical value with `denom > 1` is never an integer.
+        if self.denom == 1 {
+            self.numer
+        } else {
+            self.floor() + 1
+        }
     }
 
     /// Absolute value.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `rational overflow` on `i128::MIN`.
     pub const fn abs(&self) -> Rational {
-        Rational {
-            numer: self.numer.abs(),
-            denom: self.denom,
+        match self.numer.checked_abs() {
+            Some(numer) => Rational {
+                numer,
+                denom: self.denom,
+            },
+            None => panic!("rational overflow"),
         }
     }
 
@@ -176,7 +238,18 @@ impl Rational {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Rational {
         assert!(self.numer != 0, "cannot invert zero");
-        Rational::new(self.denom, self.numer)
+        // Already reduced; only the sign moves to the numerator.
+        if self.numer < 0 {
+            Rational {
+                numer: -self.denom,
+                denom: checked(self.numer.checked_neg()),
+            }
+        } else {
+            Rational {
+                numer: self.denom,
+                denom: self.numer,
+            }
+        }
     }
 
     /// Lossy conversion to `f64`, for reporting only.
@@ -269,13 +342,33 @@ impl From<u32> for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
-        // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d).
-        let g = gcd(self.denom, rhs.denom);
-        let l = self.denom / g * rhs.denom;
-        Rational::new(
-            self.numer * (l / self.denom) + rhs.numer * (l / rhs.denom),
-            l,
-        )
+        let (a, b, c, d) = (self.numer, self.denom, rhs.numer, rhs.denom);
+        if c == 0 {
+            return self;
+        }
+        if a == 0 {
+            return rhs;
+        }
+        match (b, d) {
+            (1, 1) => Rational::from_int(checked(a.checked_add(c))),
+            // a/b + c = (a + c·b)/b, reduced because gcd(a + c·b, b) = gcd(a, b) = 1.
+            (_, 1) => Rational {
+                numer: checked(checked(c.checked_mul(b)).checked_add(a)),
+                denom: b,
+            },
+            (1, _) => Rational {
+                numer: checked(checked(a.checked_mul(d)).checked_add(c)),
+                denom: d,
+            },
+            _ => {
+                // a/b + c/d = (a·(d/g) + c·(b/g)) / (b/g·d) with g = gcd(b, d).
+                let g = gcd(b as u128, d as u128) as i128;
+                let (bg, dg) = (b / g, d / g);
+                let numer =
+                    checked(checked(a.checked_mul(dg)).checked_add(checked(c.checked_mul(bg))));
+                Rational::reduced(numer, checked(bg.checked_mul(d)))
+            }
+        }
     }
 }
 
@@ -289,13 +382,21 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
-        // Cross-reduce before multiplying to delay overflow.
-        let g1 = gcd(self.numer.unsigned_abs() as i128, rhs.denom).max(1);
-        let g2 = gcd(rhs.numer.unsigned_abs() as i128, self.denom).max(1);
-        Rational::new(
-            (self.numer / g1) * (rhs.numer / g2),
-            (self.denom / g2) * (rhs.denom / g1),
-        )
+        let (a, b, c, d) = (self.numer, self.denom, rhs.numer, rhs.denom);
+        if a == 0 || c == 0 {
+            return Rational::ZERO;
+        }
+        if b == 1 && d == 1 {
+            return Rational::from_int(checked(a.checked_mul(c)));
+        }
+        // Cross-reduce: with both operands reduced, (a/g1)(c/g2) over
+        // (b/g2)(d/g1) is reduced too, so no final gcd is needed.
+        let g1 = gcd(a.unsigned_abs(), d as u128) as i128;
+        let g2 = gcd(c.unsigned_abs(), b as u128) as i128;
+        Rational {
+            numer: checked((a / g1).checked_mul(c / g2)),
+            denom: checked((b / g2).checked_mul(d / g1)),
+        }
     }
 }
 
@@ -311,7 +412,7 @@ impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
         Rational {
-            numer: -self.numer,
+            numer: checked(self.numer.checked_neg()),
             denom: self.denom,
         }
     }
@@ -349,8 +450,16 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Rational) -> Ordering {
-        // Compare a/b vs c/d as a*d vs c*b (both denominators positive).
-        (self.numer * other.denom).cmp(&(other.numer * self.denom))
+        let (a, b, c, d) = (self.numer, self.denom, other.numer, other.denom);
+        if b == d {
+            return a.cmp(&c);
+        }
+        let (sa, sc) = (a.signum(), c.signum());
+        if sa != sc {
+            return sa.cmp(&sc);
+        }
+        // Compare a/b vs c/d as a·d vs c·b (both denominators positive).
+        checked(a.checked_mul(d)).cmp(&checked(c.checked_mul(b)))
     }
 }
 
@@ -462,5 +571,51 @@ mod tests {
     #[should_panic(expected = "cannot invert zero")]
     fn recip_of_zero_panics() {
         let _ = Rational::ZERO.recip();
+    }
+
+    // Overflow must panic in every profile: these run unchanged under
+    // `cargo test` (dev) and `cargo test --release`, where plain `i128`
+    // arithmetic would wrap.
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_add_overflow_panics() {
+        let _ = Rational::from_int(i128::MAX) + Rational::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_mul_overflow_panics() {
+        let _ = Rational::from_int(i128::MAX / 2) * Rational::from_int(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn fraction_add_overflow_panics() {
+        let _ = Rational::new(i128::MAX, 3) + Rational::new(1, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_plus_fraction_overflow_panics() {
+        let _ = Rational::from_int(i128::MAX / 2) + Rational::new(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn fraction_mul_overflow_panics() {
+        let _ = Rational::new(i128::MAX, 7) * Rational::new(11, 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn negating_min_panics() {
+        let _ = -Rational::from_int(i128::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn comparison_overflow_panics() {
+        let _ = Rational::new(i128::MAX, 3) < Rational::new(i128::MAX - 1, 2);
     }
 }

@@ -240,3 +240,125 @@ fn infeasible_box_detected() {
     p.add_ge(x, 10);
     assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
 }
+
+/// Always-reduce reference arithmetic for the `Rational` property suite:
+/// plain `i128` formulas, one Euclid gcd per result, no shortcuts.
+/// Operands stay below 2⁴⁰ in magnitude, so nothing here overflows.
+mod reference {
+    fn gcd(mut a: i128, mut b: i128) -> i128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+
+    pub fn reduce(n: i128, d: i128) -> (i128, i128) {
+        assert!(d != 0);
+        let g = gcd(n.abs(), d.abs());
+        let s = d.signum();
+        (s * n / g, s * d / g)
+    }
+
+    pub fn add((a, b): (i128, i128), (c, d): (i128, i128)) -> (i128, i128) {
+        reduce(a * d + c * b, b * d)
+    }
+
+    pub fn sub((a, b): (i128, i128), (c, d): (i128, i128)) -> (i128, i128) {
+        reduce(a * d - c * b, b * d)
+    }
+
+    pub fn mul((a, b): (i128, i128), (c, d): (i128, i128)) -> (i128, i128) {
+        reduce(a * c, b * d)
+    }
+
+    pub fn div((a, b): (i128, i128), (c, d): (i128, i128)) -> (i128, i128) {
+        reduce(a * d, b * c)
+    }
+
+    pub fn cmp((a, b): (i128, i128), (c, d): (i128, i128)) -> std::cmp::Ordering {
+        (a * d).cmp(&(c * b))
+    }
+}
+
+/// Draws a `(numer, denom)` pair of one of five shapes: zero (with any
+/// denominator), an integer, a small fraction, a large fraction, or an
+/// unreduced pair with a shared factor and a possibly negative
+/// denominator. Signs are mixed throughout.
+fn rand_pair(rng: &mut Rng) -> (i128, i128) {
+    let sign = |rng: &mut Rng| if rng.below(2) == 0 { 1 } else { -1 };
+    match rng.below(5) {
+        0 => (0, sign(rng) * rng.range(1, 1_000) as i128),
+        1 => (sign(rng) * rng.range(0, 1 << 30) as i128, 1),
+        2 => (
+            sign(rng) * rng.range(0, 100) as i128,
+            rng.range(1, 100) as i128,
+        ),
+        3 => (
+            sign(rng) * rng.range(0, 1 << 20) as i128,
+            rng.range(1, 1 << 20) as i128,
+        ),
+        _ => {
+            let k = rng.range(1, 1_000) as i128;
+            (
+                k * sign(rng) * rng.range(0, 1_000) as i128,
+                k * sign(rng) * rng.range(1, 1_000) as i128,
+            )
+        }
+    }
+}
+
+/// Canonical form: denominator positive, numerator and denominator
+/// coprime, zero as `0/1`.
+fn assert_canonical(r: Rational, what: &str) {
+    fn gcd(a: i128, b: i128) -> i128 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    assert!(r.denom() > 0, "{what}: denominator of {r:?}");
+    assert_eq!(
+        gcd(r.numer().abs(), r.denom()),
+        1,
+        "{what}: {r:?} not reduced"
+    );
+    if r.is_zero() {
+        assert_eq!(r.denom(), 1, "{what}: zero is not 0/1");
+    }
+}
+
+/// The fast paths (zero, integer, integer-plus-fraction, cross-reduced
+/// products) agree with always-reduce reference arithmetic and return
+/// canonical values, for every mix of operand shapes and signs.
+#[test]
+fn rational_fast_paths_match_reference() {
+    let mut rng = Rng(0x6a7e_0001);
+    for case in 0..4_000 {
+        let (pa, pb) = (rand_pair(&mut rng), rand_pair(&mut rng));
+        let (a, b) = (Rational::new(pa.0, pa.1), Rational::new(pb.0, pb.1));
+        let what = format!("case {case}: {pa:?} op {pb:?}");
+        assert_canonical(a, &what);
+        assert_eq!(
+            (a.numer(), a.denom()),
+            reference::reduce(pa.0, pa.1),
+            "{what}"
+        );
+        let (ra, rb) = (reference::reduce(pa.0, pa.1), reference::reduce(pb.0, pb.1));
+
+        let mut ops = vec![
+            ("+", a + b, reference::add(ra, rb)),
+            ("-", a - b, reference::sub(ra, rb)),
+            ("*", a * b, reference::mul(ra, rb)),
+        ];
+        if !b.is_zero() {
+            ops.push(("/", a / b, reference::div(ra, rb)));
+        }
+        for (op, got, want) in ops {
+            assert_canonical(got, &format!("{what} [{op}]"));
+            assert_eq!((got.numer(), got.denom()), want, "{what} [{op}]");
+        }
+        assert_eq!(a.cmp(&b), reference::cmp(ra, rb), "{what} [cmp]");
+        assert_eq!(a == b, ra == rb, "{what} [eq]");
+    }
+}
