@@ -7,9 +7,12 @@
 //!    literal strict equalities.
 //!
 //! ```text
-//! cargo run -p contention-bench --bin ablation [-- --jobs N] [--ilp-budget N]
+//! cargo run -p contention-bench --bin ablation [-- --jobs N] [--ilp-budget N] [--platform NAME]
 //! ```
 //!
+//! The models derive their tables from the `--platform` description
+//! the engine simulates, with the app and contender on its app and
+//! load cores.
 //! `--ilp-budget N` caps the branch-and-bound node budget of every
 //! ILP-PTAC variant (a budget exhaustion shows up as an error cell, not
 //! an abort); `--journal`/`--resume` run the profile measurements as a
@@ -22,18 +25,19 @@ use contention::{
     ContentionModel, FsbModel, FtcModel, IlpPtacModel, IlpPtacOptions, Platform,
     ScenarioConstraints,
 };
-use contention_bench::{campaign_from_args, report_campaign, write_engine_report, CommonArgs};
+use contention_bench::write_engine_report;
+use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
 use mbta::BatchRunner;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("ablation");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
     let runner: &dyn BatchRunner = match campaign.as_ref() {
         Some(c) => c,
         None => &engine,
@@ -44,9 +48,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         opts
     };
-    let platform = Platform::tc277_reference();
+    // Model the machine that was simulated, with its own core roles.
+    let desc = engine.platform();
+    let platform = Platform::from_desc(desc);
+    let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
     let scenario = DeploymentScenario::Scenario1;
-    let app = runner.isolation(&control_loop(scenario, CoreId(1), 42), CoreId(1))?;
+    let app = runner.isolation(&control_loop_on(desc, scenario, app_core, 42), app_core)?;
+    let load = |level: LoadLevel| {
+        runner.isolation(
+            &contender_on(desc, scenario, level, load_core, 7),
+            load_core,
+        )
+    };
 
     println!("ILP-PTAC ablations, Scenario 1, vs contender load\n");
 
@@ -84,8 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = IlpPtacModel::with_options(&platform, opts.clone());
         let mut row = vec![name.to_string()];
         for level in LoadLevel::all() {
-            let load_spec = contender(scenario, level, CoreId(2), 7);
-            let load = runner.isolation(&load_spec, CoreId(2))?;
+            let load = load(level)?;
             match model.wcet_estimate(&app, &[&load]) {
                 Ok(est) => row.push(format!("{:.2}x", est.ratio())),
                 Err(e) => row.push(format!("error: {e}")),
@@ -97,8 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ftc = FtcModel::new(&platform);
     let mut row = vec!["fTC closed form (reference)".to_string()];
     for level in LoadLevel::all() {
-        let load_spec = contender(scenario, level, CoreId(2), 7);
-        let load = runner.isolation(&load_spec, CoreId(2))?;
+        let load = load(level)?;
         row.push(format!(
             "{:.2}x",
             ftc.wcet_estimate(&app, &[&load])?.ratio()
@@ -133,8 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let mut row = vec![name.to_string()];
         for level in LoadLevel::all() {
-            let load_spec = contender(scenario, level, CoreId(2), 7);
-            let load = runner.isolation(&load_spec, CoreId(2))?;
+            let load = load(level)?;
             row.push(format!(
                 "{:.2}x",
                 model.wcet_estimate(&app, &[&load])?.ratio()
@@ -147,8 +157,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("reductions in every column — §4.3's subsumption claim, measured.");
 
     let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
-    common.flush_telemetry(telemetry.as_ref())?;
+    write_engine_report(&engine, &args);
+    common.flush_telemetry(telemetry.as_deref())?;
     if !complete {
         std::process::exit(2);
     }

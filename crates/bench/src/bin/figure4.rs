@@ -4,33 +4,47 @@
 //! bounds must dominate.
 //!
 //! ```text
-//! cargo run -p contention-bench --bin figure4 [-- --jobs N]
-//! cargo run -p contention-bench --bin figure4 -- --low-traffic
+//! cargo run -p contention-bench --bin figure4 [-- --scenario sc1|sc2|low] [--platform NAME] [--jobs N]
 //! ```
 //!
-//! `--low-traffic` runs the §4.2 closing-remark variant: a realistic
+//! Without `--scenario` both paper scenarios are printed. `--scenario
+//! low` runs the §4.2 closing-remark variant: a realistic
 //! scratchpad-dominant application whose contention bounds drop to the
 //! ~10% range the paper reports for real automotive use cases.
-//! `--jobs N` sizes the experiment engine (default: all cores); each
-//! panel's seven simulations run as one batch. Each panel also reports
-//! the fault-tolerant evaluator's fTC fallback rate on stderr;
+//! `--platform NAME` selects the simulated machine, and the models
+//! derive their tables from the same description. Each panel's seven
+//! simulations run as one batch on `--jobs N` workers. Each panel also
+//! reports the fault-tolerant evaluator's fTC fallback rate on stderr;
 //! `--ilp-budget N` caps the ILP node budget for that report.
 //! `--journal <file>` / `--resume <file>` run the panels as a
-//! crash-safe campaign (see `contention_bench::campaign_from_args`).
+//! crash-safe campaign (see `mbta::args`).
 
 use contention::Platform;
-use contention_bench::{
-    campaign_from_args, fig4_cell, panel_fallback_report, report_campaign, write_engine_report,
-    CommonArgs,
-};
+use contention_bench::{fig4_cell, panel_fallback_report, write_engine_report};
+use mbta::args::{report_campaign, take_parsed, CommonArgs};
 use mbta::report::{ratio, Table};
 use mbta::BatchRunner;
 use tc27x_sim::DeploymentScenario;
 
+/// The panel heading of a scenario.
+fn label(scenario: DeploymentScenario) -> &'static str {
+    match scenario {
+        DeploymentScenario::Scenario1 => "Scenario 1",
+        DeploymentScenario::Scenario2 => "Scenario 2",
+        DeploymentScenario::LowTraffic => "real-world-like (low SRI traffic)",
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let low_traffic = args.iter().any(|a| a == "--low-traffic");
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.clone();
+    let only: Option<DeploymentScenario> = take_parsed(&mut rest, "--scenario")?;
+    let common = CommonArgs::parse(rest)?;
+    let scenarios = match only {
+        Some(s) => vec![s],
+        None => vec![DeploymentScenario::Scenario1, DeploymentScenario::Scenario2],
+    };
+    let low_traffic = only == Some(DeploymentScenario::LowTraffic);
     let budget = common.ilp_budget;
     let telemetry = common.recorder("figure4");
     if let Some(t) = &telemetry {
@@ -44,33 +58,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
     let runner: &dyn BatchRunner = match campaign.as_ref() {
         Some(c) => c,
         None => &engine,
     };
-    let platform = Platform::tc277_reference();
-
-    let scenarios: &[(DeploymentScenario, &str)] = if low_traffic {
-        &[(
-            DeploymentScenario::LowTraffic,
-            "real-world-like (low SRI traffic)",
-        )]
-    } else {
-        &[
-            (DeploymentScenario::Scenario1, "Scenario 1"),
-            (DeploymentScenario::Scenario2, "Scenario 2"),
-        ]
-    };
+    let platform = Platform::from_desc(engine.platform());
 
     println!("Figure 4: model predictions w.r.t. execution in isolation");
     println!("(ratios are bound/isolation; 'observed' is the measured co-run)\n");
 
-    for (scenario, label) in scenarios {
-        let panel = mbta::figure4_panel_with(runner, *scenario, &platform, 42)?;
+    for scenario in scenarios {
+        let label = label(scenario);
+        let panel = mbta::figure4_panel_with(runner, scenario, &platform, 42)?;
         eprintln!(
             "{label}: {}",
-            panel_fallback_report(runner, *scenario, 42, budget, telemetry.as_deref())?
+            panel_fallback_report(runner, scenario, 42, budget, telemetry.as_deref())?
         );
         println!(
             "{label}  —  isolation CCNT = {} cycles",
@@ -112,13 +115,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
+    write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         // The reproducibility footer goes under the figure: how the
         // numbers above were obtained, from deterministic counters only.
         print!("{}", mbta::report::reproducibility_footer(t));
     }
-    common.flush_telemetry(telemetry.as_ref())?;
+    common.flush_telemetry(telemetry.as_deref())?;
     if !complete {
         std::process::exit(2);
     }

@@ -33,29 +33,22 @@
 //! report. The CSV itself always uses the exact models, so stdout stays
 //! byte-identical regardless of the budget.
 
-use contention_bench::{
-    campaign_from_args, report_campaign, sweep_csv, sweep_csv_partial, sweep_fallback_report,
-    write_engine_report, CommonArgs,
-};
+use contention_bench::{sweep_csv, sweep_csv_partial, sweep_fallback_report, write_engine_report};
+use mbta::args::{report_campaign, take_parsed, CommonArgs};
 use tc27x_sim::DeploymentScenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let (scenario, scenario_label) = match args.iter().position(|a| a == "--scenario") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("sc2") => (DeploymentScenario::Scenario2, "sc2"),
-            Some("low") => (DeploymentScenario::LowTraffic, "low"),
-            _ => (DeploymentScenario::Scenario1, "sc1"),
-        },
-        None => (DeploymentScenario::Scenario1, "sc1"),
-    };
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.clone();
+    let scenario = take_parsed(&mut rest, "--scenario")?.unwrap_or(DeploymentScenario::Scenario1);
+    let scenario_label = scenario.token();
+    let common = CommonArgs::parse(rest)?;
     let telemetry = common.recorder(&format!("sweep {scenario_label}"));
     if let Some(t) = &telemetry {
         t.meta("scenario", mbta::Val::str(scenario_label));
     }
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
 
     let mut sweep_complete = true;
     match campaign.as_ref() {
@@ -87,11 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let campaign_complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
+    write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         eprint!("{}", mbta::report::reproducibility_footer(t));
     }
-    common.flush_telemetry(telemetry.as_ref())?;
+    common.flush_telemetry(telemetry.as_deref())?;
     if !(sweep_complete && campaign_complete) {
         std::process::exit(2);
     }

@@ -12,18 +12,17 @@
 //! uniformity; Table 2 runs no ILP solve).
 
 use contention::{Operation, Platform, Target};
-use contention_bench::{
-    campaign_from_args, paper_vs, report_campaign, write_engine_report, CommonArgs,
-};
+use contention_bench::{paper_vs, write_engine_report};
+use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
 use mbta::BatchRunner;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table2");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
     let runner: &dyn BatchRunner = match campaign.as_ref() {
         Some(c) => c,
         None => &engine,
@@ -77,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
-    common.flush_telemetry(telemetry.as_ref())?;
+    write_engine_report(&engine, &args);
+    common.flush_telemetry(telemetry.as_deref())?;
     if !complete {
         std::process::exit(2);
     }

@@ -12,11 +12,12 @@
 //! treat all six artefact binaries uniformly. A journal written here
 //! records nothing beyond its header — there are no jobs to journal.
 
-use contention_bench::{campaign_from_args, report_campaign, write_engine_report, CommonArgs};
+use contention_bench::write_engine_report;
+use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
-use tc27x_sim::{AccessClass, Placement, Region};
+use tc27x_sim::{Operation, Placement, Region};
 
-fn cell(class: AccessClass, region: Region, cacheable: bool) -> String {
+fn cell(class: Operation, region: Region, cacheable: bool) -> String {
     if Placement::new(region, cacheable).validate(class).is_ok() {
         "ok".into()
     } else {
@@ -25,11 +26,11 @@ fn cell(class: AccessClass, region: Region, cacheable: bool) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table3");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
 
     println!("Table 3: constraints on code/data placement w.r.t. SRI slaves");
     println!("('ok' = admissible, 'x' = forbidden; matches the paper cell for cell)\n");
@@ -42,10 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Region::Lmu,
     ];
     for (label, class, cacheable) in [
-        ("Code $", AccessClass::Code, true),
-        ("Code n$", AccessClass::Code, false),
-        ("Data $", AccessClass::Data, true),
-        ("Data n$", AccessClass::Data, false),
+        ("Code $", Operation::Code, true),
+        ("Code n$", Operation::Code, false),
+        ("Data $", Operation::Data, true),
+        ("Data n$", Operation::Data, false),
     ] {
         let mut row = vec![label.to_owned()];
         row.extend(regions.iter().map(|r| cell(class, *r, cacheable)));
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  Data $ : ok ok x ok     Data n$: x  x  ok ok");
 
     report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
-    common.flush_telemetry(telemetry.as_ref())?;
+    write_engine_report(&engine, &args);
+    common.flush_telemetry(telemetry.as_deref())?;
     Ok(())
 }

@@ -14,7 +14,8 @@
 //! scenario blocks as a crash-safe campaign.
 
 use contention::IsolationProfile;
-use contention_bench::{campaign_from_args, report_campaign, write_engine_report, CommonArgs};
+use contention_bench::write_engine_report;
+use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
 use mbta::BatchRunner;
 use tc27x_sim::DeploymentScenario;
@@ -32,11 +33,11 @@ fn row(label: &str, p: &IsolationProfile) -> Vec<String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let common = CommonArgs::parse(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table6");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let campaign = common.campaign(&engine, telemetry.as_deref())?;
     let runner: &dyn BatchRunner = match campaign.as_ref() {
         Some(c) => c,
         None => &engine,
@@ -66,13 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("code stalls; contender traffic is roughly half the app's.");
 
     let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
-    write_engine_report(&engine, &common.envelope(&args[1..]));
+    write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         // The reproducibility footer goes under the table: how the
         // numbers above were obtained, from deterministic counters only.
         print!("{}", mbta::report::reproducibility_footer(t));
     }
-    common.flush_telemetry(telemetry.as_ref())?;
+    common.flush_telemetry(telemetry.as_deref())?;
     if !complete {
         std::process::exit(2);
     }

@@ -265,10 +265,10 @@ mod tests {
         // records through the lint.
         let mut stats = tc27x_sim::SimStats::default();
         stats.attribution.charge(
-            tc27x_sim::SriTarget::Lmu.index(),
+            tc27x_sim::Target::Lmu.index(),
             0,
             1,
-            tc27x_sim::AccessClass::Data,
+            tc27x_sim::Operation::Data,
             11,
         );
         let job = mbta::SimJob::Isolation {

@@ -7,7 +7,7 @@
 //! conservative direction for a contention bound.
 
 use crate::platform::Platform;
-use crate::profile::DebugCounters;
+use crate::DebugCounters;
 
 /// Upper bounds on a task's SRI access counts derived from its stall
 /// counters (Eq. 4: `n̂ = ⌈cs / cs_min⌉`).
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn bound_dominates_honest_mixes() {
         let p = Platform::tc277_reference();
-        use crate::platform::{Operation, Target};
+        use crate::{Operation, Target};
         // 30 pf0-code and 12 lmu-code requests at min stalls each.
         let ps =
             30 * p.stall(Target::Pf0, Operation::Code) + 12 * p.stall(Target::Lmu, Operation::Code);

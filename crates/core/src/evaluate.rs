@@ -218,7 +218,7 @@ impl<'p> Evaluator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DebugCounters;
+    use crate::DebugCounters;
 
     fn profile(name: &str, ps: u64, ds: u64, pm: u64) -> IsolationProfile {
         IsolationProfile::new(

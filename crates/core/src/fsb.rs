@@ -124,8 +124,8 @@ mod tests {
     use super::*;
     use crate::ftc::FtcModel;
     use crate::ilp_ptac::IlpPtacModel;
-    use crate::profile::DebugCounters;
     use crate::scenario::ScenarioConstraints;
+    use crate::DebugCounters;
 
     fn profile(name: &str, ps: u64, ds: u64) -> IsolationProfile {
         IsolationProfile::new(

@@ -16,9 +16,10 @@
 
 use crate::counts::AccessBounds;
 use crate::error::ModelError;
-use crate::platform::{Operation, Platform, Target};
+use crate::platform::Platform;
 use crate::profile::IsolationProfile;
 use crate::wcet::{ContentionBound, ContentionModel};
+use crate::{Operation, Target};
 
 /// The fTC model.
 ///
@@ -130,7 +131,7 @@ impl ContentionModel for FtcModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DebugCounters;
+    use crate::DebugCounters;
 
     fn profile(ps: u64, ds: u64) -> IsolationProfile {
         IsolationProfile::new(

@@ -13,9 +13,10 @@
 //! written in Eq. 1.
 
 use crate::error::ModelError;
-use crate::platform::{Operation, Platform};
+use crate::platform::Platform;
 use crate::profile::{AccessCounts, IsolationProfile};
 use crate::wcet::{ContentionBound, ContentionModel};
+use crate::Operation;
 
 /// The ideal (full-information) model.
 ///
@@ -96,8 +97,7 @@ impl ContentionModel for IdealModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::Target;
-    use crate::profile::DebugCounters;
+    use crate::{DebugCounters, Target};
 
     fn profile(name: &str, ptac: AccessCounts) -> IsolationProfile {
         IsolationProfile::new(name, DebugCounters::default()).with_ptac(ptac)

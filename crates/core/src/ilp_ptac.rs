@@ -19,10 +19,12 @@
 //!   equalities.
 
 use crate::error::ModelError;
-use crate::platform::{Operation, Platform, Target};
-use crate::profile::{AccessCounts, DebugCounters, IsolationProfile};
+use crate::platform::Platform;
+use crate::profile::{AccessCounts, IsolationProfile};
 use crate::scenario::ScenarioConstraints;
 use crate::wcet::{ContentionBound, ContentionModel};
+use crate::DebugCounters;
+use crate::{Operation, Target};
 use ilp::{LinExpr, Problem, Var};
 
 /// Options controlling the ILP-PTAC formulation.

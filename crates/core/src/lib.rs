@@ -69,6 +69,7 @@ mod tightness;
 pub mod validate;
 mod wcet;
 
+pub use ::platform::{DebugCounters, Operation, Target};
 pub use counts::AccessBounds;
 pub use error::ModelError;
 pub use evaluate::{BoundSource, EvalOptions, EvaluatedBound, Evaluator};
@@ -76,11 +77,11 @@ pub use fsb::FsbModel;
 pub use ftc::FtcModel;
 pub use ideal::IdealModel;
 pub use ilp_ptac::{IlpPtacModel, IlpPtacOptions, IlpPtacSolution};
-pub use platform::{AccessPaths, Operation, PerTargetOp, Platform, Target};
-pub use profile::{AccessCounts, DebugCounters, IsolationProfile, ParseProfileError};
+pub use platform::{AccessPaths, PerTargetOp, Platform};
+pub use profile::{AccessCounts, IsolationProfile, ParseProfileError};
 pub use scenario::ScenarioConstraints;
 pub use sensitivity::{CounterKind, Sensitivity, SensitivityReport, Side};
-pub use signature::{ContenderSignature, StableHasher};
+pub use signature::ContenderSignature;
 pub use tightness::{
     per_grant_wait_bound, AuditKind, ObservedContention, TightnessReport, TightnessRow,
 };

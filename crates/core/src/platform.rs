@@ -1,91 +1,13 @@
-//! The analysed platform: SRI targets, operation types, latency and
-//! stall tables (Table 2) and the feasible access paths (Figure 2).
+//! The analysed platform: latency and stall tables (Table 2) and the
+//! feasible access paths (Figure 2), indexed by the shared
+//! [`Target`]/[`Operation`] vocabulary of the `platform` crate.
 //!
 //! This crate is deliberately independent of the simulator: it consumes
 //! only numbers a Debug Support Unit (or a calibration campaign) can
 //! produce, exactly like the paper's method.
 
+use ::platform::{Operation, Target};
 use std::fmt;
-
-/// An SRI target resource, `T = {dfl, pf0, pf1, lmu}` (Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Target {
-    /// Program flash bank 0.
-    Pf0,
-    /// Program flash bank 1.
-    Pf1,
-    /// Data flash.
-    Dfl,
-    /// LMU SRAM.
-    Lmu,
-}
-
-impl Target {
-    /// Number of targets.
-    pub const COUNT: usize = 4;
-
-    /// All targets, in a fixed order.
-    pub fn all() -> [Target; Self::COUNT] {
-        [Target::Pf0, Target::Pf1, Target::Dfl, Target::Lmu]
-    }
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        match self {
-            Target::Pf0 => 0,
-            Target::Pf1 => 1,
-            Target::Dfl => 2,
-            Target::Lmu => 3,
-        }
-    }
-}
-
-impl fmt::Display for Target {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Target::Pf0 => write!(f, "pf0"),
-            Target::Pf1 => write!(f, "pf1"),
-            Target::Dfl => write!(f, "dfl"),
-            Target::Lmu => write!(f, "lmu"),
-        }
-    }
-}
-
-/// An operation type, `O = {co, da}` (Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Operation {
-    /// Code (instruction fetch) requests.
-    Code,
-    /// Data (load/store) requests.
-    Data,
-}
-
-impl Operation {
-    /// Number of operation types.
-    pub const COUNT: usize = 2;
-
-    /// Both operation types.
-    pub fn all() -> [Operation; Self::COUNT] {
-        [Operation::Code, Operation::Data]
-    }
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        match self {
-            Operation::Code => 0,
-            Operation::Data => 1,
-        }
-    }
-}
-
-impl fmt::Display for Operation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operation::Code => write!(f, "co"),
-            Operation::Data => write!(f, "da"),
-        }
-    }
-}
 
 /// A dense `(target, operation)`-indexed table of `u64` values, used for
 /// latencies, stall cycles and access counts.

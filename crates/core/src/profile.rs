@@ -2,51 +2,9 @@
 //! produces, and all the contention models consume.
 
 use crate::platform::PerTargetOp;
+use ::platform::DebugCounters;
 use std::fmt;
 use std::str::FromStr;
-
-/// Debug-counter readings of one task executed in isolation (the
-/// paper's Table 4 / Table 6 rows).
-///
-/// Field names mirror the TC27x DSU counters; the values are cumulative
-/// end-to-end readings over one activation in isolation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-pub struct DebugCounters {
-    /// Execution time in cycles (CCNT).
-    pub ccnt: u64,
-    /// PMEM_STALL: cycles stalled on the program memory interface.
-    pub pmem_stall: u64,
-    /// DMEM_STALL: cycles stalled on the data memory interface.
-    pub dmem_stall: u64,
-    /// P$_MISS: instruction-cache misses.
-    pub pcache_miss: u64,
-    /// D$_MISS_CLEAN: clean data-cache misses.
-    pub dcache_miss_clean: u64,
-    /// D$_MISS_DIRTY: dirty data-cache misses.
-    pub dcache_miss_dirty: u64,
-}
-
-impl DebugCounters {
-    /// Total data-cache misses (`DMC + DMD`).
-    pub fn dcache_miss_total(&self) -> u64 {
-        self.dcache_miss_clean + self.dcache_miss_dirty
-    }
-}
-
-impl fmt::Display for DebugCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CCNT={} PS={} DS={} PM={} DMC={} DMD={}",
-            self.ccnt,
-            self.pmem_stall,
-            self.dmem_stall,
-            self.pcache_miss,
-            self.dcache_miss_clean,
-            self.dcache_miss_dirty
-        )
-    }
-}
 
 /// Exact per-target access counts (`n_x^{t,o}`), available only from a
 /// simulator or an ideal DSU — the input the *ideal* model (Eq. 1)
@@ -111,7 +69,7 @@ impl IsolationProfile {
 
 impl fmt::Display for IsolationProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.name, self.counters)
+        write!(f, "{}: {}", self.name, self.counters.abbreviated())
     }
 }
 
@@ -200,7 +158,7 @@ impl FromStr for IsolationProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::{Operation, Target};
+    use crate::{Operation, Target};
 
     #[test]
     fn profile_roundtrip() {

@@ -6,7 +6,7 @@
 //! constraints of Table 5 in a composable form; the two paper scenarios
 //! are provided as constructors.
 
-use crate::platform::{Operation, Target};
+use crate::{Operation, Target};
 use std::fmt;
 
 /// Extra per-task constraints on feasible access counts, derived from

@@ -8,8 +8,9 @@
 //! [`ContentionModel`], including the ILP where no closed form exists.
 
 use crate::error::ModelError;
-use crate::profile::{DebugCounters, IsolationProfile};
+use crate::profile::IsolationProfile;
 use crate::wcet::ContentionModel;
+use crate::DebugCounters;
 use std::fmt;
 
 /// The perturbable counters of a profile.

@@ -15,84 +15,8 @@
 //! signature.
 
 use crate::platform::Platform;
-use crate::profile::{DebugCounters, IsolationProfile};
-
-/// A stable, platform-independent 64-bit hasher (FNV-1a).
-///
-/// `std::hash` offers no stability guarantee across releases or
-/// processes, so anything that keys a persistent or cross-run cache —
-/// like the experiment engine's isolation-profile memoizer — needs its
-/// own hasher with a fixed algorithm. FNV-1a is tiny, has no seed, and
-/// its output for a given byte stream never changes.
-///
-/// # Examples
-///
-/// ```
-/// use contention::StableHasher;
-///
-/// let mut h = StableHasher::new();
-/// h.write_str("task-a");
-/// h.write_u64(3);
-/// let a = h.finish();
-///
-/// let mut h2 = StableHasher::new();
-/// h2.write_str("task-a");
-/// h2.write_u64(3);
-/// assert_eq!(a, h2.finish());
-/// ```
-#[derive(Clone, Debug)]
-pub struct StableHasher {
-    state: u64,
-}
-
-impl StableHasher {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Creates a hasher in its initial state.
-    pub fn new() -> Self {
-        StableHasher {
-            state: Self::OFFSET_BASIS,
-        }
-    }
-
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    /// Feeds a string, delimited so `"ab" + "c"` and `"a" + "bc"`
-    /// hash differently.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write(s.as_bytes());
-        self.write(&[0xff])
-    }
-
-    /// Feeds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// Feeds a `u8`.
-    pub fn write_u8(&mut self, v: u8) -> &mut Self {
-        self.write(&[v])
-    }
-
-    /// Returns the accumulated hash.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher::new()
-    }
-}
+use crate::profile::IsolationProfile;
+use crate::DebugCounters;
 
 /// A ceiling on a contender's SRI usage over the analysis window.
 ///

@@ -25,8 +25,9 @@
 
 use crate::counts::AccessBounds;
 use crate::ftc::FtcModel;
-use crate::platform::{Operation, Platform, Target};
+use crate::platform::Platform;
 use crate::profile::IsolationProfile;
+use crate::{Operation, Target};
 use std::fmt;
 
 /// What a co-run measurement observed about the analysed core, distilled
@@ -265,7 +266,7 @@ impl fmt::Display for TightnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DebugCounters;
+    use crate::DebugCounters;
 
     fn profile() -> IsolationProfile {
         IsolationProfile::new(

@@ -62,8 +62,9 @@
 //! ```
 
 use crate::error::ModelError;
-use crate::platform::{Operation, Platform};
-use crate::profile::{AccessCounts, DebugCounters, IsolationProfile};
+use crate::platform::Platform;
+use crate::profile::{AccessCounts, IsolationProfile};
+use crate::{DebugCounters, Operation};
 use std::fmt;
 
 /// What to do with a profile that violates an invariant.
@@ -408,7 +409,7 @@ impl<'p> Validator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::Target;
+    use crate::Target;
 
     fn platform() -> Platform {
         Platform::tc277_reference()

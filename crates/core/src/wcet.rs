@@ -159,7 +159,7 @@ pub trait ContentionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DebugCounters;
+    use crate::DebugCounters;
 
     struct Fixed(u64);
     impl ContentionModel for Fixed {

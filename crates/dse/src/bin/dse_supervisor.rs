@@ -29,7 +29,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use dse::{parse_scenario, supervise, DseConfig, ShardChaos, SupervisorConfig};
+use dse::{supervise, DseConfig, ShardChaos, SupervisorConfig};
+use mbta::args::{reject_rest, take_flag, take_parsed, take_positive, take_value};
 use mbta::{Backoff, RetryPolicy};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -50,93 +51,37 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut cfg = DseConfig::default();
-    let mut state_dir: Option<PathBuf> = None;
-    let mut worker_bin = default_worker_bin();
-    let (mut shards, mut jobs) = (4u32, 2u32);
-    let mut watchdog_ms = 5_000u64;
-    let mut max_attempts = RetryPolicy::default().max_attempts;
-    let mut backoff_ms = 50u64;
-    let mut resume = false;
-    let mut report_md = false;
-    let mut point_delay_ms = 0u64;
-    let (mut chaos_seed, mut kill, mut stall, mut tear, mut only) =
-        (None::<u64>, 0u32, 0u32, 0u32, None::<u32>);
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--resume" => {
-                resume = true;
-                continue;
-            }
-            _ => {}
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
-        let num = |v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("bad number for {flag}: {v}"))
-        };
-        match flag.as_str() {
-            "--state-dir" => state_dir = Some(PathBuf::from(&value)),
-            "--worker-bin" => worker_bin = PathBuf::from(&value),
-            "--shards" => shards = num(&value)? as u32,
-            "--jobs" => jobs = num(&value)? as u32,
-            "--seed" => cfg.seed = num(&value)?,
-            "--scenario" => {
-                cfg.scenario =
-                    parse_scenario(&value).ok_or_else(|| format!("unknown scenario {value}"))?;
-            }
-            "--platform" => {
-                cfg.platform = platform::PlatformDesc::builtin(&value).ok_or_else(|| {
-                    format!(
-                        "unknown platform `{value}` (known platforms: {})",
-                        platform::PlatformDesc::names().join(", ")
-                    )
-                })?;
-            }
-            "--report" => {
-                report_md = match value.as_str() {
-                    "md" | "markdown" => true,
-                    "txt" | "text" => false,
-                    other => return Err(format!("unknown report format `{other}` (txt or md)")),
-                };
-            }
-            "--utils" => cfg.utils = num(&value)? as u32,
-            "--util-min-ppm" => cfg.util_min_ppm = num(&value)?,
-            "--util-max-ppm" => cfg.util_max_ppm = num(&value)?,
-            "--sets" => cfg.sets = num(&value)? as u32,
-            "--tasks" => cfg.tasks = num(&value)? as u32,
-            "--watchdog-ms" => watchdog_ms = num(&value)?,
-            "--max-attempts" => max_attempts = num(&value)? as u32,
-            "--backoff-ms" => backoff_ms = num(&value)?,
-            "--point-delay-ms" => point_delay_ms = num(&value)?,
-            "--chaos-seed" => chaos_seed = Some(num(&value)?),
-            "--chaos-kill" => kill = num(&value)? as u32,
-            "--chaos-stall" => stall = num(&value)? as u32,
-            "--chaos-tear" => tear = num(&value)? as u32,
-            "--chaos-shard" => only = Some(num(&value)? as u32),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if take_flag(&mut args, "--help") || take_flag(&mut args, "-h") {
+        return Err(String::new());
     }
-    let state_dir = state_dir.ok_or("--state-dir is required")?;
-    let chaos = chaos_seed.map(|seed| ShardChaos {
-        seed,
-        kill_permille: kill,
-        stall_permille: stall,
-        tear_permille: tear,
-        only_shard: only,
-    });
+    let cfg = DseConfig::take(&mut args)?;
+    let state_dir = take_value(&mut args, "--state-dir")?.ok_or("--state-dir is required")?;
+    let worker_bin =
+        take_value(&mut args, "--worker-bin")?.map_or_else(default_worker_bin, PathBuf::from);
+    let shards = take_parsed(&mut args, "--shards")?.unwrap_or(4);
+    let jobs = take_positive(&mut args, "--jobs")?.unwrap_or(2);
+    let watchdog_millis = take_parsed(&mut args, "--watchdog-ms")?.unwrap_or(5_000);
+    let max_attempts =
+        take_parsed(&mut args, "--max-attempts")?.unwrap_or(RetryPolicy::default().max_attempts);
+    let backoff_ms = take_parsed(&mut args, "--backoff-ms")?.unwrap_or(50);
+    let point_delay_millis = take_parsed(&mut args, "--point-delay-ms")?.unwrap_or(0);
+    let resume = take_flag(&mut args, "--resume");
+    let report_md = match take_value(&mut args, "--report")?.as_deref() {
+        None | Some("txt" | "text") => false,
+        Some("md" | "markdown") => true,
+        Some(other) => return Err(format!("unknown report format `{other}` (txt or md)")),
+    };
+    let chaos = ShardChaos::take(&mut args)?;
+    reject_rest(&args)?;
     Ok(Args {
         sup: SupervisorConfig {
             cfg,
             shards,
             jobs,
-            state_dir,
+            state_dir: PathBuf::from(state_dir),
             worker_bin,
-            watchdog_millis: watchdog_ms,
+            watchdog_millis,
             retry: RetryPolicy { max_attempts },
             backoff: Backoff {
                 base_millis: backoff_ms,
@@ -144,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
             },
             resume,
             chaos,
-            point_delay_millis: point_delay_ms,
+            point_delay_millis,
         },
         report_md,
     })

@@ -18,7 +18,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use dse::{model_ratios_on, parse_scenario, run_shard, DseConfig, ShardChaos};
+use dse::{model_ratios_on, run_shard, DseConfig, ShardChaos};
+use mbta::args::{reject_rest, take_flag, take_parsed, take_value};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -35,69 +36,21 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut cfg = DseConfig::default();
-    let mut state_dir: Option<PathBuf> = None;
-    let (mut shard, mut shards, mut attempt) = (None::<u32>, None::<u32>, 0u32);
-    let mut point_delay_ms = 0u64;
-    let (mut chaos_seed, mut kill, mut stall, mut tear, mut only) =
-        (None::<u64>, 0u32, 0u32, 0u32, None::<u32>);
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(String::new());
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
-        let num = |v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("bad number for {flag}: {v}"))
-        };
-        match flag.as_str() {
-            "--state-dir" => state_dir = Some(PathBuf::from(&value)),
-            "--shard" => shard = Some(num(&value)? as u32),
-            "--shards" => shards = Some(num(&value)? as u32),
-            "--seed" => cfg.seed = num(&value)?,
-            "--scenario" => {
-                cfg.scenario =
-                    parse_scenario(&value).ok_or_else(|| format!("unknown scenario {value}"))?;
-            }
-            "--platform" => {
-                cfg.platform = platform::PlatformDesc::builtin(&value).ok_or_else(|| {
-                    format!(
-                        "unknown platform `{value}` (known platforms: {})",
-                        platform::PlatformDesc::names().join(", ")
-                    )
-                })?;
-            }
-            "--utils" => cfg.utils = num(&value)? as u32,
-            "--util-min-ppm" => cfg.util_min_ppm = num(&value)?,
-            "--util-max-ppm" => cfg.util_max_ppm = num(&value)?,
-            "--sets" => cfg.sets = num(&value)? as u32,
-            "--tasks" => cfg.tasks = num(&value)? as u32,
-            "--attempt" => attempt = num(&value)? as u32,
-            "--point-delay-ms" => point_delay_ms = num(&value)?,
-            "--chaos-seed" => chaos_seed = Some(num(&value)?),
-            "--chaos-kill" => kill = num(&value)? as u32,
-            "--chaos-stall" => stall = num(&value)? as u32,
-            "--chaos-tear" => tear = num(&value)? as u32,
-            "--chaos-shard" => only = Some(num(&value)? as u32),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if take_flag(&mut args, "--help") || take_flag(&mut args, "-h") {
+        return Err(String::new());
     }
-    let state_dir = state_dir.ok_or("--state-dir is required")?;
-    let shard = shard.ok_or("--shard is required")?;
-    let shards = shards.ok_or("--shards is required")?;
-    let chaos = chaos_seed.map(|seed| ShardChaos {
-        seed,
-        kill_permille: kill,
-        stall_permille: stall,
-        tear_permille: tear,
-        only_shard: only,
-    });
+    let cfg = DseConfig::take(&mut args)?;
+    let state_dir = take_value(&mut args, "--state-dir")?.ok_or("--state-dir is required")?;
+    let shard = take_parsed(&mut args, "--shard")?.ok_or("--shard is required")?;
+    let shards = take_parsed(&mut args, "--shards")?.ok_or("--shards is required")?;
+    let attempt = take_parsed(&mut args, "--attempt")?.unwrap_or(0);
+    let point_delay_ms = take_parsed(&mut args, "--point-delay-ms")?.unwrap_or(0);
+    let chaos = ShardChaos::take(&mut args)?;
+    reject_rest(&args)?;
     Ok(Args {
         cfg,
-        state_dir,
+        state_dir: PathBuf::from(state_dir),
         shard,
         shards,
         attempt,

@@ -10,7 +10,8 @@
 //! never changes what any point computes.
 
 use crate::error::DseError;
-use contention::StableHasher;
+use mbta::args::{take_parsed, take_platform};
+use obs::Fnv;
 use tc27x_sim::DeploymentScenario;
 
 /// Utilization is carried in parts-per-million throughout the crate.
@@ -59,26 +60,29 @@ impl Default for DseConfig {
     }
 }
 
-/// The stable CLI tag of a scenario (`sc1` / `sc2` / `low`).
-pub fn scenario_tag(scenario: DeploymentScenario) -> &'static str {
-    match scenario {
-        DeploymentScenario::Scenario1 => "sc1",
-        DeploymentScenario::Scenario2 => "sc2",
-        DeploymentScenario::LowTraffic => "low",
-    }
-}
-
-/// Parses a [`scenario_tag`] spelling back into a scenario.
-pub fn parse_scenario(tag: &str) -> Option<DeploymentScenario> {
-    match tag {
-        "sc1" | "scenario1" => Some(DeploymentScenario::Scenario1),
-        "sc2" | "scenario2" => Some(DeploymentScenario::Scenario2),
-        "low" => Some(DeploymentScenario::LowTraffic),
-        _ => None,
-    }
-}
-
 impl DseConfig {
+    /// Removes the campaign-grid flags (`--seed`, `--scenario`,
+    /// `--platform`, `--utils`, `--util-min-ppm`, `--util-max-ppm`,
+    /// `--sets`, `--tasks`) from a command line; absent ones keep their
+    /// defaults. The supervisor and its workers share this parser.
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed value.
+    pub fn take(args: &mut Vec<String>) -> Result<DseConfig, String> {
+        let d = DseConfig::default();
+        Ok(DseConfig {
+            seed: take_parsed(args, "--seed")?.unwrap_or(d.seed),
+            platform: take_platform(args)?,
+            scenario: take_parsed(args, "--scenario")?.unwrap_or(d.scenario),
+            utils: take_parsed(args, "--utils")?.unwrap_or(d.utils),
+            util_min_ppm: take_parsed(args, "--util-min-ppm")?.unwrap_or(d.util_min_ppm),
+            util_max_ppm: take_parsed(args, "--util-max-ppm")?.unwrap_or(d.util_max_ppm),
+            sets: take_parsed(args, "--sets")?.unwrap_or(d.sets),
+            tasks: take_parsed(args, "--tasks")?.unwrap_or(d.tasks),
+        })
+    }
+
     /// Validates the grid shape.
     ///
     /// # Errors
@@ -113,14 +117,14 @@ impl DseConfig {
     /// and watchdog are all *environmental* and deliberately excluded —
     /// a resumed campaign may change any of them.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str("dse-campaign/v1");
+        let mut h = Fnv::new();
+        h.write_str_delimited("dse-campaign/v1");
         if !self.platform.is_default() {
-            h.write_str("platform");
+            h.write_str_delimited("platform");
             h.write_u64(self.platform.fingerprint());
         }
         h.write_u64(self.seed);
-        h.write_str(scenario_tag(self.scenario));
+        h.write_str_delimited(self.scenario.token());
         h.write_u64(u64::from(self.utils));
         h.write_u64(self.util_min_ppm);
         h.write_u64(self.util_max_ppm);
@@ -171,8 +175,8 @@ impl PointId {
     /// The point's stable FNV identity under `cfg`. Store key and shard
     /// assignment both derive from this.
     pub fn key(&self, cfg: &DseConfig) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str("dse/point");
+        let mut h = Fnv::new();
+        h.write_str_delimited("dse/point");
         h.write_u64(cfg.seed);
         h.write_u64(u64::from(self.u_idx));
         h.write_u64(u64::from(self.rep));
@@ -183,8 +187,8 @@ impl PointId {
     /// domain from [`PointId::key`] so store keys and RNG streams never
     /// alias.
     pub fn taskset_seed(&self, cfg: &DseConfig) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str("dse/taskset");
+        let mut h = Fnv::new();
+        h.write_str_delimited("dse/taskset");
         h.write_u64(cfg.seed);
         h.write_u64(u64::from(self.u_idx));
         h.write_u64(u64::from(self.rep));
@@ -274,18 +278,6 @@ mod tests {
         let cfg = DseConfig::default();
         let p = PointId { u_idx: 1, rep: 2 };
         assert_ne!(p.key(&cfg), p.taskset_seed(&cfg));
-    }
-
-    #[test]
-    fn scenario_tags_round_trip() {
-        for s in [
-            DeploymentScenario::Scenario1,
-            DeploymentScenario::Scenario2,
-            DeploymentScenario::LowTraffic,
-        ] {
-            assert_eq!(parse_scenario(scenario_tag(s)), Some(s));
-        }
-        assert_eq!(parse_scenario("nope"), None);
     }
 
     #[test]

@@ -84,13 +84,12 @@ fn frac(count: u32, covered: u32) -> String {
 /// retry or chaos details: equal config + equal merged records ⇒ equal
 /// bytes.
 pub fn render_curves(cfg: &DseConfig, rows: &[CurveRow]) -> String {
-    use crate::config::scenario_tag;
     let mut out = String::new();
     out.push_str("# dse-curves v1\n");
     out.push_str(&format!(
         "# config {:016x} scenario {} seed {} utils {} sets {} tasks {}\n",
         cfg.fingerprint(),
-        scenario_tag(cfg.scenario),
+        cfg.scenario.token(),
         cfg.seed,
         cfg.utils,
         cfg.sets,
@@ -118,7 +117,6 @@ pub fn render_curves(cfg: &DseConfig, rows: &[CurveRow]) -> String {
 /// artifacts cell-for-cell equal, and the bytes are stable under the
 /// same conditions as the text artifact.
 pub fn render_curves_md(cfg: &DseConfig, rows: &[CurveRow]) -> String {
-    use crate::config::scenario_tag;
     use std::fmt::Write as _;
     let arbitration: Vec<String> = cfg
         .platform
@@ -133,7 +131,7 @@ pub fn render_curves_md(cfg: &DseConfig, rows: &[CurveRow]) -> String {
         "## Schedulability curves — platform `{}` ({}), scenario `{}`",
         cfg.platform.name,
         arbitration.join(" "),
-        scenario_tag(cfg.scenario)
+        cfg.scenario.token()
     );
     let _ = writeln!(out);
     let _ = writeln!(

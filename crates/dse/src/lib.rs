@@ -66,7 +66,7 @@ pub mod gen;
 pub mod shard;
 pub mod supervise;
 
-pub use config::{parse_scenario, scenario_tag, DseConfig, PointId};
+pub use config::{DseConfig, PointId};
 pub use curve::{curves, render_curves, render_curves_md, render_manifest, Coverage, CurveRow};
 pub use error::DseError;
 pub use eval::{

@@ -19,8 +19,9 @@
 use crate::config::{DseConfig, PointId};
 use crate::error::DseError;
 use crate::eval::{encode_verdict, evaluate_point, ModelRatios};
-use contention::StableHasher;
+use mbta::args::take_parsed;
 use mbta::Store;
+use obs::Fnv;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use tc27x_sim::rng::SplitMix64;
@@ -29,8 +30,8 @@ use tc27x_sim::rng::SplitMix64;
 /// the shard split. A store written under a different split (or a
 /// different campaign) is refused at open, not silently merged.
 pub fn shard_fingerprint(cfg: &DseConfig, shards: u32, shard: u32) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("dse-shard/v1");
+    let mut h = Fnv::new();
+    h.write_str_delimited("dse-shard/v1");
     h.write_u64(cfg.fingerprint());
     h.write_u64(u64::from(shards));
     h.write_u64(u64::from(shard));
@@ -83,6 +84,27 @@ pub struct ShardChaos {
     pub tear_permille: u32,
     /// Restrict chaos to one shard (`None` = all shards).
     pub only_shard: Option<u32>,
+}
+
+impl ShardChaos {
+    /// Removes the chaos flags (`--chaos-seed`, `--chaos-kill`,
+    /// `--chaos-stall`, `--chaos-tear`, `--chaos-shard`) from a command
+    /// line. Chaos is off (`None`) unless `--chaos-seed` is given.
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed value.
+    pub fn take(args: &mut Vec<String>) -> Result<Option<ShardChaos>, String> {
+        let seed = take_parsed(args, "--chaos-seed")?;
+        let chaos = ShardChaos {
+            seed: seed.unwrap_or(0),
+            kill_permille: take_parsed(args, "--chaos-kill")?.unwrap_or(0),
+            stall_permille: take_parsed(args, "--chaos-stall")?.unwrap_or(0),
+            tear_permille: take_parsed(args, "--chaos-tear")?.unwrap_or(0),
+            only_shard: take_parsed(args, "--chaos-shard")?,
+        };
+        Ok(seed.map(|_| chaos))
+    }
 }
 
 /// What the chaos plan injects at one point.

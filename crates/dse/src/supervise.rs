@@ -32,8 +32,8 @@ use crate::error::DseError;
 use crate::shard::{
     done_marker, done_path, heartbeat_path, pid_path, shard_fingerprint, store_path, ShardChaos,
 };
-use contention::StableHasher;
 use mbta::{Backoff, RetryPolicy, Store};
+use obs::Fnv;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -189,8 +189,8 @@ impl RunReport {
 /// The backoff key of a shard — a distinct hash domain so shard delays
 /// never correlate with point draws.
 fn shard_backoff_key(cfg: &DseConfig, shard: u32) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("dse/shard-backoff");
+    let mut h = Fnv::new();
+    h.write_str_delimited("dse/shard-backoff");
     h.write_u64(cfg.fingerprint());
     h.write_u64(u64::from(shard));
     h.finish()
@@ -280,7 +280,7 @@ fn spawn_worker(sup: &SupervisorConfig, shard: u32, attempt: u32) -> Result<Chil
         .args(["--shard", &shard.to_string()])
         .args(["--shards", &sup.shards.to_string()])
         .args(["--seed", &sup.cfg.seed.to_string()])
-        .args(["--scenario", crate::config::scenario_tag(sup.cfg.scenario)])
+        .args(["--scenario", sup.cfg.scenario.token()])
         .args(["--utils", &sup.cfg.utils.to_string()])
         .args(["--util-min-ppm", &sup.cfg.util_min_ppm.to_string()])
         .args(["--util-max-ppm", &sup.cfg.util_max_ppm.to_string()])

@@ -39,8 +39,11 @@ fn sup(cfg: DseConfig, dir: PathBuf, shards: u32) -> SupervisorConfig {
     sup
 }
 
-fn oracle_curves(cfg: &DseConfig, shards: u32) -> String {
-    let report = supervise(&sup(cfg.clone(), scratch("oracle"), shards)).unwrap();
+/// The undisturbed run's curves. `tag` names its state dir: the tests
+/// run concurrently, and a shared dir would be wiped under a running
+/// oracle by the next test's `scratch`.
+fn oracle_curves(cfg: &DseConfig, shards: u32, tag: &str) -> String {
+    let report = supervise(&sup(cfg.clone(), scratch(&format!("oracle_{tag}")), shards)).unwrap();
     assert!(report.coverage.is_complete());
     report.curves_text
 }
@@ -48,7 +51,7 @@ fn oracle_curves(cfg: &DseConfig, shards: u32) -> String {
 #[test]
 fn seeded_kills_and_torn_tails_recover_to_oracle_bytes() {
     let cfg = small_cfg();
-    let oracle = oracle_curves(&cfg, 2);
+    let oracle = oracle_curves(&cfg, 2, "kill");
 
     let mut sup = sup(cfg, scratch("kill"), 2);
     sup.retry.max_attempts = 10;
@@ -72,7 +75,7 @@ fn seeded_kills_and_torn_tails_recover_to_oracle_bytes() {
 #[test]
 fn stalled_worker_trips_watchdog_and_recovers() {
     let cfg = small_cfg();
-    let oracle = oracle_curves(&cfg, 2);
+    let oracle = oracle_curves(&cfg, 2, "stall");
 
     let mut sup = sup(cfg, scratch("stall"), 2);
     sup.retry.max_attempts = 10;
@@ -167,7 +170,7 @@ fn supervisor_binary_exits_3_on_partial_coverage() {
 #[test]
 fn duplicate_and_stale_records_do_not_change_the_merge() {
     let cfg = small_cfg();
-    let oracle = oracle_curves(&cfg, 2);
+    let oracle = oracle_curves(&cfg, 2, "dup");
 
     let dir = scratch("dup");
     let report = supervise(&sup(cfg.clone(), dir.clone(), 2)).unwrap();

@@ -42,7 +42,7 @@ use crate::exec::{
 use crate::journal::{Journal, JournalEntry, JournalError, JournaledOutcome, RecoveryReport};
 use crate::pool;
 use crate::retry::{classify, fold_seed, FailureClass, RetryPolicy};
-use contention::StableHasher;
+use obs::Fnv;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -127,10 +127,10 @@ impl CampaignConfig {
     /// contributes nothing, so journals written before platforms were
     /// pluggable resume unchanged.
     fn fingerprint(&self, cycle_budget: Option<u64>, desc: &::platform::PlatformDesc) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str("mbta-campaign/v1");
+        let mut h = Fnv::new();
+        h.write_str_delimited("mbta-campaign/v1");
         if !desc.is_default() {
-            h.write_str("platform");
+            h.write_str_delimited("platform");
             h.write_u64(desc.fingerprint());
         }
         h.write_u64(u64::from(self.retry.max_attempts));

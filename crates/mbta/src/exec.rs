@@ -11,7 +11,7 @@
 //!   results by job index;
 //! * isolation profiles can be memoized across (and within) batches,
 //!   keyed by a stable fingerprint of the task spec, the core and the
-//!   platform configuration ([`contention::StableHasher`]). Calibration
+//!   platform configuration ([`obs::Fnv`]). Calibration
 //!   probes and repeated panels hit the cache instead of re-simulating.
 //!
 //! # Examples
@@ -34,7 +34,8 @@
 
 use crate::pool;
 use crate::telemetry::Telemetry;
-use contention::{IsolationProfile, StableHasher};
+use contention::IsolationProfile;
+use obs::Fnv;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -423,14 +424,6 @@ impl ExecEngine {
         ExecEngine::new(1)
     }
 
-    /// An engine sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ExecEngine::new(n)
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -444,17 +437,17 @@ impl ExecEngine {
     /// always has, so journals and stores written before platforms were
     /// pluggable replay unchanged.
     fn fingerprint_on(spec: &TaskSpec, core: CoreId, desc: &::platform::PlatformDesc) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str("tc277/isolation/v1");
+        let mut h = Fnv::new();
+        h.write_str_delimited("tc277/isolation/v1");
         if !desc.is_default() {
-            h.write_str("platform");
+            h.write_str_delimited("platform");
             h.write_u64(desc.fingerprint());
         }
         h.write_u8(core.0);
         // `TaskSpec`'s Debug output covers every field recursively and
         // changes whenever the spec's structure does — exactly the
         // invalidation behaviour a memo key needs.
-        h.write_str(&format!("{spec:?}"));
+        h.write_str_delimited(&format!("{spec:?}"));
         h.finish()
     }
 
@@ -793,21 +786,21 @@ pub fn job_key_on(job: &SimJob, desc: &::platform::PlatformDesc) -> u64 {
             load,
             load_core,
         } => {
-            let mut h = StableHasher::new();
-            h.write_str("tc277/corun/v1");
+            let mut h = Fnv::new();
+            h.write_str_delimited("tc277/corun/v1");
             if !desc.is_default() {
-                h.write_str("platform");
+                h.write_str_delimited("platform");
                 h.write_u64(desc.fingerprint());
             }
             h.write_u8(app_core.0);
-            h.write_str(&format!("{app:?}"));
+            h.write_str_delimited(&format!("{app:?}"));
             h.write_u8(load_core.0);
-            h.write_str(&format!("{load:?}"));
+            h.write_str_delimited(&format!("{load:?}"));
             h.finish()
         }
         SimJob::Poison => {
-            let mut h = StableHasher::new();
-            h.write_str("tc277/poison/v1");
+            let mut h = Fnv::new();
+            h.write_str_delimited("tc277/poison/v1");
             h.finish()
         }
     }
@@ -1110,6 +1103,9 @@ mod tests {
         assert_ne!(job_key(&iso), job_key(&SimJob::Poison));
         // The isolation key IS the memo-cache fingerprint.
         assert_eq!(job_key(&iso), ExecEngine::fingerprint(&app(), CoreId(1)));
+        // Pinned: journals, stores and goldens are keyed by this value,
+        // so a change to the hashed byte stream must fail here first.
+        assert_eq!(job_key(&iso), 0x6ead_d9ba_fccc_1903);
     }
 
     #[test]

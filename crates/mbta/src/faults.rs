@@ -1,32 +1,17 @@
 //! Fault injection at the harness level: perturb *model-side* isolation
 //! profiles with the simulator's deterministic [`FaultInjector`].
 //!
-//! [`tc27x_sim::faults`] works on raw simulator counter blocks; the
-//! evaluation pipeline works on [`contention::IsolationProfile`]s. This
-//! module bridges the two so fault campaigns can run end to end:
+//! [`tc27x_sim::faults`] works on raw counter blocks; the evaluation
+//! pipeline works on [`contention::IsolationProfile`]s. This module
+//! bridges the two so fault campaigns can run end to end:
 //! perturb a profile here, then push it through validation
 //! ([`contention::Validator`]) and evaluation
 //! ([`contention::Evaluator`]) and check that the pipeline either
 //! repairs the damage or rejects the profile with diagnostics — but
 //! never panics and never returns an unsound bound silently.
 
-use crate::runner::to_model_counters;
 use contention::IsolationProfile;
 use tc27x_sim::{FaultInjector, FaultRecord};
-
-/// Converts model-side counter readings back into the simulator's
-/// counter type (the inverse of
-/// [`to_model_counters`](crate::to_model_counters)).
-pub fn to_sim_counters(c: contention::DebugCounters) -> tc27x_sim::DebugCounters {
-    tc27x_sim::DebugCounters {
-        ccnt: c.ccnt,
-        pmem_stall: c.pmem_stall,
-        dmem_stall: c.dmem_stall,
-        pcache_miss: c.pcache_miss,
-        dcache_miss_clean: c.dcache_miss_clean,
-        dcache_miss_dirty: c.dcache_miss_dirty,
-    }
-}
 
 /// Applies one to three seeded counter faults to an isolation profile
 /// and reports what changed.
@@ -56,10 +41,9 @@ pub fn perturb_profile(
     profile: &IsolationProfile,
     seed: u64,
 ) -> (IsolationProfile, Vec<FaultRecord>) {
-    let clean = to_sim_counters(*profile.counters());
-    let (noisy, records) = FaultInjector::new(seed).perturb(&clean);
+    let (noisy, records) = FaultInjector::new(seed).perturb(profile.counters());
     (
-        IsolationProfile::new(profile.name().to_string(), to_model_counters(noisy)),
+        IsolationProfile::new(profile.name().to_string(), noisy),
         records,
     )
 }
@@ -81,12 +65,6 @@ mod tests {
                 dcache_miss_dirty: 17,
             },
         )
-    }
-
-    #[test]
-    fn counter_round_trip_is_exact() {
-        let c = *sample().counters();
-        assert_eq!(to_model_counters(to_sim_counters(c)), c);
     }
 
     #[test]

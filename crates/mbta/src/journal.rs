@@ -16,7 +16,7 @@
 //! <crc16hex> <body>\n
 //! ```
 //!
-//! where `crc` is the FNV-1a hash of `body` ([`contention::StableHasher`],
+//! where `crc` is the FNV-1a hash of `body` ([`obs::Fnv`],
 //! the same stable hasher that keys the engine's memo cache). Bodies:
 //!
 //! ```text
@@ -43,7 +43,8 @@
 //!   is not an append-crash artefact and must not be trusted.
 
 use crate::exec::{JobFailure, SimOutcome};
-use contention::{DebugCounters, IsolationProfile, Operation, StableHasher, Target};
+use contention::{DebugCounters, IsolationProfile, Operation, Target};
+use obs::Fnv;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -209,7 +210,7 @@ impl fmt::Debug for Journal {
 }
 
 pub(crate) fn crc(body: &str) -> u64 {
-    let mut h = StableHasher::new();
+    let mut h = Fnv::new();
     h.write(body.as_bytes());
     h.finish()
 }

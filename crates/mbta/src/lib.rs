@@ -14,6 +14,9 @@
 //!   simulation jobs on a deterministic thread pool with memoized
 //!   isolation profiles (results are bit-identical for any `--jobs`);
 //! * [`report`] — plain-text tables for the experiment binaries;
+//! * [`args`] — the flag layer every binary shares: `--jobs`,
+//!   `--engine`, `--platform`, the campaign and telemetry sinks, and
+//!   the engine and campaign runner they describe;
 //! * [`telemetry`] — the deterministic telemetry recorder: per-job
 //!   spans, metric registries and the deduplicated warning channel
 //!   behind the `--telemetry` sinks.
@@ -42,6 +45,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
+pub mod args;
 mod calibration;
 mod campaign;
 mod exec;
@@ -68,7 +72,7 @@ pub use experiment::{
     constraints_for, figure4_panel, figure4_panel_with, table6_block, table6_block_with,
     ExperimentError, Figure4Cell, Figure4Panel, Table6Block,
 };
-pub use faults::{perturb_profile, to_sim_counters};
+pub use faults::perturb_profile;
 pub use journal::{
     Journal, JournalEntry, JournalError, JournaledOutcome, RecordSink, RecoveryReport,
 };
@@ -76,7 +80,7 @@ pub use retry::{Backoff, FailureClass, RetryPolicy};
 pub use runner::{
     hwm_campaign, hwm_campaign_with, isolation_profile, isolation_profile_budgeted,
     isolation_profile_for, observed_corun, observed_corun_budgeted, observed_corun_for,
-    to_model_counters, to_model_counts, HwmMeasurement,
+    to_model_counts, HwmMeasurement,
 };
 pub use store::{Store, StoreRecovery};
 pub use telemetry::{Format, SinkSpec, Telemetry, Val};

@@ -4,34 +4,9 @@
 use contention::{AccessCounts, IsolationProfile};
 use tc27x_sim::{CoreId, SimError, System, TaskSpec};
 
-/// Converts simulator counter readings into the model-side type.
-pub fn to_model_counters(c: tc27x_sim::DebugCounters) -> contention::DebugCounters {
-    contention::DebugCounters {
-        ccnt: c.ccnt,
-        pmem_stall: c.pmem_stall,
-        dmem_stall: c.dmem_stall,
-        pcache_miss: c.pcache_miss,
-        dcache_miss_clean: c.dcache_miss_clean,
-        dcache_miss_dirty: c.dcache_miss_dirty,
-    }
-}
-
 /// Converts simulator ground truth into model-side access counts.
 pub fn to_model_counts(g: tc27x_sim::GroundTruth) -> AccessCounts {
-    use contention::{Operation, Target};
-    AccessCounts::from_fn(|t, o| {
-        let st = match t {
-            Target::Pf0 => tc27x_sim::SriTarget::Pf0,
-            Target::Pf1 => tc27x_sim::SriTarget::Pf1,
-            Target::Dfl => tc27x_sim::SriTarget::Dfl,
-            Target::Lmu => tc27x_sim::SriTarget::Lmu,
-        };
-        let so = match o {
-            Operation::Code => tc27x_sim::AccessClass::Code,
-            Operation::Data => tc27x_sim::AccessClass::Data,
-        };
-        g.accesses(st, so)
-    })
+    AccessCounts::from_fn(|t, o| g.accesses(t, o))
 }
 
 /// Runs `spec` alone on a fresh TC277 and returns its isolation profile
@@ -155,7 +130,7 @@ pub(crate) fn isolation_profile_stats(
     let mut sys = System::with_config(config);
     sys.load(core, spec)?;
     let out = sys.run()?;
-    let profile = IsolationProfile::new(spec.name.clone(), to_model_counters(out.counters(core)))
+    let profile = IsolationProfile::new(spec.name.clone(), out.counters(core))
         .with_ptac(to_model_counts(out.ground_truth(core)));
     Ok((profile, sys.stats()))
 }
@@ -449,29 +424,5 @@ mod tests {
         let co_event =
             observed_corun_on(&app, a, &load, b, None, tc27x_sim::Engine::Event).unwrap();
         assert_eq!(co_tick, co_event);
-    }
-
-    #[test]
-    fn counter_conversion_is_field_exact() {
-        let c = tc27x_sim::DebugCounters {
-            ccnt: 1,
-            pmem_stall: 2,
-            dmem_stall: 3,
-            pcache_miss: 4,
-            dcache_miss_clean: 5,
-            dcache_miss_dirty: 6,
-        };
-        let m = to_model_counters(c);
-        assert_eq!(
-            (
-                m.ccnt,
-                m.pmem_stall,
-                m.dmem_stall,
-                m.pcache_miss,
-                m.dcache_miss_clean,
-                m.dcache_miss_dirty
-            ),
-            (1, 2, 3, 4, 5, 6)
-        );
     }
 }

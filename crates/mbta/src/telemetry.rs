@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use tc27x_sim::attribution::{AGGRESSOR_COLS, SCHED_COL};
-use tc27x_sim::{AccessClass, AttributionMatrix, CoreId, SimStats, SriTarget};
+use tc27x_sim::{AttributionMatrix, CoreId, Operation, SimStats, Target};
 
 pub use obs::{Format, SinkSpec, Val};
 
@@ -91,16 +91,6 @@ fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Lowercase slave label for metric names, matching [`SriTarget::all`].
-fn slave_label(t: SriTarget) -> &'static str {
-    match t {
-        SriTarget::Pf0 => "pf0",
-        SriTarget::Pf1 => "pf1",
-        SriTarget::Dfl => "dfl",
-        SriTarget::Lmu => "lmu",
-    }
-}
-
 /// Renders a folded attribution ledger as deterministic `matrix`
 /// records, in name order: per-victim grant counts and other-core
 /// interference by access class, per-(slave, victim) worst single-grant
@@ -109,16 +99,16 @@ fn slave_label(t: SriTarget) -> &'static str {
 /// attribution stage replays).
 pub fn attribution_matrices(m: &AttributionMatrix) -> Vec<MatrixRec> {
     let core = |i: usize| format!("c{i}");
-    let class_cols = vec!["co".to_string(), "da".to_string()];
+    let class_cols: Vec<String> = Operation::all().iter().map(ToString::to_string).collect();
     let core_rows: Vec<String> = (0..CoreId::COUNT).map(core).collect();
-    let pair_rows: Vec<String> = SriTarget::all()
+    let pair_rows: Vec<String> = Target::all()
         .iter()
-        .flat_map(|t| (0..CoreId::COUNT).map(move |v| format!("{}/{}", slave_label(*t), core(v))))
+        .flat_map(|t| (0..CoreId::COUNT).map(move |v| format!("{}/{}", t.name(), core(v))))
         .collect();
-    let per_class = |f: &dyn Fn(CoreId, AccessClass) -> u64| -> Vec<u64> {
+    let per_class = |f: &dyn Fn(CoreId, Operation) -> u64| -> Vec<u64> {
         CoreId::all()
             .iter()
-            .flat_map(|&v| [AccessClass::Code, AccessClass::Data].map(|c| f(v, c)))
+            .flat_map(|&v| Operation::all().map(|c| f(v, c)))
             .collect()
     };
     vec![
@@ -136,12 +126,9 @@ pub fn attribution_matrices(m: &AttributionMatrix) -> Vec<MatrixRec> {
         },
         MatrixRec {
             name: "attribution.max_wait".to_string(),
-            rows: SriTarget::all()
-                .iter()
-                .map(|t| slave_label(*t).to_string())
-                .collect(),
+            rows: Target::all().iter().map(|t| t.name().to_string()).collect(),
             cols: core_rows,
-            cells: SriTarget::all()
+            cells: Target::all()
                 .iter()
                 .flat_map(|&t| CoreId::all().map(move |v| m.max_wait(t, v)))
                 .collect(),
@@ -158,7 +145,7 @@ pub fn attribution_matrices(m: &AttributionMatrix) -> Vec<MatrixRec> {
                     }
                 })
                 .collect(),
-            cells: SriTarget::all()
+            cells: Target::all()
                 .iter()
                 .flat_map(|&t| CoreId::all().map(move |v| m.row(t, v)))
                 .flatten()
@@ -241,9 +228,9 @@ impl Telemetry {
             if !s.attribution.is_zero() {
                 inner.attribution.entry(key).or_insert(s.attribution);
             }
-            for target in SriTarget::all() {
+            for target in Target::all() {
                 let slave = s.slave(target);
-                let label = slave_label(target);
+                let label = target.name();
                 inner.det.add(&format!("sri.{label}.served"), slave.served);
                 inner
                     .det
@@ -567,8 +554,8 @@ mod tests {
     #[test]
     fn sri_stats_are_det_and_kernel_stats_nondet() {
         let mut stats = SimStats::default();
-        stats.slaves[SriTarget::Lmu.index()].served = 4;
-        stats.slaves[SriTarget::Lmu.index()].delay_hist.observe(11);
+        stats.slaves[Target::Lmu.index()].served = 4;
+        stats.slaves[Target::Lmu.index()].delay_hist.observe(11);
         stats.kernel.ff_jumps = 2;
         stats.kernel.gap_hist.observe(40);
         stats.kernel.memo_hits = 7;
@@ -596,11 +583,11 @@ mod tests {
     #[test]
     fn attribution_folds_in_key_order_and_renders_matrices() {
         let mut a = SimStats::default();
-        a.attribution.charge(3, 0, 1, AccessClass::Data, 11);
-        a.attribution.note_grant(3, 0, AccessClass::Data, 11);
+        a.attribution.charge(3, 0, 1, Operation::Data, 11);
+        a.attribution.note_grant(3, 0, Operation::Data, 11);
         let mut b = SimStats::default();
-        b.attribution.charge(0, 0, 2, AccessClass::Code, 16);
-        b.attribution.note_grant(0, 0, AccessClass::Code, 16);
+        b.attribution.charge(0, 0, 2, Operation::Code, 16);
+        b.attribution.note_grant(0, 0, Operation::Code, 16);
         let record = |order: &[(u64, &SimStats)]| {
             let t = Telemetry::new("test");
             for &(k, s) in order {

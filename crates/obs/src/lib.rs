@@ -49,9 +49,17 @@ pub use sink::{Format, SinkSpec};
 pub use span::{span_id, SpanRec};
 pub use stream::{MatrixRec, Stream, TableRec, Warning};
 
-/// An incremental FNV-1a 64-bit hasher — the same construction as the
-/// model-side `StableHasher`, duplicated here so the foundation crate
-/// stays dependency-free. Used to derive deterministic span IDs.
+/// An incremental FNV-1a 64-bit hasher — the workspace's one stable
+/// hasher. `std::hash` promises no stability across releases or
+/// processes, so everything that keys a persistent or cross-run value
+/// (span IDs, platform fingerprints, job keys, journal checksums,
+/// campaign identities) hashes through this type.
+///
+/// Strings have two framings, and each persisted key is bound to the
+/// one it was minted with: [`Fnv::write_str`] length-prefixes the
+/// bytes (span IDs, benchmark digests), while
+/// [`Fnv::write_str_delimited`] appends a `0xff` terminator (platform
+/// fingerprints, job keys, journals, stores and campaign identities).
 #[derive(Clone, Debug)]
 pub struct Fnv(u64);
 
@@ -77,6 +85,18 @@ impl Fnv {
     pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         self.write(s.as_bytes());
+    }
+
+    /// Absorbs a string followed by a `0xff` terminator (a byte no UTF-8
+    /// string contains), so `"ab" + "c"` and `"a" + "bc"` differ.
+    pub fn write_str_delimited(&mut self, s: &str) {
+        self.write(s.as_bytes());
+        self.write(&[0xff]);
+    }
+
+    /// Absorbs one byte.
+    pub fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
     }
 
     /// Absorbs a `u64` in little-endian byte order.
@@ -126,5 +146,27 @@ mod tests {
         };
         assert_ne!(h(&["ab", "c"]), h(&["a", "bc"]));
         assert_eq!(h(&["ab", "c"]), h(&["ab", "c"]));
+    }
+
+    /// The two string framings feed different byte streams; persisted
+    /// keys depend on each staying exactly as it is.
+    #[test]
+    fn string_framings_are_pinned() {
+        let mut f = Fnv::new();
+        f.write_str("aurix");
+        assert_eq!(f.finish(), 0xaaa6_1429_9b90_7709);
+
+        let mut d = Fnv::new();
+        d.write_str_delimited("aurix");
+        d.write_u64(27);
+        assert_eq!(d.finish(), 0x7b56_64a8_82bf_6ee4);
+
+        let mut ab = Fnv::new();
+        ab.write_str_delimited("ab");
+        ab.write_str_delimited("c");
+        let mut a = Fnv::new();
+        a.write_str_delimited("a");
+        a.write_str_delimited("bc");
+        assert_ne!(ab.finish(), a.finish());
     }
 }

@@ -9,16 +9,19 @@
 //! the analytical models derive their latency/stall tables from the same
 //! description, so the two sides can never disagree about the platform.
 //!
-//! The crate is a dependency leaf (no simulator, no models): both
-//! `tc27x-sim` and `contention` depend on it, and everything downstream
-//! (mbta, serve, dse, bench, CLI) names platforms through the built-in
-//! registry ([`PlatformDesc::builtin`]).
+//! The crate sits below the simulator and the models (it depends only
+//! on `obs`, for the stable hasher): both `tc27x-sim` and `contention`
+//! depend on it, and everything downstream (mbta, serve, dse, bench,
+//! CLI) names platforms through the built-in registry
+//! ([`PlatformDesc::by_name`]). It also owns the paper's shared
+//! vocabulary — [`Target`], [`Operation`] and [`DebugCounters`] — so
+//! the simulator and the models speak about the same values.
 //!
 //! ## Slave slots
 //!
 //! A description always has [`SLAVE_SLOTS`] = 4 slots in the fixed order
-//! `[pf0, pf1, dfl, lmu]` shared with the simulator's `SriTarget` and
-//! the models' `Target`. A platform with fewer physical slaves marks the
+//! `[pf0, pf1, dfl, lmu]` of [`Target`], which the simulator and the
+//! models share. A platform with fewer physical slaves marks the
 //! unused slots absent ([`SlaveDesc::present`] = false); placements into
 //! an absent slot are rejected at load time and the models treat the
 //! slot's access paths as infeasible. This keeps every fingerprint,
@@ -50,8 +53,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
+use obs::Fnv;
 use std::fmt;
 use std::sync::OnceLock;
+
+mod vocab;
+
+pub use vocab::{DebugCounters, Operation, Target};
 
 /// Number of slave slots every description carries, in the fixed order
 /// `[pf0, pf1, dfl, lmu]` shared with the simulator and the models.
@@ -354,6 +362,21 @@ impl PlatformDesc {
         BUILTINS.iter().map(|(n, _)| *n).collect()
     }
 
+    /// [`PlatformDesc::builtin`] for user input: an unknown name is an
+    /// error that lists the known profiles.
+    ///
+    /// # Errors
+    ///
+    /// A readable message naming `name` and every registry entry.
+    pub fn by_name(name: &str) -> Result<PlatformDesc, String> {
+        Self::builtin(name).ok_or_else(|| {
+            format!(
+                "unknown platform `{name}` (known platforms: {})",
+                Self::names().join(", ")
+            )
+        })
+    }
+
     /// Whether this description is the default platform (the paper's
     /// TC27x). Default-platform fingerprints are *not* folded into job
     /// keys and store identities, so every key minted before platforms
@@ -419,8 +442,8 @@ impl PlatformDesc {
     /// changes the fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.write_str("platform-desc/v1");
-        h.write_str(self.name);
+        h.write_str_delimited("platform-desc/v1");
+        h.write_str_delimited(self.name);
         h.write_u64(self.cores as u64);
         h.write_u64(self.app_core as u64);
         h.write_u64(self.load_core as u64);
@@ -430,7 +453,7 @@ impl PlatformDesc {
         h.write_u64(u64::from(self.fetch_prefetch_hide));
         h.write_u64(u64::from(self.data_hide));
         for s in &self.slaves {
-            h.write_str(s.name);
+            h.write_str_delimited(s.name);
             h.write_u64(u64::from(s.present));
             h.write_u64(u64::from(s.prefetch));
             h.write_u64(u64::from(s.code));
@@ -439,10 +462,10 @@ impl PlatformDesc {
             h.write_u64(u64::from(s.service));
             h.write_u64(u64::from(s.writeback_service));
             match s.arbitration {
-                Arbitration::PriorityRoundRobin => h.write_str("prr"),
-                Arbitration::FixedPriority => h.write_str("fp"),
+                Arbitration::PriorityRoundRobin => h.write_str_delimited("prr"),
+                Arbitration::FixedPriority => h.write_str_delimited("fp"),
                 Arbitration::Tdma { slot_len } => {
-                    h.write_str("tdma");
+                    h.write_str_delimited("tdma");
                     h.write_u64(u64::from(slot_len));
                 }
             }
@@ -570,36 +593,6 @@ pub fn default_platform() -> &'static PlatformDesc {
     DEFAULT.get_or_init(PlatformDesc::tc27x)
 }
 
-/// Minimal FNV-1a 64 hasher (domain-separated via leading tag strings);
-/// kept local so the crate stays a dependency leaf.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        self.write_bytes(&[0xff]);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,10 +630,14 @@ mod tests {
                 assert_ne!(fps[i], fps[j]);
             }
         }
+        // Pinned: fingerprints enter job keys, journals and stores, so
+        // a change to the hashed byte stream must fail here first.
+        assert_eq!(PlatformDesc::tc27x().fingerprint(), 0x8712_b2a8_5fb1_a5d7);
         assert_eq!(
-            PlatformDesc::tc27x().fingerprint(),
-            PlatformDesc::tc27x().fingerprint()
+            PlatformDesc::tc27x_tdma().fingerprint(),
+            0xd66e_2409_1fbc_2d24
         );
+        assert_eq!(PlatformDesc::ahb2().fingerprint(), 0x3159_852b_c0e4_ca84);
     }
 
     #[test]

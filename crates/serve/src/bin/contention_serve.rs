@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use mbta::args::{reject_rest, take_jobs, take_parsed, take_platform, take_value};
 use mbta::{ExecEngine, SinkSpec, Telemetry};
 use serve::query::QueryOptions;
 use serve::{Server, ServerConfig};
@@ -28,28 +29,6 @@ struct Args {
     jobs: usize,
     telemetry: Option<SinkSpec>,
     platform: platform::PlatformDesc,
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Ok(Some(value))
-    } else {
-        Ok(None)
-    }
-}
-
-fn take_parsed<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, String> {
-    take_value(args, flag)?
-        .map(|v| v.parse().map_err(|_| format!("invalid {flag} `{v}`")))
-        .transpose()
 }
 
 fn parse(mut args: Vec<String>) -> Result<Args, String> {
@@ -82,28 +61,13 @@ fn parse(mut args: Vec<String>) -> Result<Args, String> {
     config.query = QueryOptions {
         default_budget: take_parsed(&mut args, "--default-budget")?,
     };
-    let jobs = take_parsed(&mut args, "--jobs")?.unwrap_or(2);
-    let telemetry = take_value(&mut args, "--telemetry")?
-        .map(|v| {
-            v.parse::<SinkSpec>()
-                .map_err(|e| format!("invalid --telemetry `{v}`: {e}"))
-        })
-        .transpose()?;
+    let jobs = take_jobs(&mut args, 2)?;
+    let telemetry = take_parsed(&mut args, "--telemetry")?;
     // The platform flag changes the *results* the daemon serves, and
     // the store fingerprint tracks it: a state dir written for one
     // machine model is never replayed for another.
-    let platform = match take_value(&mut args, "--platform")? {
-        Some(v) => platform::PlatformDesc::builtin(&v).ok_or_else(|| {
-            format!(
-                "unknown platform `{v}` (known platforms: {})",
-                platform::PlatformDesc::names().join(", ")
-            )
-        })?,
-        None => platform::default_platform().clone(),
-    };
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown argument `{stray}`"));
-    }
+    let platform = take_platform(&mut args)?;
+    reject_rest(&args)?;
     Ok(Args {
         config,
         jobs,

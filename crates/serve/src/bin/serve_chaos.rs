@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use mbta::args::{reject_rest, take_parsed, take_positive, take_value};
 use mbta::ExecEngine;
 use serve::chaos::{self, ChaosConfig};
 use serve::client::Addr;
@@ -23,28 +24,6 @@ use serve::QueryEngine;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Ok(Some(value))
-    } else {
-        Ok(None)
-    }
-}
-
-fn take_parsed<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, String> {
-    take_value(args, flag)?
-        .map(|v| v.parse().map_err(|_| format!("invalid {flag} `{v}`")))
-        .transpose()
-}
 
 fn run() -> Result<bool, String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,10 +37,8 @@ fn run() -> Result<bool, String> {
                 .max(1),
         ),
     };
-    let oracle_jobs: usize = take_parsed(&mut args, "--oracle-jobs")?.unwrap_or(2);
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown argument `{stray}`"));
-    }
+    let oracle_jobs = take_positive(&mut args, "--oracle-jobs")?.unwrap_or(2);
+    reject_rest(&args)?;
 
     let ops = chaos::plan(&config);
     let pool = chaos::semantic_pool(&ops);

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use mbta::args::{reject_rest, take_parsed, take_value};
 use serve::client::{Addr, Client};
 use serve::Request;
 use std::collections::BTreeMap;
@@ -23,34 +24,14 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Ok(Some(value))
-    } else {
-        Ok(None)
-    }
-}
-
 fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let addr = Addr::parse(&take_value(&mut args, "--addr")?.ok_or("--addr is required")?);
     let batch_path = take_value(&mut args, "--batch")?.ok_or("--batch FILE is required")?;
-    let limit: Option<usize> = take_value(&mut args, "--limit")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --limit `{v}`")))
-        .transpose()?;
+    let limit: Option<usize> = take_parsed(&mut args, "--limit")?;
     let out_path = take_value(&mut args, "--out")?;
-    let timeout_ms: u64 = take_value(&mut args, "--timeout-ms")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --timeout-ms `{v}`")))
-        .transpose()?
-        .unwrap_or(60_000);
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown argument `{stray}`"));
-    }
+    let timeout_ms: u64 = take_parsed(&mut args, "--timeout-ms")?.unwrap_or(60_000);
+    reject_rest(&args)?;
 
     let text = std::fs::read_to_string(&batch_path)
         .map_err(|e| format!("cannot read {batch_path}: {e}"))?;

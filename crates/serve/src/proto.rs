@@ -172,44 +172,6 @@ impl QueryKind {
     }
 }
 
-/// Stable scenario token (`sc1` / `sc2` / `low`).
-pub fn scenario_token(s: DeploymentScenario) -> &'static str {
-    match s {
-        DeploymentScenario::Scenario1 => "sc1",
-        DeploymentScenario::Scenario2 => "sc2",
-        DeploymentScenario::LowTraffic => "low",
-    }
-}
-
-fn parse_scenario(s: &str) -> Result<DeploymentScenario, String> {
-    match s {
-        "sc1" => Ok(DeploymentScenario::Scenario1),
-        "sc2" => Ok(DeploymentScenario::Scenario2),
-        "low" => Ok(DeploymentScenario::LowTraffic),
-        other => Err(format!("unknown scenario `{other}` (expected sc1|sc2|low)")),
-    }
-}
-
-/// Stable load-level token (`high` / `medium` / `low`).
-pub fn level_token(l: LoadLevel) -> &'static str {
-    match l {
-        LoadLevel::High => "high",
-        LoadLevel::Medium => "medium",
-        LoadLevel::Low => "low",
-    }
-}
-
-fn parse_level(s: &str) -> Result<LoadLevel, String> {
-    match s {
-        "high" => Ok(LoadLevel::High),
-        "medium" => Ok(LoadLevel::Medium),
-        "low" => Ok(LoadLevel::Low),
-        other => Err(format!(
-            "unknown level `{other}` (expected high|medium|low)"
-        )),
-    }
-}
-
 /// One validated request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
@@ -283,8 +245,8 @@ impl Request {
             "stats" => QueryKind::Stats,
             "shutdown" => QueryKind::Shutdown,
             k @ ("bound" | "rta" | "sweep") => {
-                let scenario = parse_scenario(get_str(&doc, "scenario")?)?;
-                let level = parse_level(get_str(&doc, "level")?)?;
+                let scenario = get_str(&doc, "scenario")?.parse()?;
+                let level = get_str(&doc, "level")?.parse()?;
                 match k {
                     "bound" => QueryKind::Bound { scenario, level },
                     "sweep" => QueryKind::Sweep { scenario, level },
@@ -335,19 +297,14 @@ impl Request {
         let policy = if self.strict { "strict" } else { "repair" };
         let (scenario, level, period, deadline) = match &self.kind {
             QueryKind::Bound { scenario, level } | QueryKind::Sweep { scenario, level } => {
-                (scenario_token(*scenario), level_token(*level), 0, 0)
+                (scenario.token(), level.token(), 0, 0)
             }
             QueryKind::Rta {
                 scenario,
                 level,
                 period,
                 deadline,
-            } => (
-                scenario_token(*scenario),
-                level_token(*level),
-                *period,
-                *deadline,
-            ),
+            } => (scenario.token(), level.token(), *period, *deadline),
             _ => ("-", "-", 0, 0),
         };
         let period = period.to_string();
@@ -379,8 +336,8 @@ impl Request {
         ];
         match &self.kind {
             QueryKind::Bound { scenario, level } | QueryKind::Sweep { scenario, level } => {
-                pairs.push(("scenario".to_string(), Val::str(scenario_token(*scenario))));
-                pairs.push(("level".to_string(), Val::str(level_token(*level))));
+                pairs.push(("scenario".to_string(), Val::str(scenario.token())));
+                pairs.push(("level".to_string(), Val::str(level.token())));
             }
             QueryKind::Rta {
                 scenario,
@@ -388,8 +345,8 @@ impl Request {
                 period,
                 deadline,
             } => {
-                pairs.push(("scenario".to_string(), Val::str(scenario_token(*scenario))));
-                pairs.push(("level".to_string(), Val::str(level_token(*level))));
+                pairs.push(("scenario".to_string(), Val::str(scenario.token())));
+                pairs.push(("level".to_string(), Val::str(level.token())));
                 pairs.push(("period".to_string(), Val::U64(*period)));
                 pairs.push(("deadline".to_string(), Val::U64(*deadline)));
             }

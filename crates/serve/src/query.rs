@@ -14,7 +14,7 @@
 //! Every body carries a `provenance` tag (`ilp` / `fallback=ftc`), so
 //! a degraded answer is visible to the caller, never silent.
 
-use crate::proto::{level_token, scenario_token, QueryKind, Request};
+use crate::proto::{QueryKind, Request};
 use contention::rta::{self, PeriodicTask};
 use contention::{
     ContentionModel, EvalOptions, Evaluator, FtcModel, Platform, ValidationPolicy, Validator,
@@ -190,8 +190,8 @@ impl<'e> QueryEngine<'e> {
                 "kind".to_string(),
                 Val::str(if rta_params.is_some() { "rta" } else { "bound" }),
             ),
-            ("scenario".to_string(), Val::str(scenario_token(scenario))),
-            ("level".to_string(), Val::str(level_token(level))),
+            ("scenario".to_string(), Val::str(scenario.token())),
+            ("level".to_string(), Val::str(level.token())),
             (
                 "isolation_cycles".to_string(),
                 Val::U64(est.isolation_cycles),
@@ -277,8 +277,8 @@ impl<'e> QueryEngine<'e> {
         let body = Val::Obj(vec![
             ("status".to_string(), Val::str("ok")),
             ("kind".to_string(), Val::str("sweep")),
-            ("scenario".to_string(), Val::str(scenario_token(scenario))),
-            ("level".to_string(), Val::str(level_token(level))),
+            ("scenario".to_string(), Val::str(scenario.token())),
+            ("level".to_string(), Val::str(level.token())),
             ("isolation_cycles".to_string(), Val::U64(iso)),
             ("observed_cycles".to_string(), Val::U64(observed)),
             ("ftc_ratio".to_string(), Val::F64(ftc.ratio())),

@@ -11,16 +11,18 @@
 //! # Examples
 //!
 //! ```
-//! use tc27x_sim::addr::{Addr, MemMap, Region, SriTarget};
+//! use tc27x_sim::addr::{Addr, MemMap, Region};
+//! use tc27x_sim::Target;
 //!
 //! let map = MemMap::tc277();
 //! let a = map.region_base(Region::Pflash0, true); // cacheable view
 //! let loc = map.decode(a).unwrap();
 //! assert_eq!(loc.region, Region::Pflash0);
 //! assert!(loc.cacheable);
-//! assert_eq!(loc.region.sri_target(), Some(SriTarget::Pf0));
+//! assert_eq!(loc.region.sri_target(), Some(Target::Pf0));
 //! ```
 
+use crate::Target;
 use std::fmt;
 
 /// Cache-line size of all caches and fetch buffers, in bytes.
@@ -116,12 +118,12 @@ pub enum Region {
 
 impl Region {
     /// The SRI slave this region is served by, if it is shared.
-    pub fn sri_target(self) -> Option<SriTarget> {
+    pub fn sri_target(self) -> Option<Target> {
         match self {
-            Region::Pflash0 => Some(SriTarget::Pf0),
-            Region::Pflash1 => Some(SriTarget::Pf1),
-            Region::Dflash => Some(SriTarget::Dfl),
-            Region::Lmu => Some(SriTarget::Lmu),
+            Region::Pflash0 => Some(Target::Pf0),
+            Region::Pflash1 => Some(Target::Pf1),
+            Region::Dflash => Some(Target::Dfl),
+            Region::Lmu => Some(Target::Lmu),
             Region::Pspr(_) | Region::Dspr(_) => None,
         }
     }
@@ -141,61 +143,6 @@ impl fmt::Display for Region {
             Region::Pflash1 => write!(f, "pf1"),
             Region::Dflash => write!(f, "dfl"),
             Region::Lmu => write!(f, "lmu"),
-        }
-    }
-}
-
-/// One of the four shared SRI slave interfaces of the paper
-/// (`T = {dfl, pf0, pf1, lmu}`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum SriTarget {
-    /// Program flash bank 0.
-    Pf0,
-    /// Program flash bank 1.
-    Pf1,
-    /// Data flash.
-    Dfl,
-    /// LMU SRAM.
-    Lmu,
-}
-
-impl SriTarget {
-    /// Number of SRI targets.
-    pub const COUNT: usize = 4;
-
-    /// All targets in a fixed order (pf0, pf1, dfl, lmu).
-    pub fn all() -> [SriTarget; Self::COUNT] {
-        [
-            SriTarget::Pf0,
-            SriTarget::Pf1,
-            SriTarget::Dfl,
-            SriTarget::Lmu,
-        ]
-    }
-
-    /// Index usable for array addressing.
-    pub fn index(self) -> usize {
-        match self {
-            SriTarget::Pf0 => 0,
-            SriTarget::Pf1 => 1,
-            SriTarget::Dfl => 2,
-            SriTarget::Lmu => 3,
-        }
-    }
-
-    /// Returns `true` for the flash banks served by the PMU prefetcher.
-    pub fn is_pflash(self) -> bool {
-        matches!(self, SriTarget::Pf0 | SriTarget::Pf1)
-    }
-}
-
-impl fmt::Display for SriTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SriTarget::Pf0 => write!(f, "pf0"),
-            SriTarget::Pf1 => write!(f, "pf1"),
-            SriTarget::Dfl => write!(f, "dfl"),
-            SriTarget::Lmu => write!(f, "lmu"),
         }
     }
 }
@@ -410,8 +357,8 @@ mod tests {
 
     #[test]
     fn sri_target_indices_are_dense() {
-        let mut seen = [false; SriTarget::COUNT];
-        for t in SriTarget::all() {
+        let mut seen = [false; Target::COUNT];
+        for t in Target::all() {
             seen[t.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
@@ -420,7 +367,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Addr(0x9000_0000).to_string(), "0x90000000");
-        assert_eq!(SriTarget::Pf0.to_string(), "pf0");
+        assert_eq!(Target::Pf0.to_string(), "pf0");
         assert_eq!(Region::Pspr(CoreId(2)).to_string(), "pspr[2]");
         assert_eq!(CoreId(1).to_string(), "core1");
     }

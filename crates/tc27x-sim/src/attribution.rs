@@ -21,9 +21,9 @@
 //! ([`crate::config::SimConfig::with_attribution`]) and zero-cost when
 //! off: the crossbar holds an `Option<Box<..>>` that stays `None`.
 
-use crate::addr::{CoreId, SriTarget};
-use crate::layout::AccessClass;
+use crate::addr::CoreId;
 use crate::sri::Pending;
+use crate::{Operation, Target};
 
 /// Aggressor column index for wait cycles no core's transaction covers
 /// (TDMA slot alignment and fitting gaps).
@@ -35,10 +35,10 @@ pub const AGGRESSOR_COLS: usize = CoreId::COUNT + 1;
 /// Access classes tracked per victim (code, data).
 const CLASSES: usize = 2;
 
-fn class_idx(class: AccessClass) -> usize {
+fn class_idx(class: Operation) -> usize {
     match class {
-        AccessClass::Code => 0,
-        AccessClass::Data => 1,
+        Operation::Code => 0,
+        Operation::Data => 1,
     }
 }
 
@@ -53,16 +53,16 @@ fn class_idx(class: AccessClass) -> usize {
 pub struct AttributionMatrix {
     /// `wait[slave][victim][aggressor][class]` in cycles; the last
     /// aggressor column is [`SCHED_COL`], classes are `[code, data]`.
-    wait: [[[[u64; CLASSES]; AGGRESSOR_COLS]; CoreId::COUNT]; SriTarget::COUNT],
+    wait: [[[[u64; CLASSES]; AGGRESSOR_COLS]; CoreId::COUNT]; Target::COUNT],
     /// Grants counted per victim and access class.
-    grants_by_class: [[[u64; CLASSES]; CoreId::COUNT]; SriTarget::COUNT],
+    grants_by_class: [[[u64; CLASSES]; CoreId::COUNT]; Target::COUNT],
     /// Largest cross-core wait any single grant suffered, per (slave,
     /// victim). Cycles a victim spent behind its *own* other-master
     /// transaction (a PMI fetch and a DMI access can target the same
     /// slave) or behind the schedule are excluded: the arbitration
     /// bound this maximum is audited against covers contender-caused
     /// delay only.
-    max_wait: [[u64; CoreId::COUNT]; SriTarget::COUNT],
+    max_wait: [[u64; CoreId::COUNT]; Target::COUNT],
 }
 
 impl AttributionMatrix {
@@ -73,13 +73,7 @@ impl AttributionMatrix {
     /// aggressor.)
     ///
     /// [`charge`]: AttributionMatrix::charge
-    pub fn note_grant(
-        &mut self,
-        target: usize,
-        victim: usize,
-        class: AccessClass,
-        cross_wait: u64,
-    ) {
+    pub fn note_grant(&mut self, target: usize, victim: usize, class: Operation, cross_wait: u64) {
         self.grants_by_class[target][victim][class_idx(class)] += 1;
         let m = &mut self.max_wait[target][victim];
         *m = (*m).max(cross_wait);
@@ -92,7 +86,7 @@ impl AttributionMatrix {
         target: usize,
         victim: usize,
         aggressor: usize,
-        class: AccessClass,
+        class: Operation,
         cycles: u64,
     ) {
         self.wait[target][victim][aggressor][class_idx(class)] += cycles;
@@ -101,13 +95,13 @@ impl AttributionMatrix {
     /// One raw ledger cell: wait cycles of `victim` at `target` on
     /// grants of `class`, charged to aggressor column `col` (a core
     /// index, or [`SCHED_COL`]). The serialization-level accessor.
-    pub fn cell(&self, target: SriTarget, victim: CoreId, col: usize, class: AccessClass) -> u64 {
+    pub fn cell(&self, target: Target, victim: CoreId, col: usize, class: Operation) -> u64 {
         self.wait[target.index()][victim.index()][col][class_idx(class)]
     }
 
     /// Wait cycles of `victim` at `target` caused by `aggressor`'s
     /// transactions occupying the slave.
-    pub fn wait_cycles(&self, target: SriTarget, victim: CoreId, aggressor: CoreId) -> u64 {
+    pub fn wait_cycles(&self, target: Target, victim: CoreId, aggressor: CoreId) -> u64 {
         self.wait[target.index()][victim.index()][aggressor.index()]
             .iter()
             .sum()
@@ -115,7 +109,7 @@ impl AttributionMatrix {
 
     /// Wait cycles of `victim` at `target` not covered by any core's
     /// transaction (TDMA slot alignment / fitting gaps).
-    pub fn schedule_wait(&self, target: SriTarget, victim: CoreId) -> u64 {
+    pub fn schedule_wait(&self, target: Target, victim: CoreId) -> u64 {
         self.wait[target.index()][victim.index()][SCHED_COL]
             .iter()
             .sum()
@@ -123,7 +117,7 @@ impl AttributionMatrix {
 
     /// One full aggressor row (`CoreId::COUNT` cores then the schedule
     /// column), summed over classes, for rendering and serialization.
-    pub fn row(&self, target: SriTarget, victim: CoreId) -> [u64; AGGRESSOR_COLS] {
+    pub fn row(&self, target: Target, victim: CoreId) -> [u64; AGGRESSOR_COLS] {
         let mut out = [0u64; AGGRESSOR_COLS];
         for (col, slot) in out.iter_mut().enumerate() {
             *slot = self.wait[target.index()][victim.index()][col].iter().sum();
@@ -132,14 +126,14 @@ impl AttributionMatrix {
     }
 
     /// Total wait of `victim` at `target`, over all aggressor columns.
-    pub fn victim_wait(&self, target: SriTarget, victim: CoreId) -> u64 {
+    pub fn victim_wait(&self, target: Target, victim: CoreId) -> u64 {
         self.row(target, victim).iter().sum()
     }
 
     /// Total attributed cycles at `target`; conservation makes this
     /// exactly the slave's `queue_delay` when recording was on for the
     /// whole run.
-    pub fn slave_wait(&self, target: SriTarget) -> u64 {
+    pub fn slave_wait(&self, target: Target) -> u64 {
         CoreId::all()
             .iter()
             .map(|&v| self.victim_wait(target, v))
@@ -148,20 +142,20 @@ impl AttributionMatrix {
 
     /// Total attributed cycles over every slave.
     pub fn total_wait(&self) -> u64 {
-        SriTarget::all().iter().map(|&t| self.slave_wait(t)).sum()
+        Target::all().iter().map(|&t| self.slave_wait(t)).sum()
     }
 
     /// Wait cycles of `victim` at `target` on grants of `class`, over
     /// all aggressor columns.
-    pub fn class_wait(&self, target: SriTarget, victim: CoreId, class: AccessClass) -> u64 {
+    pub fn class_wait(&self, target: Target, victim: CoreId, class: Operation) -> u64 {
         (0..AGGRESSOR_COLS)
             .map(|col| self.cell(target, victim, col, class))
             .sum()
     }
 
     /// Wait cycles of `victim` on grants of `class`, over all slaves.
-    pub fn class_wait_total(&self, victim: CoreId, class: AccessClass) -> u64 {
-        SriTarget::all()
+    pub fn class_wait_total(&self, victim: CoreId, class: Operation) -> u64 {
+        Target::all()
             .iter()
             .map(|&t| self.class_wait(t, victim, class))
             .sum()
@@ -175,7 +169,7 @@ impl AttributionMatrix {
     /// observation the bound-tightness audit compares against the
     /// model's per-contender budget: schedule alignment and self-delay
     /// are part of the isolation WCET, not of `Δcont`.
-    pub fn interference(&self, target: SriTarget, victim: CoreId, class: AccessClass) -> u64 {
+    pub fn interference(&self, target: Target, victim: CoreId, class: Operation) -> u64 {
         (0..CoreId::COUNT)
             .filter(|&a| a != victim.index())
             .map(|a| self.cell(target, victim, a, class))
@@ -183,21 +177,21 @@ impl AttributionMatrix {
     }
 
     /// Interference of `victim` on grants of `class`, over all slaves.
-    pub fn interference_total(&self, victim: CoreId, class: AccessClass) -> u64 {
-        SriTarget::all()
+    pub fn interference_total(&self, victim: CoreId, class: Operation) -> u64 {
+        Target::all()
             .iter()
             .map(|&t| self.interference(t, victim, class))
             .sum()
     }
 
     /// Grants of `victim` at `target` of `class`.
-    pub fn class_grants(&self, target: SriTarget, victim: CoreId, class: AccessClass) -> u64 {
+    pub fn class_grants(&self, target: Target, victim: CoreId, class: Operation) -> u64 {
         self.grants_by_class[target.index()][victim.index()][class_idx(class)]
     }
 
     /// Grants of `victim` of `class`, over all slaves.
-    pub fn class_grants_total(&self, victim: CoreId, class: AccessClass) -> u64 {
-        SriTarget::all()
+    pub fn class_grants_total(&self, victim: CoreId, class: Operation) -> u64 {
+        Target::all()
             .iter()
             .map(|&t| self.class_grants(t, victim, class))
             .sum()
@@ -206,7 +200,7 @@ impl AttributionMatrix {
     /// Largest cross-core wait a single grant of `victim` suffered at
     /// `target` (self- and schedule-charged cycles excluded — see
     /// [`AttributionMatrix::note_grant`]).
-    pub fn max_wait(&self, target: SriTarget, victim: CoreId) -> u64 {
+    pub fn max_wait(&self, target: Target, victim: CoreId) -> u64 {
         self.max_wait[target.index()][victim.index()]
     }
 
@@ -221,7 +215,7 @@ impl AttributionMatrix {
     /// so any fold order over per-job matrices converges — campaigns
     /// fold in job-key order to also fix the intermediate states.
     pub fn merge(&mut self, other: &AttributionMatrix) {
-        for t in 0..SriTarget::COUNT {
+        for t in 0..Target::COUNT {
             for v in 0..CoreId::COUNT {
                 for a in 0..AGGRESSOR_COLS {
                     for c in 0..CLASSES {
@@ -250,7 +244,7 @@ struct Service {
 /// per slave (pruned once no waiter can overlap them) plus the ledger.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Attribution {
-    history: [Vec<Service>; SriTarget::COUNT],
+    history: [Vec<Service>; Target::COUNT],
     matrix: AttributionMatrix,
 }
 
@@ -322,7 +316,7 @@ mod tests {
 
     /// Test shorthand: a [`Pending`] for `core`/`class` posted at
     /// `posted_at`.
-    fn pend(core: u8, class: AccessClass, posted_at: u64) -> Pending {
+    fn pend(core: u8, class: Operation, posted_at: u64) -> Pending {
         Pending {
             core: CoreId(core),
             service: 16,
@@ -335,32 +329,32 @@ mod tests {
     fn merge_is_additive_and_maxing() {
         let mut a = AttributionMatrix::default();
         let mut b = AttributionMatrix::default();
-        a.charge(3, 1, 2, AccessClass::Data, 10);
-        a.note_grant(3, 1, AccessClass::Data, 10);
-        b.charge(3, 1, 2, AccessClass::Data, 5);
-        b.charge(3, 1, SCHED_COL, AccessClass::Data, 2);
-        b.note_grant(3, 1, AccessClass::Data, 7);
+        a.charge(3, 1, 2, Operation::Data, 10);
+        a.note_grant(3, 1, Operation::Data, 10);
+        b.charge(3, 1, 2, Operation::Data, 5);
+        b.charge(3, 1, SCHED_COL, Operation::Data, 2);
+        b.note_grant(3, 1, Operation::Data, 7);
         let mut ab = a;
         ab.merge(&b);
         let mut ba = b;
         ba.merge(&a);
         assert_eq!(ab, ba, "merge is commutative");
-        let (t, v) = (SriTarget::Lmu, CoreId(1));
+        let (t, v) = (Target::Lmu, CoreId(1));
         assert_eq!(ab.wait_cycles(t, v, CoreId(2)), 15);
         assert_eq!(ab.schedule_wait(t, v), 2);
         assert_eq!(ab.victim_wait(t, v), 17);
         assert_eq!(ab.slave_wait(t), 17);
         assert_eq!(ab.total_wait(), 17);
-        assert_eq!(ab.class_wait(t, v, AccessClass::Data), 17);
-        assert_eq!(ab.cell(t, v, 2, AccessClass::Data), 15);
+        assert_eq!(ab.class_wait(t, v, Operation::Data), 17);
+        assert_eq!(ab.cell(t, v, 2, Operation::Data), 15);
         assert_eq!(
-            ab.interference(t, v, AccessClass::Data),
+            ab.interference(t, v, Operation::Data),
             15,
             "interference counts other-core columns only"
         );
-        assert_eq!(ab.interference_total(v, AccessClass::Data), 15);
-        assert_eq!(ab.class_grants_total(v, AccessClass::Data), 2);
-        assert_eq!(ab.class_grants_total(v, AccessClass::Code), 0);
+        assert_eq!(ab.interference_total(v, Operation::Data), 15);
+        assert_eq!(ab.class_grants_total(v, Operation::Data), 2);
+        assert_eq!(ab.class_grants_total(v, Operation::Code), 0);
         assert_eq!(ab.max_wait(t, v), 10);
         assert!(!ab.is_zero());
         assert!(AttributionMatrix::default().is_zero());
@@ -370,12 +364,12 @@ mod tests {
     fn wait_window_splits_between_aggressor_and_schedule() {
         let mut attr = Attribution::default();
         // Aggressor core 2 occupied slave 0 for [0, 16).
-        attr.on_grant(0, &pend(2, AccessClass::Code, 0), 0, 16, &[]);
+        attr.on_grant(0, &pend(2, Operation::Code, 0), 0, 16, &[]);
         // Victim core 1 posted at 4, granted at 20: 12 cycles overlap
         // core 2's service, 4 cycles (16..20) were a schedule gap.
-        attr.on_grant(0, &pend(1, AccessClass::Code, 4), 20, 36, &[]);
+        attr.on_grant(0, &pend(1, Operation::Code, 4), 20, 36, &[]);
         let m = attr.matrix();
-        let t = SriTarget::Pf0;
+        let t = Target::Pf0;
         assert_eq!(m.wait_cycles(t, CoreId(1), CoreId(2)), 12);
         assert_eq!(m.schedule_wait(t, CoreId(1)), 4);
         assert_eq!(m.victim_wait(t, CoreId(1)), 16);
@@ -394,14 +388,14 @@ mod tests {
         // Core 1's PMI fetch occupied slave 0 for [0, 16); its own DMI
         // access posted at 2 and was granted at 16: all 14 wait cycles
         // overlap the core's own service.
-        attr.on_grant(0, &pend(1, AccessClass::Code, 0), 0, 16, &[]);
-        attr.on_grant(0, &pend(1, AccessClass::Data, 2), 16, 27, &[]);
+        attr.on_grant(0, &pend(1, Operation::Code, 0), 0, 16, &[]);
+        attr.on_grant(0, &pend(1, Operation::Data, 2), 16, 27, &[]);
         let m = attr.matrix();
-        let t = SriTarget::Pf0;
+        let t = Target::Pf0;
         assert_eq!(m.wait_cycles(t, CoreId(1), CoreId(1)), 14);
         assert_eq!(m.victim_wait(t, CoreId(1)), 14);
         assert_eq!(
-            m.interference(t, CoreId(1), AccessClass::Data),
+            m.interference(t, CoreId(1), Operation::Data),
             0,
             "self-delay is not interference"
         );
@@ -420,7 +414,7 @@ mod tests {
             // must not grow without bound.
             attr.on_grant(
                 1,
-                &pend(0, AccessClass::Code, k * 16),
+                &pend(0, Operation::Code, k * 16),
                 k * 16,
                 (k + 1) * 16,
                 &[],
@@ -432,11 +426,11 @@ mod tests {
             core: CoreId(2),
             service: 16,
             posted_at: 90 * 16,
-            class: AccessClass::Code,
+            class: Operation::Code,
         };
         attr.on_grant(
             1,
-            &pend(0, AccessClass::Code, 100 * 16),
+            &pend(0, Operation::Code, 100 * 16),
             100 * 16,
             101 * 16,
             &[waiter],

@@ -7,17 +7,17 @@
 //! best-case stall cycles of 6 (pf code), 11 (pf data / lmu code),
 //! 10 (lmu data) and 42 (dfl data).
 
-use crate::addr::{CoreId, SriTarget};
+use crate::addr::CoreId;
 use crate::cache::CacheGeometry;
 use crate::engine::Engine;
-use crate::layout::AccessClass;
+use crate::{Operation, Target};
 use platform::{Arbitration, PlatformDesc};
 
 // The platform crate's capacity constants and the simulator's dense
 // array sizes must agree; a description with fewer cores/slaves marks
 // the surplus inactive/absent.
 const _: () = assert!(CoreId::COUNT == platform::MAX_CORES);
-const _: () = assert!(SriTarget::COUNT == platform::SLAVE_SLOTS);
+const _: () = assert!(Target::COUNT == platform::SLAVE_SLOTS);
 
 /// Service and hiding parameters of one SRI slave.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,16 +35,16 @@ pub struct SlaveTiming {
 /// Full simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Per-target slave timing, indexed by [`SriTarget::index`].
-    pub slaves: [SlaveTiming; SriTarget::COUNT],
+    /// Per-target slave timing, indexed by [`Target::index`].
+    pub slaves: [SlaveTiming; Target::COUNT],
     /// Which slave slots exist on this platform; placements into an
     /// absent slot are rejected at load time.
-    pub slave_present: [bool; SriTarget::COUNT],
+    pub slave_present: [bool; Target::COUNT],
     /// Which slaves have a sequential prefetcher (whose hits are served
     /// in `service_sequential` and hide `fetch_prefetch_hide` cycles).
-    pub slave_prefetch: [bool; SriTarget::COUNT],
+    pub slave_prefetch: [bool; Target::COUNT],
     /// Arbitration policy per slave port.
-    pub arbitration: [Arbitration; SriTarget::COUNT],
+    pub arbitration: [Arbitration; Target::COUNT],
     /// Number of active cores (`1..=CoreId::COUNT`); loading a task on
     /// a core at or past this index is rejected, and the TDMA schedule
     /// has one slot per active core.
@@ -221,19 +221,19 @@ impl SimConfig {
     }
 
     /// Timing of one slave.
-    pub fn slave(&self, target: SriTarget) -> SlaveTiming {
+    pub fn slave(&self, target: Target) -> SlaveTiming {
         self.slaves[target.index()]
     }
 
     /// Cycles a request can hide, given its class and whether the flash
     /// prefetcher predicted it.
-    pub fn hide_cycles(&self, class: AccessClass, target: SriTarget, sequential: bool) -> u32 {
+    pub fn hide_cycles(&self, class: Operation, target: Target, sequential: bool) -> u32 {
         match class {
-            AccessClass::Code if sequential && self.slave_prefetch[target.index()] => {
+            Operation::Code if sequential && self.slave_prefetch[target.index()] => {
                 self.fetch_prefetch_hide
             }
-            AccessClass::Code => 0,
-            AccessClass::Data => self.data_hide,
+            Operation::Code => 0,
+            Operation::Data => self.data_hide,
         }
     }
 
@@ -269,35 +269,35 @@ mod tests {
     #[test]
     fn reference_matches_table2_service_times() {
         let c = SimConfig::tc277_reference();
-        assert_eq!(c.slave(SriTarget::Pf0).service, 16);
-        assert_eq!(c.slave(SriTarget::Pf0).service_sequential, 12);
-        assert_eq!(c.slave(SriTarget::Pf1).service, 16);
-        assert_eq!(c.slave(SriTarget::Dfl).service, 43);
-        assert_eq!(c.slave(SriTarget::Lmu).service, 11);
-        assert_eq!(c.slave(SriTarget::Lmu).writeback_service, 10);
+        assert_eq!(c.slave(Target::Pf0).service, 16);
+        assert_eq!(c.slave(Target::Pf0).service_sequential, 12);
+        assert_eq!(c.slave(Target::Pf1).service, 16);
+        assert_eq!(c.slave(Target::Dfl).service, 43);
+        assert_eq!(c.slave(Target::Lmu).service, 11);
+        assert_eq!(c.slave(Target::Lmu).writeback_service, 10);
     }
 
     #[test]
     fn hiding_rules() {
         let c = SimConfig::tc277_reference();
-        use AccessClass::{Code, Data};
+        use Operation::{Code, Data};
         // Sequential code fetch from pflash hides the prefetch lead.
-        assert_eq!(c.hide_cycles(Code, SriTarget::Pf0, true), 6);
+        assert_eq!(c.hide_cycles(Code, Target::Pf0, true), 6);
         // Non-sequential fetch hides nothing.
-        assert_eq!(c.hide_cycles(Code, SriTarget::Pf0, false), 0);
+        assert_eq!(c.hide_cycles(Code, Target::Pf0, false), 0);
         // The LMU has no prefetcher.
-        assert_eq!(c.hide_cycles(Code, SriTarget::Lmu, true), 0);
+        assert_eq!(c.hide_cycles(Code, Target::Lmu, true), 0);
         // Data always hides the posted address phase.
-        assert_eq!(c.hide_cycles(Data, SriTarget::Lmu, false), 1);
-        assert_eq!(c.hide_cycles(Data, SriTarget::Dfl, true), 1);
+        assert_eq!(c.hide_cycles(Data, Target::Lmu, false), 1);
+        assert_eq!(c.hide_cycles(Data, Target::Dfl, true), 1);
     }
 
     #[test]
     fn best_case_stalls_match_table2() {
         // stall = service(best) - hide: the Table 2 cs row.
         let c = SimConfig::tc277_reference();
-        use AccessClass::{Code, Data};
-        let cs = |t: SriTarget, class: AccessClass| {
+        use Operation::{Code, Data};
+        let cs = |t: Target, class: Operation| {
             let s = if t.is_pflash() {
                 c.slave(t).service_sequential
             } else {
@@ -305,11 +305,11 @@ mod tests {
             };
             s - c.hide_cycles(class, t, true)
         };
-        assert_eq!(cs(SriTarget::Pf0, Code), 6);
-        assert_eq!(cs(SriTarget::Pf0, Data), 11);
-        assert_eq!(cs(SriTarget::Lmu, Code), 11);
-        assert_eq!(cs(SriTarget::Lmu, Data), 10);
-        assert_eq!(cs(SriTarget::Dfl, Data), 42);
+        assert_eq!(cs(Target::Pf0, Code), 6);
+        assert_eq!(cs(Target::Pf0, Data), 11);
+        assert_eq!(cs(Target::Lmu, Code), 11);
+        assert_eq!(cs(Target::Lmu, Data), 10);
+        assert_eq!(cs(Target::Dfl, Data), 42);
     }
 
     #[test]
@@ -358,12 +358,12 @@ mod tests {
             [true, false, false, true],
             "pf1/dfl slots are absent on ahb2"
         );
-        assert_eq!(ahb.slave_prefetch, [false; SriTarget::COUNT]);
-        assert_eq!(ahb.slave(SriTarget::Pf0).service, 8);
-        assert_eq!(ahb.slave(SriTarget::Lmu).service, 2);
+        assert_eq!(ahb.slave_prefetch, [false; Target::COUNT]);
+        assert_eq!(ahb.slave(Target::Pf0).service, 8);
+        assert_eq!(ahb.slave(Target::Lmu).service, 2);
         assert!(matches!(ahb.arbitration[0], Arbitration::FixedPriority));
         // No prefetcher anywhere: sequential code fetches hide nothing.
-        assert_eq!(ahb.hide_cycles(AccessClass::Code, SriTarget::Pf0, true), 0);
+        assert_eq!(ahb.hide_cycles(Operation::Code, Target::Pf0, true), 0);
     }
 
     #[test]

@@ -19,24 +19,24 @@
 //! queueing delay inflates the stall, which is precisely the effect the
 //! contention models bound.
 
-use crate::addr::{CoreId, MemMap, Region, SriTarget, LINE_BYTES};
+use crate::addr::{CoreId, MemMap, Region, LINE_BYTES};
 use crate::cache::{Cache, Lookup};
 use crate::config::SimConfig;
-use crate::counters::{DebugCounters, GroundTruth};
-use crate::layout::AccessClass;
+use crate::counters::GroundTruth;
 use crate::linker::{InstrKind, TaskImage};
 use crate::program::Pattern;
 use crate::rng::SplitMix64;
 use crate::sri::{Grant, Sri, SriRequest};
 use crate::trace::{Trace, TraceKind};
+use crate::{DebugCounters, Operation, Target};
 use std::collections::VecDeque;
 
 /// One SRI operation of a (possibly multi-part) memory transaction, e.g.
 /// a dirty miss = write-back followed by a line fill.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChainOp {
-    target: SriTarget,
-    class: AccessClass,
+    target: Target,
+    class: Operation,
     write: bool,
     service: u32,
     hide: u32,
@@ -63,8 +63,8 @@ pub(crate) enum State {
     WaitGrant {
         issued: u64,
         hide: u32,
-        class: AccessClass,
-        target: SriTarget,
+        class: Operation,
+        target: Target,
         rest: VecDeque<ChainOp>,
         after: AfterChain,
     },
@@ -99,7 +99,7 @@ pub struct CorePipeline {
     /// buffer is one per flash bank and serves code fetches and data
     /// reads alike, so interleaved streams disrupt each other's
     /// sequentiality.
-    last_sri_line: [Option<u32>; SriTarget::COUNT],
+    last_sri_line: [Option<u32>; Target::COUNT],
     pub(crate) state: State,
     counters: DebugCounters,
     truth: GroundTruth,
@@ -127,7 +127,7 @@ impl CorePipeline {
             cursors: vec![0; n],
             rng: SplitMix64::new(seed),
             fetched_line: None,
-            last_sri_line: [None; SriTarget::COUNT],
+            last_sri_line: [None; Target::COUNT],
             state: if n == 0 { State::Done } else { State::Ready },
             counters: DebugCounters::default(),
             truth: GroundTruth::default(),
@@ -264,8 +264,8 @@ impl CorePipeline {
             },
         );
         match class {
-            AccessClass::Code => self.counters.pmem_stall += stall,
-            AccessClass::Data => self.counters.dmem_stall += stall,
+            Operation::Code => self.counters.pmem_stall += stall,
+            Operation::Data => self.counters.dmem_stall += stall,
         }
         let resume = issued + stall;
         self.state = if rest.is_empty() {
@@ -451,7 +451,7 @@ impl CorePipeline {
         } else {
             timing.service
         };
-        let hide = config.hide_cycles(AccessClass::Code, target, sequential);
+        let hide = config.hide_cycles(Operation::Code, target, sequential);
         self.last_sri_line[target.index()] = Some(line);
         self.fetched_line = Some(line);
         self.post_chain_op(
@@ -459,7 +459,7 @@ impl CorePipeline {
             sri,
             ChainOp {
                 target,
-                class: AccessClass::Code,
+                class: Operation::Code,
                 write: false,
                 service,
                 hide,
@@ -531,7 +531,7 @@ impl CorePipeline {
             .sri_target()
             .unwrap_or_else(|| unreachable!("shared data regions have an SRI target"));
         let timing = config.slave(target);
-        let data_hide = config.hide_cycles(AccessClass::Data, target, false);
+        let data_hide = config.hide_cycles(Operation::Data, target, false);
         // The flash prefetch buffer also streams sequential data reads.
         let line = addr.line();
         let sequential = self.last_sri_line[target.index()] == Some(line.wrapping_sub(1));
@@ -568,7 +568,7 @@ impl CorePipeline {
                         });
                         chain.push_back(ChainOp {
                             target: victim_target,
-                            class: AccessClass::Data,
+                            class: Operation::Data,
                             write: true,
                             service: config.slave(victim_target).writeback_service,
                             hide: 0,
@@ -579,7 +579,7 @@ impl CorePipeline {
                     // The line fill.
                     chain.push_back(ChainOp {
                         target,
-                        class: AccessClass::Data,
+                        class: Operation::Data,
                         write: false,
                         service: read_service,
                         hide: data_hide,
@@ -604,7 +604,7 @@ impl CorePipeline {
                 sri,
                 ChainOp {
                     target,
-                    class: AccessClass::Data,
+                    class: Operation::Data,
                     write,
                     service: if write { timing.service } else { read_service },
                     hide: data_hide,

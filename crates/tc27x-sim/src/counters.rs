@@ -1,66 +1,18 @@
-//! DSU debug counters and simulator-only ground truth.
+//! Simulator-only ground truth and statistics.
 //!
-//! [`DebugCounters`] mirrors exactly what the AURIX Debug Support Unit
-//! exposes and is the *only* information the contention models may
-//! consume. [`GroundTruth`] records the per-target access counts the real
+//! The DSU counter block itself is [`crate::DebugCounters`] (defined in
+//! `platform`, shared with the models): exactly what the AURIX Debug
+//! Support Unit exposes and the *only* information the contention
+//! models may consume. [`GroundTruth`] records the per-target access counts the real
 //! hardware cannot report — the simulator keeps them for the ideal model
 //! (Eq. 1 assumes full PTAC knowledge) and for validating the counter
 //! semantics in tests.
 
-use crate::addr::SriTarget;
 use crate::attribution::AttributionMatrix;
-use crate::layout::AccessClass;
+use crate::{Operation, Target};
 use obs::Hist;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-
-/// The TC27x debug counters used by the paper (Table 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-pub struct DebugCounters {
-    /// On-chip cycle counter: cycles from task start to completion.
-    pub ccnt: u64,
-    /// Cycles the pipeline stalled on the program memory interface.
-    pub pmem_stall: u64,
-    /// Cycles the pipeline stalled on the data memory interface.
-    pub dmem_stall: u64,
-    /// Instruction-cache misses (cacheable fetches only).
-    pub pcache_miss: u64,
-    /// Data-cache misses that evicted no dirty line.
-    pub dcache_miss_clean: u64,
-    /// Data-cache misses that evicted a dirty line (write-back issued).
-    pub dcache_miss_dirty: u64,
-}
-
-impl DebugCounters {
-    /// Total data-cache misses.
-    pub fn dcache_miss_total(&self) -> u64 {
-        self.dcache_miss_clean + self.dcache_miss_dirty
-    }
-
-    /// Delta accounting for the event kernel: charges `cycles` cycles of
-    /// busy/waiting time to `CCNT` in one bulk update, equivalent to
-    /// `cycles` consecutive per-tick `ccnt += 1` increments. Stall
-    /// counters are *not* touched — stalls are attributed at grant time
-    /// from the transaction's end-to-end latency, never per tick.
-    pub fn charge_busy(&mut self, cycles: u64) {
-        self.ccnt += cycles;
-    }
-}
-
-impl fmt::Display for DebugCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CCNT={} PMEM_STALL={} DMEM_STALL={} P$_MISS={} D$_MISS_CLEAN={} D$_MISS_DIRTY={}",
-            self.ccnt,
-            self.pmem_stall,
-            self.dmem_stall,
-            self.pcache_miss,
-            self.dcache_miss_clean,
-            self.dcache_miss_dirty
-        )
-    }
-}
 
 /// Timing-kernel statistics — how the event kernel spent the run, for
 /// the telemetry layer. These are *non-deterministic* telemetry in the
@@ -113,8 +65,8 @@ pub struct SlaveStats {
 /// `kernel` is engine-dependent by nature.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SimStats {
-    /// Per-slave SRI statistics, indexed like [`SriTarget::all`].
-    pub slaves: [SlaveStats; SriTarget::COUNT],
+    /// Per-slave SRI statistics, indexed like [`Target::all`].
+    pub slaves: [SlaveStats; Target::COUNT],
     /// Event-kernel statistics (all zero under the reference stepper).
     pub kernel: KernelStats,
     /// Contention attribution ledger — all-zero unless the run enabled
@@ -126,7 +78,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// The statistics of one slave.
-    pub fn slave(&self, target: SriTarget) -> &SlaveStats {
+    pub fn slave(&self, target: Target) -> &SlaveStats {
         &self.slaves[target.index()]
     }
 }
@@ -136,25 +88,18 @@ impl SimStats {
 /// on a per-resource basis").
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct GroundTruth {
-    counts: [[u64; 2]; SriTarget::COUNT],
+    counts: [[u64; 2]; Target::COUNT],
     /// Of which: write transactions (stores and write-backs).
-    writes: [u64; SriTarget::COUNT],
+    writes: [u64; Target::COUNT],
     /// Maximum end-to-end latency observed for a single transaction,
     /// per target (queueing + service).
-    max_latency: [u64; SriTarget::COUNT],
-}
-
-fn class_idx(class: AccessClass) -> usize {
-    match class {
-        AccessClass::Code => 0,
-        AccessClass::Data => 1,
-    }
+    max_latency: [u64; Target::COUNT],
 }
 
 impl GroundTruth {
     /// Records one SRI transaction (counted at issue time).
-    pub fn record(&mut self, target: SriTarget, class: AccessClass, write: bool, latency: u64) {
-        self.counts[target.index()][class_idx(class)] += 1;
+    pub fn record(&mut self, target: Target, class: Operation, write: bool, latency: u64) {
+        self.counts[target.index()][class.index()] += 1;
         if write {
             self.writes[target.index()] += 1;
         }
@@ -163,62 +108,59 @@ impl GroundTruth {
 
     /// Updates the per-target maximum end-to-end latency (known only once
     /// the transaction is granted).
-    pub fn note_latency(&mut self, target: SriTarget, latency: u64) {
+    pub fn note_latency(&mut self, target: Target, latency: u64) {
         let m = &mut self.max_latency[target.index()];
         *m = (*m).max(latency);
     }
 
     /// Access count for a (target, class) pair — the paper's `n_x^{t,o}`.
-    pub fn accesses(&self, target: SriTarget, class: AccessClass) -> u64 {
-        self.counts[target.index()][class_idx(class)]
+    pub fn accesses(&self, target: Target, class: Operation) -> u64 {
+        self.counts[target.index()][class.index()]
     }
 
     /// Total SRI accesses of a class across all targets.
-    pub fn class_total(&self, class: AccessClass) -> u64 {
-        SriTarget::all()
-            .iter()
-            .map(|t| self.accesses(*t, class))
-            .sum()
+    pub fn class_total(&self, class: Operation) -> u64 {
+        Target::all().iter().map(|t| self.accesses(*t, class)).sum()
     }
 
     /// Total SRI accesses.
     pub fn total(&self) -> u64 {
-        self.class_total(AccessClass::Code) + self.class_total(AccessClass::Data)
+        self.class_total(Operation::Code) + self.class_total(Operation::Data)
     }
 
     /// Write transactions to a target.
-    pub fn writes(&self, target: SriTarget) -> u64 {
+    pub fn writes(&self, target: Target) -> u64 {
         self.writes[target.index()]
     }
 
     /// Largest observed end-to-end latency at a target.
-    pub fn max_latency(&self, target: SriTarget) -> u64 {
+    pub fn max_latency(&self, target: Target) -> u64 {
         self.max_latency[target.index()]
     }
 }
 
-impl Index<(SriTarget, AccessClass)> for GroundTruth {
+impl Index<(Target, Operation)> for GroundTruth {
     type Output = u64;
-    fn index(&self, (t, c): (SriTarget, AccessClass)) -> &u64 {
-        &self.counts[t.index()][class_idx(c)]
+    fn index(&self, (t, c): (Target, Operation)) -> &u64 {
+        &self.counts[t.index()][c.index()]
     }
 }
 
-impl IndexMut<(SriTarget, AccessClass)> for GroundTruth {
-    fn index_mut(&mut self, (t, c): (SriTarget, AccessClass)) -> &mut u64 {
-        &mut self.counts[t.index()][class_idx(c)]
+impl IndexMut<(Target, Operation)> for GroundTruth {
+    fn index_mut(&mut self, (t, c): (Target, Operation)) -> &mut u64 {
+        &mut self.counts[t.index()][c.index()]
     }
 }
 
 impl fmt::Display for GroundTruth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for t in SriTarget::all() {
+        for t in Target::all() {
             write!(
                 f,
                 "{}: co={} da={}  ",
                 t,
-                self.accesses(t, AccessClass::Code),
-                self.accesses(t, AccessClass::Data)
+                self.accesses(t, Operation::Code),
+                self.accesses(t, Operation::Data)
             )?;
         }
         Ok(())
@@ -232,52 +174,22 @@ mod tests {
     #[test]
     fn record_and_read_back() {
         let mut g = GroundTruth::default();
-        g.record(SriTarget::Pf0, AccessClass::Code, false, 16);
-        g.record(SriTarget::Pf0, AccessClass::Code, false, 12);
-        g.record(SriTarget::Lmu, AccessClass::Data, true, 11);
-        assert_eq!(g.accesses(SriTarget::Pf0, AccessClass::Code), 2);
-        assert_eq!(g.accesses(SriTarget::Lmu, AccessClass::Data), 1);
-        assert_eq!(g.class_total(AccessClass::Code), 2);
+        g.record(Target::Pf0, Operation::Code, false, 16);
+        g.record(Target::Pf0, Operation::Code, false, 12);
+        g.record(Target::Lmu, Operation::Data, true, 11);
+        assert_eq!(g.accesses(Target::Pf0, Operation::Code), 2);
+        assert_eq!(g.accesses(Target::Lmu, Operation::Data), 1);
+        assert_eq!(g.class_total(Operation::Code), 2);
         assert_eq!(g.total(), 3);
-        assert_eq!(g.writes(SriTarget::Lmu), 1);
-        assert_eq!(g.writes(SriTarget::Pf0), 0);
-        assert_eq!(g.max_latency(SriTarget::Pf0), 16);
+        assert_eq!(g.writes(Target::Lmu), 1);
+        assert_eq!(g.writes(Target::Pf0), 0);
+        assert_eq!(g.max_latency(Target::Pf0), 16);
     }
 
     #[test]
     fn index_operators() {
         let mut g = GroundTruth::default();
-        g[(SriTarget::Dfl, AccessClass::Data)] = 7;
-        assert_eq!(g[(SriTarget::Dfl, AccessClass::Data)], 7);
-    }
-
-    #[test]
-    fn counters_display_contains_all_fields() {
-        let c = DebugCounters {
-            ccnt: 1,
-            pmem_stall: 2,
-            dmem_stall: 3,
-            pcache_miss: 4,
-            dcache_miss_clean: 5,
-            dcache_miss_dirty: 6,
-        };
-        let s = c.to_string();
-        for needle in ["CCNT=1", "PMEM_STALL=2", "DMEM_STALL=3", "P$_MISS=4"] {
-            assert!(s.contains(needle), "{s}");
-        }
-        assert_eq!(c.dcache_miss_total(), 11);
-    }
-
-    #[test]
-    fn charge_busy_matches_repeated_increments() {
-        let mut bulk = DebugCounters::default();
-        let mut ticked = DebugCounters::default();
-        bulk.charge_busy(137);
-        for _ in 0..137 {
-            ticked.ccnt += 1;
-        }
-        assert_eq!(bulk, ticked);
-        bulk.charge_busy(0);
-        assert_eq!(bulk.ccnt, 137, "a zero delta charges nothing");
+        g[(Target::Dfl, Operation::Data)] = 7;
+        assert_eq!(g[(Target::Dfl, Operation::Data)], 7);
     }
 }

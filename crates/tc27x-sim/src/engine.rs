@@ -10,7 +10,7 @@
 //! deterministic binary-heap queue keyed by `(cycle, source rank)`, and
 //! fast-forwards `now` across the provably quiescent gap up to the
 //! earliest claim, charging the skipped cycles to the busy cores in one
-//! delta ([`crate::counters::DebugCounters::charge_busy`]).
+//! delta ([`crate::DebugCounters::charge_busy`]).
 //!
 //! At every *interesting* cycle the kernel then executes exactly one
 //! iteration of the reference tick loop — all cores stepped in index

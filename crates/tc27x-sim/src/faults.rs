@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use tc27x_sim::counters::DebugCounters;
+//! use tc27x_sim::DebugCounters;
 //! use tc27x_sim::faults::FaultInjector;
 //!
 //! let clean = DebugCounters {
@@ -25,8 +25,8 @@
 //! assert_eq!(FaultInjector::new(7).perturb(&clean), (noisy, records));
 //! ```
 
-use crate::counters::DebugCounters;
 use crate::rng::SplitMix64;
+use crate::DebugCounters;
 use std::fmt;
 
 /// Physical width of a DSU counter register: reads saturate at

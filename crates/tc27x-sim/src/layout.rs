@@ -8,38 +8,21 @@
 //! # Examples
 //!
 //! ```
-//! use tc27x_sim::layout::{AccessClass, Placement};
+//! use tc27x_sim::layout::Placement;
+//! use tc27x_sim::Operation;
 //! use tc27x_sim::addr::Region;
 //!
 //! // Code in PFLASH0, cacheable: allowed.
-//! assert!(Placement::new(Region::Pflash0, true).validate(AccessClass::Code).is_ok());
+//! assert!(Placement::new(Region::Pflash0, true).validate(Operation::Code).is_ok());
 //! // Non-cacheable data in PFLASH0: forbidden by Table 3.
-//! assert!(Placement::new(Region::Pflash0, false).validate(AccessClass::Data).is_err());
+//! assert!(Placement::new(Region::Pflash0, false).validate(Operation::Data).is_err());
 //! ```
 
 use crate::addr::{CoreId, Region};
 use crate::program::Program;
+use crate::Operation;
 use std::error::Error;
 use std::fmt;
-
-/// Whether a placement holds code or data (the two operation classes of
-/// the paper, `O = {co, da}`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum AccessClass {
-    /// Instruction fetches.
-    Code,
-    /// Data loads/stores.
-    Data,
-}
-
-impl fmt::Display for AccessClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessClass::Code => write!(f, "code"),
-            AccessClass::Data => write!(f, "data"),
-        }
-    }
-}
 
 /// A placement decision: region plus cacheability of the view used.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -74,19 +57,19 @@ impl Placement {
     /// Returns [`LayoutError::ForbiddenPlacement`] when Table 3 forbids
     /// the combination (code in DFLASH; non-cacheable data in PFLASH;
     /// any cacheable view of a scratchpad or DFLASH).
-    pub fn validate(self, class: AccessClass) -> Result<(), LayoutError> {
+    pub fn validate(self, class: Operation) -> Result<(), LayoutError> {
         let ok = match (class, self.region, self.cacheable) {
             // Code: pf0/pf1/lmu in both modes, scratchpad non-cacheable.
-            (AccessClass::Code, Region::Pflash0 | Region::Pflash1 | Region::Lmu, _) => true,
-            (AccessClass::Code, Region::Pspr(_), false) => true,
-            (AccessClass::Code, _, _) => false,
+            (Operation::Code, Region::Pflash0 | Region::Pflash1 | Region::Lmu, _) => true,
+            (Operation::Code, Region::Pspr(_), false) => true,
+            (Operation::Code, _, _) => false,
             // Data: dfl non-cacheable only; pf0/pf1 cacheable only;
             // lmu both; scratchpad non-cacheable.
-            (AccessClass::Data, Region::Dflash, false) => true,
-            (AccessClass::Data, Region::Pflash0 | Region::Pflash1, true) => true,
-            (AccessClass::Data, Region::Lmu, _) => true,
-            (AccessClass::Data, Region::Dspr(_), false) => true,
-            (AccessClass::Data, _, _) => false,
+            (Operation::Data, Region::Dflash, false) => true,
+            (Operation::Data, Region::Pflash0 | Region::Pflash1, true) => true,
+            (Operation::Data, Region::Lmu, _) => true,
+            (Operation::Data, Region::Dspr(_), false) => true,
+            (Operation::Data, _, _) => false,
         };
         if ok {
             Ok(())
@@ -276,12 +259,42 @@ impl DeploymentScenario {
     }
 }
 
+impl DeploymentScenario {
+    /// The canonical short token (`sc1` / `sc2` / `low`): what the
+    /// command lines print, and what serve request fingerprints and dse
+    /// campaign identities hash.
+    pub fn token(self) -> &'static str {
+        match self {
+            DeploymentScenario::Scenario1 => "sc1",
+            DeploymentScenario::Scenario2 => "sc2",
+            DeploymentScenario::LowTraffic => "low",
+        }
+    }
+}
+
 impl fmt::Display for DeploymentScenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeploymentScenario::Scenario1 => write!(f, "scenario1"),
             DeploymentScenario::Scenario2 => write!(f, "scenario2"),
             DeploymentScenario::LowTraffic => write!(f, "low-traffic"),
+        }
+    }
+}
+
+/// The one scenario name table: the [`token`](DeploymentScenario::token)
+/// and the [`Display`](fmt::Display) spelling both parse back.
+impl std::str::FromStr for DeploymentScenario {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "sc1" | "scenario1" => Ok(DeploymentScenario::Scenario1),
+            "sc2" | "scenario2" => Ok(DeploymentScenario::Scenario2),
+            "low" | "low-traffic" => Ok(DeploymentScenario::LowTraffic),
+            other => Err(format!(
+                "unknown scenario `{other}` (expected sc1, sc2 or low)"
+            )),
         }
     }
 }
@@ -293,7 +306,7 @@ pub enum LayoutError {
     /// The placement violates Table 3.
     ForbiddenPlacement {
         /// Code or data.
-        class: AccessClass,
+        class: Operation,
         /// The offending placement.
         placement: Placement,
     },
@@ -329,7 +342,7 @@ impl fmt::Display for LayoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LayoutError::ForbiddenPlacement { class, placement } => {
-                write!(f, "table 3 forbids {class} in {placement}")
+                write!(f, "table 3 forbids {} in {placement}", class.long_name())
             }
             LayoutError::RegionOverflow {
                 region,
@@ -363,7 +376,7 @@ mod tests {
     /// Every cell of Table 3, exhaustively.
     #[test]
     fn table3_constraints() {
-        use AccessClass::{Code, Data};
+        use Operation::{Code, Data};
         let cases = [
             // (class, region, cacheable, allowed)
             (Code, Region::Pflash0, true, true),
@@ -396,14 +409,14 @@ mod tests {
     #[test]
     fn scratchpad_rules() {
         let c = CoreId(1);
-        assert!(Placement::pspr(c).validate(AccessClass::Code).is_ok());
-        assert!(Placement::dspr(c).validate(AccessClass::Data).is_ok());
+        assert!(Placement::pspr(c).validate(Operation::Code).is_ok());
+        assert!(Placement::dspr(c).validate(Operation::Data).is_ok());
         // Code in DSPR / data in PSPR are rejected.
-        assert!(Placement::dspr(c).validate(AccessClass::Code).is_err());
-        assert!(Placement::pspr(c).validate(AccessClass::Data).is_err());
+        assert!(Placement::dspr(c).validate(Operation::Code).is_err());
+        assert!(Placement::pspr(c).validate(Operation::Data).is_err());
         // Cacheable scratchpad views do not exist.
         assert!(Placement::new(Region::Pspr(c), true)
-            .validate(AccessClass::Code)
+            .validate(Operation::Code)
             .is_err());
     }
 
@@ -453,7 +466,7 @@ mod tests {
     #[test]
     fn errors_display() {
         let e = LayoutError::ForbiddenPlacement {
-            class: AccessClass::Data,
+            class: Operation::Data,
             placement: Placement::new(Region::Pflash0, false),
         };
         assert!(e.to_string().contains("table 3"));
@@ -465,5 +478,19 @@ mod tests {
     fn scenario_display_and_all() {
         assert_eq!(DeploymentScenario::Scenario1.to_string(), "scenario1");
         assert_eq!(DeploymentScenario::all().len(), 3);
+        for s in DeploymentScenario::all() {
+            assert_eq!(s.token().parse::<DeploymentScenario>(), Ok(s));
+            assert_eq!(s.to_string().parse::<DeploymentScenario>(), Ok(s));
+        }
+        assert_eq!(
+            DeploymentScenario::LowTraffic.token(),
+            "low",
+            "tokens are hashed into request and campaign keys"
+        );
+        let err = "sc3".parse::<DeploymentScenario>().unwrap_err();
+        assert!(
+            err.contains("`sc3`") && err.contains("sc1, sc2 or low"),
+            "{err}"
+        );
     }
 }

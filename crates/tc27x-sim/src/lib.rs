@@ -73,16 +73,15 @@ pub mod sri;
 pub mod system;
 pub mod trace;
 
-pub use addr::{Addr, CoreId, MemMap, Region, SriTarget};
+pub use addr::{Addr, CoreId, MemMap, Region};
 pub use attribution::AttributionMatrix;
 pub use config::SimConfig;
-pub use counters::{DebugCounters, GroundTruth, KernelStats, SimStats, SlaveStats};
+pub use counters::{GroundTruth, KernelStats, SimStats, SlaveStats};
 pub use engine::{Engine, EventSource, ParseEngineError};
 pub use faults::{CounterId, FaultInjector, FaultKind, FaultRecord};
-pub use layout::{
-    AccessClass, CodeSegment, DataObject, DeploymentScenario, LayoutError, Placement, TaskSpec,
-};
+pub use layout::{CodeSegment, DataObject, DeploymentScenario, LayoutError, Placement, TaskSpec};
 pub use linker::{Linker, TaskImage};
+pub use platform::{DebugCounters, Operation, Target};
 pub use program::{Op, Pattern, Program, ProgramBuilder};
 pub use sri::{Arbiter, FixedPriority, PriorityRoundRobin, Sri, SriRequest, Tdma};
 pub use system::{RunOutcome, SimError, System};

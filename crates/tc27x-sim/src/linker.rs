@@ -28,8 +28,9 @@
 //! ```
 
 use crate::addr::{Addr, CoreId, MemMap, Region, LINE_BYTES};
-use crate::layout::{AccessClass, LayoutError, Placement, TaskSpec};
+use crate::layout::{LayoutError, Placement, TaskSpec};
 use crate::program::{Op, Pattern, OP_BYTES};
+use crate::Operation;
 use std::collections::HashMap;
 
 /// A compiled instruction with its linked code address.
@@ -203,7 +204,7 @@ impl Linker {
         // Data objects first (programs reference them).
         let mut objects = Vec::with_capacity(spec.data_objects.len());
         for o in &spec.data_objects {
-            o.placement.validate(AccessClass::Data)?;
+            o.placement.validate(Operation::Data)?;
             Self::check_ownership(core, o.placement)?;
             if o.size == 0 {
                 return Err(LayoutError::EmptyObject {
@@ -236,7 +237,7 @@ impl Linker {
         // Compile and place each segment.
         let mut instrs: Vec<LinkedInstr> = Vec::new();
         for seg in &spec.segments {
-            seg.placement.validate(AccessClass::Code)?;
+            seg.placement.validate(Operation::Code)?;
             Self::check_ownership(core, seg.placement)?;
 
             let start = instrs.len();

@@ -27,9 +27,9 @@
 //! claim, and any error would break the bit-identity between the event
 //! kernel and the per-cycle reference stepper.
 
-use crate::addr::{CoreId, SriTarget};
+use crate::addr::CoreId;
 use crate::attribution::{Attribution, AttributionMatrix};
-use crate::layout::AccessClass;
+use crate::{Operation, Target};
 use platform::Arbitration;
 
 /// A request posted by a core's PMI or DMI.
@@ -38,9 +38,9 @@ pub struct SriRequest {
     /// Requesting core.
     pub core: CoreId,
     /// Destination slave.
-    pub target: SriTarget,
+    pub target: Target,
     /// Code fetch or data access (the paper's `O = {co, da}`).
-    pub class: AccessClass,
+    pub class: Operation,
     /// Write transaction (store or cache write-back).
     pub write: bool,
     /// Slave occupancy in cycles.
@@ -59,7 +59,7 @@ pub struct Pending {
     pub posted_at: u64,
     /// Code fetch or data access; arbiters ignore it, the attribution
     /// ledger splits victim waits by it.
-    pub class: AccessClass,
+    pub class: Operation,
 }
 
 /// Per-slave arbitration policy: picks which queued request a free
@@ -282,15 +282,15 @@ pub struct Grant {
 /// # Examples
 ///
 /// ```
-/// use tc27x_sim::addr::{CoreId, SriTarget};
-/// use tc27x_sim::layout::AccessClass;
+/// use tc27x_sim::addr::CoreId;
+/// use tc27x_sim::{Operation, Target};
 /// use tc27x_sim::sri::{Sri, SriRequest};
 ///
 /// let mut sri = Sri::new();
 /// sri.post(0, SriRequest {
 ///     core: CoreId(1),
-///     target: SriTarget::Lmu,
-///     class: AccessClass::Data,
+///     target: Target::Lmu,
+///     class: Operation::Data,
 ///     write: false,
 ///     service: 11,
 /// });
@@ -299,9 +299,9 @@ pub struct Grant {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Sri {
-    slaves: [Slave; SriTarget::COUNT],
+    slaves: [Slave; Target::COUNT],
     /// Arbitration policy per slave port.
-    arbiters: [SlaveArbiter; SriTarget::COUNT],
+    arbiters: [SlaveArbiter; Target::COUNT],
     /// Priority class per core (higher wins); all-equal by default.
     priority: [u8; CoreId::COUNT],
     /// Opt-in contention attribution ledger ([`crate::attribution`]);
@@ -322,7 +322,7 @@ impl Sri {
     pub fn with_priorities(priority: [u8; CoreId::COUNT]) -> Self {
         Sri::with_arbitration(
             priority,
-            [Arbitration::PriorityRoundRobin; SriTarget::COUNT],
+            [Arbitration::PriorityRoundRobin; Target::COUNT],
             CoreId::COUNT,
         )
     }
@@ -332,7 +332,7 @@ impl Sri {
     /// has one slot per active core).
     pub fn with_arbitration(
         priority: [u8; CoreId::COUNT],
-        arbitration: [Arbitration; SriTarget::COUNT],
+        arbitration: [Arbitration; Target::COUNT],
         cores: usize,
     ) -> Self {
         Sri {
@@ -433,13 +433,13 @@ impl Sri {
     }
 
     /// Transactions served by a slave so far.
-    pub fn served(&self, target: SriTarget) -> u64 {
+    pub fn served(&self, target: Target) -> u64 {
         self.slaves[target.index()].served
     }
 
     /// Total cycles of queueing delay a slave has imposed on granted
     /// requests (grant cycle minus posting cycle, summed).
-    pub fn queue_delay(&self, target: SriTarget) -> u64 {
+    pub fn queue_delay(&self, target: Target) -> u64 {
         self.slaves[target.index()].queue_delay
     }
 
@@ -447,7 +447,7 @@ impl Sri {
     /// queueing delay) for the telemetry layer. Grants are bit-identical
     /// across engines and worker counts, so these are deterministic
     /// telemetry inputs.
-    pub fn slave_stats(&self, target: SriTarget) -> crate::counters::SlaveStats {
+    pub fn slave_stats(&self, target: Target) -> crate::counters::SlaveStats {
         let s = &self.slaves[target.index()];
         crate::counters::SlaveStats {
             served: s.served,
@@ -516,11 +516,11 @@ impl Default for Sri {
 mod tests {
     use super::*;
 
-    fn req(core: u8, target: SriTarget, service: u32) -> SriRequest {
+    fn req(core: u8, target: Target, service: u32) -> SriRequest {
         SriRequest {
             core: CoreId(core),
             target,
-            class: AccessClass::Data,
+            class: Operation::Data,
             write: false,
             service,
         }
@@ -529,18 +529,18 @@ mod tests {
     #[test]
     fn single_request_served_immediately() {
         let mut sri = Sri::new();
-        sri.post(5, req(0, SriTarget::Dfl, 43));
+        sri.post(5, req(0, Target::Dfl, 43));
         let g = sri.step(5);
         assert_eq!(g[0].unwrap().complete_at, 48);
         assert!(g[1].is_none() && g[2].is_none());
-        assert_eq!(sri.served(SriTarget::Dfl), 1);
+        assert_eq!(sri.served(Target::Dfl), 1);
     }
 
     #[test]
     fn same_slave_serializes() {
         let mut sri = Sri::new();
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(2, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(2, Target::Lmu, 11));
         let g0 = sri.step(0);
         // Exactly one granted at cycle 0.
         assert_eq!(g0.iter().flatten().count(), 1);
@@ -556,8 +556,8 @@ mod tests {
     #[test]
     fn distinct_slaves_run_in_parallel() {
         let mut sri = Sri::new();
-        sri.post(0, req(1, SriTarget::Pf0, 16));
-        sri.post(0, req(2, SriTarget::Pf1, 16));
+        sri.post(0, req(1, Target::Pf0, 16));
+        sri.post(0, req(2, Target::Pf1, 16));
         let g = sri.step(0);
         assert_eq!(g[1].unwrap().complete_at, 16);
         assert_eq!(g[2].unwrap().complete_at, 16);
@@ -569,8 +569,8 @@ mod tests {
         let mut order = Vec::new();
         let mut t = 0u64;
         // Both cores keep a request pending for 6 grant rounds.
-        sri.post(t, req(1, SriTarget::Lmu, 11));
-        sri.post(t, req(2, SriTarget::Lmu, 11));
+        sri.post(t, req(1, Target::Lmu, 11));
+        sri.post(t, req(2, Target::Lmu, 11));
         for _ in 0..6 {
             loop {
                 let g = sri.step(t);
@@ -578,7 +578,7 @@ mod tests {
                     order.push(c);
                     t = g[c].unwrap().complete_at;
                     // Immediately repost for the granted core.
-                    sri.post(t, req(c as u8, SriTarget::Lmu, 11));
+                    sri.post(t, req(c as u8, Target::Lmu, 11));
                     break;
                 }
                 t += 1;
@@ -596,7 +596,7 @@ mod tests {
         let mut served = [0u32; 3];
         let mut t = 0u64;
         for c in 0..3 {
-            sri.post(t, req(c, SriTarget::Pf0, 16));
+            sri.post(t, req(c, Target::Pf0, 16));
         }
         for _ in 0..9 {
             loop {
@@ -604,7 +604,7 @@ mod tests {
                 if let Some(c) = (0..3).find(|&c| g[c].is_some()) {
                     served[c] += 1;
                     t = g[c].unwrap().complete_at;
-                    sri.post(t, req(c as u8, SriTarget::Pf0, 16));
+                    sri.post(t, req(c as u8, Target::Pf0, 16));
                     break;
                 }
                 t += 1;
@@ -617,8 +617,8 @@ mod tests {
     #[should_panic(expected = "pending request")]
     fn double_post_same_slave_panics() {
         let mut sri = Sri::new();
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(1, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
     }
 
     #[test]
@@ -628,15 +628,15 @@ mod tests {
         assert_eq!(sri.priority(CoreId(1)), 1);
         let mut wins = [0u32; 3];
         let mut t = 0u64;
-        sri.post(t, req(1, SriTarget::Lmu, 11));
-        sri.post(t, req(2, SriTarget::Lmu, 11));
+        sri.post(t, req(1, Target::Lmu, 11));
+        sri.post(t, req(2, Target::Lmu, 11));
         for _ in 0..8 {
             loop {
                 let g = sri.step(t);
                 if let Some(c) = (0..3).find(|&c| g[c].is_some()) {
                     wins[c] += 1;
                     t = g[c].unwrap().complete_at;
-                    sri.post(t, req(c as u8, SriTarget::Lmu, 11));
+                    sri.post(t, req(c as u8, Target::Lmu, 11));
                     break;
                 }
                 t += 1;
@@ -657,7 +657,7 @@ mod tests {
         let mut served = [0u32; 3];
         let mut t = 0u64;
         for c in 0..3 {
-            sri.post(t, req(c, SriTarget::Dfl, 43));
+            sri.post(t, req(c, Target::Dfl, 43));
         }
         for _ in 0..6 {
             loop {
@@ -665,7 +665,7 @@ mod tests {
                 if let Some(c) = (0..3).find(|&c| g[c].is_some()) {
                     served[c] += 1;
                     t = g[c].unwrap().complete_at;
-                    sri.post(t, req(c as u8, SriTarget::Dfl, 43));
+                    sri.post(t, req(c as u8, Target::Dfl, 43));
                     break;
                 }
                 t += 1;
@@ -678,7 +678,7 @@ mod tests {
     fn idle_detection() {
         let mut sri = Sri::new();
         assert!(sri.is_idle(0));
-        sri.post(0, req(0, SriTarget::Lmu, 11));
+        sri.post(0, req(0, Target::Lmu, 11));
         assert!(!sri.is_idle(0));
         sri.step(0);
         assert!(!sri.is_idle(5));
@@ -692,7 +692,7 @@ mod tests {
         assert!(sri.is_idle(0));
         assert_eq!(sri.next_event(0), None);
         // Queued request on a free slave: claim fires immediately.
-        sri.post(3, req(1, SriTarget::Lmu, 11));
+        sri.post(3, req(1, Target::Lmu, 11));
         assert_eq!(sri.next_event(3), Some(3));
         sri.step(3);
         // Busy slave, empty queue: no claim, yet not idle — stepping it
@@ -700,7 +700,7 @@ mod tests {
         assert!(!sri.is_idle(7));
         assert_eq!(sri.next_event(7), None);
         // Busy slave with a waiter: claim at the freeing cycle.
-        sri.post(7, req(2, SriTarget::Lmu, 11));
+        sri.post(7, req(2, Target::Lmu, 11));
         assert_eq!(sri.next_event(7), Some(14));
         // Whenever the crossbar is idle, it must also be passive.
         for t in [14, 25, 1000] {
@@ -713,7 +713,7 @@ mod tests {
     fn tdma_sri(slot_len: u32, cores: usize) -> Sri {
         Sri::with_arbitration(
             [0; CoreId::COUNT],
-            [Arbitration::Tdma { slot_len }; SriTarget::COUNT],
+            [Arbitration::Tdma { slot_len }; Target::COUNT],
             cores,
         )
     }
@@ -722,13 +722,13 @@ mod tests {
     fn fixed_priority_always_prefers_the_higher_class() {
         let mut sri = Sri::with_arbitration(
             [0, 2, 1],
-            [Arbitration::FixedPriority; SriTarget::COUNT],
+            [Arbitration::FixedPriority; Target::COUNT],
             CoreId::COUNT,
         );
         // All three queued on a free slave: core 1 (class 2) wins, then
         // core 2 (class 1), then core 0 — never round-robin rotation.
         for c in 0..3 {
-            sri.post(0, req(c, SriTarget::Lmu, 11));
+            sri.post(0, req(c, Target::Lmu, 11));
         }
         let g = sri.step(0);
         assert!(g[1].is_some() && g[0].is_none() && g[2].is_none());
@@ -742,11 +742,11 @@ mod tests {
     fn fixed_priority_breaks_ties_by_core_index() {
         let mut sri = Sri::with_arbitration(
             [1, 1, 0],
-            [Arbitration::FixedPriority; SriTarget::COUNT],
+            [Arbitration::FixedPriority; Target::COUNT],
             CoreId::COUNT,
         );
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(0, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(0, Target::Lmu, 11));
         let g = sri.step(0);
         assert!(g[0].is_some() && g[1].is_none(), "lower index wins ties");
     }
@@ -755,7 +755,7 @@ mod tests {
     fn tdma_grants_only_in_the_owners_slot() {
         // Slots of 16: [0,16) core0, [16,32) core1, [32,48) core2.
         let mut sri = tdma_sri(16, 3);
-        sri.post(0, req(1, SriTarget::Pf0, 16));
+        sri.post(0, req(1, Target::Pf0, 16));
         // Core 1's slot starts at 16 — nothing before that.
         for t in 0..16 {
             assert_eq!(sri.step(t).iter().flatten().count(), 0, "t={t}");
@@ -770,7 +770,7 @@ mod tests {
         let mut sri = tdma_sri(16, 3);
         // Posted 10 cycles into core 0's own slot: a 16-cycle service no
         // longer fits (6 cycles remain), so it waits a full period.
-        sri.post(10, req(0, SriTarget::Pf0, 16));
+        sri.post(10, req(0, Target::Pf0, 16));
         assert_eq!(sri.next_event(10), Some(48));
         for t in 10..48 {
             assert_eq!(sri.step(t).iter().flatten().count(), 0, "t={t}");
@@ -779,7 +779,7 @@ mod tests {
         assert_eq!(g[0].unwrap().complete_at, 64);
         // A shorter service fits the same remainder immediately.
         let mut sri = tdma_sri(16, 3);
-        sri.post(10, req(0, SriTarget::Pf0, 6));
+        sri.post(10, req(0, Target::Pf0, 6));
         assert_eq!(sri.next_event(10), Some(10));
         assert_eq!(sri.step(10)[0].unwrap().complete_at, 16);
     }
@@ -791,10 +791,10 @@ mod tests {
         let grant_cycle = |with_contenders: bool| {
             let mut sri = tdma_sri(16, 3);
             if with_contenders {
-                sri.post(0, req(0, SriTarget::Pf0, 16));
-                sri.post(0, req(2, SriTarget::Pf0, 16));
+                sri.post(0, req(0, Target::Pf0, 16));
+                sri.post(0, req(2, Target::Pf0, 16));
             }
-            sri.post(5, req(1, SriTarget::Pf0, 16));
+            sri.post(5, req(1, Target::Pf0, 16));
             let mut t = 5;
             loop {
                 if let Some(g) = sri.step(t)[1] {
@@ -812,7 +812,7 @@ mod tests {
         // cycle at which step() actually grants.
         for phase in 0..48u64 {
             let mut sri = tdma_sri(16, 3);
-            sri.post(phase, req(2, SriTarget::Lmu, 11));
+            sri.post(phase, req(2, Target::Lmu, 11));
             let claim = sri.next_event(phase).unwrap();
             for t in phase..claim {
                 assert_eq!(sri.step(t).iter().flatten().count(), 0, "phase={phase}");
@@ -827,33 +827,33 @@ mod tests {
     #[test]
     fn queue_delay_is_grant_minus_post() {
         let mut sri = Sri::new();
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(2, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(2, Target::Lmu, 11));
         let g0 = sri.step(0);
         assert_eq!(g0.iter().flatten().count(), 1);
         // First grant came at its posting cycle: zero delay.
-        assert_eq!(sri.queue_delay(SriTarget::Lmu), 0);
+        assert_eq!(sri.queue_delay(Target::Lmu), 0);
         // Second request waits out the 11-cycle service window.
         let g11 = sri.step(11);
         assert_eq!(g11.iter().flatten().count(), 1);
-        assert_eq!(sri.queue_delay(SriTarget::Lmu), 11);
+        assert_eq!(sri.queue_delay(Target::Lmu), 11);
         // Other slaves were never touched.
-        assert_eq!(sri.queue_delay(SriTarget::Pf0), 0);
+        assert_eq!(sri.queue_delay(Target::Pf0), 0);
         // The per-grant histogram agrees with the aggregate counters.
-        let stats = sri.slave_stats(SriTarget::Lmu);
+        let stats = sri.slave_stats(Target::Lmu);
         assert_eq!(stats.served, 2);
         assert_eq!(stats.queue_delay, 11);
         assert_eq!(stats.delay_hist.count(), 2);
         assert_eq!(stats.delay_hist.sum(), 11);
         assert_eq!(stats.delay_hist.max(), Some(11));
-        assert!(sri.slave_stats(SriTarget::Pf0).delay_hist.is_empty());
+        assert!(sri.slave_stats(Target::Pf0).delay_hist.is_empty());
     }
 
     #[test]
     fn attribution_is_off_by_default_and_charges_the_occupant_when_on() {
         let mut sri = Sri::new();
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(2, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(2, Target::Lmu, 11));
         sri.step(0);
         sri.step(11);
         assert!(sri.attribution().is_none());
@@ -861,25 +861,22 @@ mod tests {
 
         let mut sri = Sri::new();
         sri.enable_attribution();
-        sri.post(0, req(1, SriTarget::Lmu, 11));
-        sri.post(0, req(2, SriTarget::Lmu, 11));
+        sri.post(0, req(1, Target::Lmu, 11));
+        sri.post(0, req(2, Target::Lmu, 11));
         sri.step(0);
         sri.step(11);
         let m = sri.attribution().unwrap();
         // Core 2 waited out core 1's full service; every wait cycle is
         // blamed on core 1, none on the schedule.
-        assert_eq!(m.wait_cycles(SriTarget::Lmu, CoreId(2), CoreId(1)), 11);
-        assert_eq!(m.schedule_wait(SriTarget::Lmu, CoreId(2)), 0);
+        assert_eq!(m.wait_cycles(Target::Lmu, CoreId(2), CoreId(1)), 11);
+        assert_eq!(m.schedule_wait(Target::Lmu, CoreId(2)), 0);
         assert_eq!(
-            m.slave_wait(SriTarget::Lmu),
-            sri.queue_delay(SriTarget::Lmu),
+            m.slave_wait(Target::Lmu),
+            sri.queue_delay(Target::Lmu),
             "attributed cycles must sum to the slave's queue_delay"
         );
-        assert_eq!(m.max_wait(SriTarget::Lmu, CoreId(2)), 11);
-        assert_eq!(
-            m.class_wait(SriTarget::Lmu, CoreId(2), AccessClass::Data),
-            11
-        );
+        assert_eq!(m.max_wait(Target::Lmu, CoreId(2)), 11);
+        assert_eq!(m.class_wait(Target::Lmu, CoreId(2), Operation::Data), 11);
     }
 
     #[test]
@@ -888,16 +885,13 @@ mod tests {
         sri.enable_attribution();
         // Core 1 posts at cycle 0 into core 0's slot; its own slot
         // starts at 16. Nobody occupies the slave meanwhile.
-        sri.post(0, req(1, SriTarget::Pf0, 16));
+        sri.post(0, req(1, Target::Pf0, 16));
         for t in 0..=16 {
             sri.step(t);
         }
         let m = sri.attribution().unwrap();
-        assert_eq!(m.schedule_wait(SriTarget::Pf0, CoreId(1)), 16);
-        assert_eq!(m.wait_cycles(SriTarget::Pf0, CoreId(1), CoreId(0)), 0);
-        assert_eq!(
-            m.slave_wait(SriTarget::Pf0),
-            sri.queue_delay(SriTarget::Pf0)
-        );
+        assert_eq!(m.schedule_wait(Target::Pf0, CoreId(1)), 16);
+        assert_eq!(m.wait_cycles(Target::Pf0, CoreId(1), CoreId(0)), 0);
+        assert_eq!(m.slave_wait(Target::Pf0), sri.queue_delay(Target::Pf0));
     }
 }

@@ -37,11 +37,12 @@
 use crate::addr::{CoreId, MemMap};
 use crate::config::SimConfig;
 use crate::core_pipeline::CorePipeline;
-use crate::counters::{DebugCounters, GroundTruth, KernelStats, SimStats};
+use crate::counters::{GroundTruth, KernelStats, SimStats};
 use crate::engine::Engine;
 use crate::layout::{LayoutError, TaskSpec};
 use crate::linker::Linker;
 use crate::sri::Sri;
+use crate::DebugCounters;
 use std::error::Error;
 use std::fmt;
 
@@ -147,7 +148,7 @@ pub enum SimError {
     /// have ([`SimConfig::slave_present`]).
     SlaveAbsent {
         /// The absent slave.
-        target: crate::addr::SriTarget,
+        target: crate::Target,
     },
     /// `run` was called with no tasks loaded.
     NothingLoaded,
@@ -330,7 +331,7 @@ impl System {
     /// which the engine-equivalence suite compares bit-for-bit.
     pub fn stats(&self) -> SimStats {
         SimStats {
-            slaves: std::array::from_fn(|i| self.sri.slave_stats(crate::addr::SriTarget::all()[i])),
+            slaves: std::array::from_fn(|i| self.sri.slave_stats(crate::Target::all()[i])),
             kernel: self.kernel.clone(),
             attribution: self.sri.attribution_matrix(),
         }
@@ -429,13 +430,7 @@ mod tests {
         assert_eq!(c.pmem_stall, 0, "PSPR code causes no PMI stalls");
         assert_eq!(c.pcache_miss, 0);
         let g = out.ground_truth(CoreId(1));
-        assert_eq!(
-            g.accesses(
-                crate::addr::SriTarget::Lmu,
-                crate::layout::AccessClass::Data
-            ),
-            50
-        );
+        assert_eq!(g.accesses(crate::Target::Lmu, crate::Operation::Data), 50);
     }
 
     #[test]
@@ -731,7 +726,7 @@ mod tests {
 
     #[test]
     fn stats_split_deterministic_from_kernel_dependent() {
-        use crate::addr::SriTarget;
+        use crate::Target;
         let run = |engine: crate::engine::Engine| {
             let cfg = SimConfig::tc277_reference().with_engine(engine);
             let mut sys = System::with_config(cfg);
@@ -742,13 +737,13 @@ mod tests {
         let tick = run(crate::engine::Engine::Tick);
         let event = run(crate::engine::Engine::Event);
         // SRI statistics are deterministic: identical across engines.
-        for t in SriTarget::all() {
+        for t in Target::all() {
             assert_eq!(tick.slave(t).served, event.slave(t).served, "{t}");
             assert_eq!(tick.slave(t), event.slave(t), "{t}");
         }
-        assert_eq!(event.slave(SriTarget::Lmu).served, 50);
+        assert_eq!(event.slave(Target::Lmu).served, 50);
         assert_eq!(
-            event.slave(SriTarget::Lmu).delay_hist.count(),
+            event.slave(Target::Lmu).delay_hist.count(),
             50,
             "one delay observation per grant"
         );

@@ -6,8 +6,8 @@
 //! bounded buffer — once full, further events are dropped and counted,
 //! so long runs cannot exhaust memory.
 
-use crate::addr::{CoreId, SriTarget};
-use crate::layout::AccessClass;
+use crate::addr::CoreId;
+use crate::{Operation, Target};
 use std::fmt;
 
 /// One traced event.
@@ -27,9 +27,9 @@ pub enum TraceKind {
     /// An SRI transaction was posted.
     SriPost {
         /// Destination slave.
-        target: SriTarget,
+        target: Target,
         /// Code fetch or data access.
-        class: AccessClass,
+        class: Operation,
         /// Write transaction.
         write: bool,
     },
@@ -37,7 +37,7 @@ pub enum TraceKind {
     /// charged (after hiding).
     SriComplete {
         /// Destination slave.
-        target: SriTarget,
+        target: Target,
         /// End-to-end latency (queueing + service).
         latency: u64,
         /// Stall cycles charged to the pipeline.
@@ -71,7 +71,8 @@ impl fmt::Display for TraceRecord {
                 write,
             } => write!(
                 f,
-                "sri-post {target} {class}{}",
+                "sri-post {target} {}{}",
+                class.long_name(),
                 if write { " write" } else { "" }
             ),
             TraceKind::SriComplete {
@@ -210,7 +211,7 @@ mod tests {
             7,
             CoreId(2),
             TraceKind::SriComplete {
-                target: SriTarget::Lmu,
+                target: Target::Lmu,
                 latency: 11,
                 stall: 10,
             },

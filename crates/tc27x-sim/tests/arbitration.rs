@@ -24,8 +24,8 @@
 use platform::Arbitration;
 use tc27x_sim::rng::SplitMix64;
 use tc27x_sim::{
-    AccessClass, CoreId, DataObject, Pattern, Placement, Program, Region, SimConfig, Sri,
-    SriRequest, SriTarget, System, TaskSpec,
+    CoreId, DataObject, Operation, Pattern, Placement, Program, Region, SimConfig, Sri, SriRequest,
+    System, Target, TaskSpec,
 };
 
 /// One entry of the grant log the harness keeps per run.
@@ -55,7 +55,7 @@ fn drive(
     services: &[u32],
     rng: &mut SplitMix64,
 ) -> Vec<GrantRec> {
-    let target = SriTarget::Lmu;
+    let target = Target::Lmu;
     // Per core: Some((posted_at, service)) while a request is queued or
     // in flight; cleared at its grant's `complete_at`.
     let mut outstanding: [Option<(u64, u32)>; CoreId::COUNT] = [None; CoreId::COUNT];
@@ -71,7 +71,7 @@ fn drive(
                     SriRequest {
                         core: CoreId(core as u8),
                         target,
-                        class: AccessClass::Data,
+                        class: Operation::Data,
                         write: rng.flip(),
                         service,
                     },
@@ -109,7 +109,7 @@ fn tdma_grants_stay_inside_the_owning_slot() {
         let mut rng = SplitMix64::new(0x7d3a_0000 + case as u64);
         let mut sri = Sri::with_arbitration(
             [0; CoreId::COUNT],
-            [Arbitration::Tdma { slot_len }; SriTarget::COUNT],
+            [Arbitration::Tdma { slot_len }; Target::COUNT],
             cores,
         );
         // Service menu capped at the slot length: longer services can
@@ -157,15 +157,15 @@ fn tdma_worst_case_wait_is_attained_exactly() {
         let service = slot_len; // needs the whole slot; 1 cycle in, it no longer fits
         let mut sri = Sri::with_arbitration(
             [0; CoreId::COUNT],
-            [Arbitration::Tdma { slot_len }; SriTarget::COUNT],
+            [Arbitration::Tdma { slot_len }; Target::COUNT],
             cores,
         );
         sri.post(
             1,
             SriRequest {
                 core: CoreId(0),
-                target: SriTarget::Lmu,
-                class: AccessClass::Data,
+                target: Target::Lmu,
+                class: Operation::Data,
                 write: false,
                 service,
             },
@@ -184,7 +184,7 @@ fn tdma_worst_case_wait_is_attained_exactly() {
             "cores {cores}: worst-case wait should be exactly tdma_worst_wait = {bound}"
         );
         // The crossbar's own delay accounting agrees.
-        assert_eq!(sri.queue_delay(SriTarget::Lmu), bound);
+        assert_eq!(sri.queue_delay(Target::Lmu), bound);
     }
 }
 
@@ -203,11 +203,11 @@ fn fixed_priority_never_bypasses_a_higher_class() {
         let mut rng = SplitMix64::new(0xf1f0_9000 + seed);
         let mut sri = Sri::with_arbitration(
             priority,
-            [Arbitration::FixedPriority; SriTarget::COUNT],
+            [Arbitration::FixedPriority; Target::COUNT],
             CoreId::COUNT,
         );
         // Mirror of the queue the harness maintains to judge each grant.
-        let target = SriTarget::Lmu;
+        let target = Target::Lmu;
         let mut outstanding: [Option<(u64, u32)>; CoreId::COUNT] = [None; CoreId::COUNT];
         let mut in_flight: [bool; CoreId::COUNT] = [false; CoreId::COUNT];
         let mut log: Vec<GrantRec> = Vec::new();
@@ -222,7 +222,7 @@ fn fixed_priority_never_bypasses_a_higher_class() {
                         SriRequest {
                             core: CoreId(core as u8),
                             target,
-                            class: AccessClass::Data,
+                            class: Operation::Data,
                             write: false,
                             service,
                         },
@@ -293,7 +293,7 @@ fn fixed_priority_never_bypasses_a_higher_class() {
 fn fixed_priority_lowest_class_waits_exactly_the_higher_work() {
     let mut sri = Sri::with_arbitration(
         [0, 1, 2],
-        [Arbitration::FixedPriority; SriTarget::COUNT],
+        [Arbitration::FixedPriority; Target::COUNT],
         CoreId::COUNT,
     );
     let post = |sri: &mut Sri, now: u64, core: u8, service: u32| {
@@ -301,8 +301,8 @@ fn fixed_priority_lowest_class_waits_exactly_the_higher_work() {
             now,
             SriRequest {
                 core: CoreId(core),
-                target: SriTarget::Lmu,
-                class: AccessClass::Data,
+                target: Target::Lmu,
+                class: Operation::Data,
                 write: false,
                 service,
             },
@@ -339,7 +339,7 @@ fn round_robin_grant_gap_is_bounded_under_saturation() {
     for seed in 0..8u64 {
         let mut rng = SplitMix64::new(0x20b1_3000 + seed);
         let mut sri = Sri::new(); // all-equal classes, priority round-robin
-        let target = SriTarget::Lmu;
+        let target = Target::Lmu;
         let mut queued = [false; CoreId::COUNT];
         let mut grant_seq: Vec<usize> = Vec::new();
         for now in 0..4_000u64 {
@@ -351,7 +351,7 @@ fn round_robin_grant_gap_is_bounded_under_saturation() {
                         SriRequest {
                             core: CoreId(core as u8),
                             target,
-                            class: AccessClass::Data,
+                            class: Operation::Data,
                             write: false,
                             service: 1 + rng.below_u32(9),
                         },

@@ -8,8 +8,8 @@
 use platform::PlatformDesc;
 use tc27x_sim::rng::SplitMix64;
 use tc27x_sim::{
-    AccessClass, AttributionMatrix, CoreId, DataObject, Engine, Pattern, Placement, Program,
-    Region, SimConfig, SimStats, SriTarget, System, TaskSpec,
+    AttributionMatrix, CoreId, DataObject, Engine, Operation, Pattern, Placement, Program, Region,
+    SimConfig, SimStats, System, Target, TaskSpec,
 };
 
 /// A random co-run workload: every active core hammers a mix of shared
@@ -85,7 +85,7 @@ fn attributed_cycles_sum_to_queue_delay_per_slave() {
         for case in 0..12u64 {
             let cfg = SimConfig::from_platform(&desc).with_attribution(true);
             let (stats, _) = run_corun(cfg, case);
-            for t in SriTarget::all() {
+            for t in Target::all() {
                 assert_eq!(
                     stats.attribution.slave_wait(t),
                     stats.slave(t).queue_delay,
@@ -107,11 +107,10 @@ fn class_split_partitions_the_victim_wait() {
             let cfg = SimConfig::from_platform(&desc).with_attribution(true);
             let (stats, _) = run_corun(cfg, case);
             let m = &stats.attribution;
-            for t in SriTarget::all() {
+            for t in Target::all() {
                 for v in CoreId::all() {
                     assert_eq!(
-                        m.class_wait(t, v, AccessClass::Code)
-                            + m.class_wait(t, v, AccessClass::Data),
+                        m.class_wait(t, v, Operation::Code) + m.class_wait(t, v, Operation::Data),
                         m.victim_wait(t, v),
                         "platform {} case {case} {t} {v}",
                         desc.name
@@ -124,7 +123,7 @@ fn class_split_partitions_the_victim_wait() {
                     // core's own PMI/DMI queueing behind each other) +
                     // schedule alignment partition each class's wait.
                     self_wait_seen += m.wait_cycles(t, v, v);
-                    for class in [AccessClass::Code, AccessClass::Data] {
+                    for class in [Operation::Code, Operation::Data] {
                         assert_eq!(
                             m.interference(t, v, class)
                                 + m.cell(t, v, v.index(), class)
@@ -185,7 +184,7 @@ fn attribution_is_observation_only_and_zero_when_off() {
             let on = run_corun(SimConfig::from_platform(&desc).with_attribution(true), case);
             let off = run_corun(SimConfig::from_platform(&desc), case);
             assert_eq!(on.1, off.1, "platform {} case {case}: timing", desc.name);
-            for t in SriTarget::all() {
+            for t in Target::all() {
                 assert_eq!(
                     on.0.slave(t),
                     off.0.slave(t),
@@ -196,7 +195,7 @@ fn attribution_is_observation_only_and_zero_when_off() {
             assert!(off.0.attribution.is_zero(), "zero matrix when off");
             // A contended co-run must actually attribute something on
             // the default platform (all three cores share the LMU).
-            if desc.is_default() && on.0.slave(SriTarget::Lmu).queue_delay > 0 {
+            if desc.is_default() && on.0.slave(Target::Lmu).queue_delay > 0 {
                 assert!(!on.0.attribution.is_zero());
             }
         }
@@ -213,7 +212,7 @@ fn tdma_blames_alignment_on_the_schedule() {
         let cfg = SimConfig::from_platform(&desc).with_attribution(true);
         let (stats, _) = run_corun(cfg, case);
         let m = &stats.attribution;
-        for t in SriTarget::all() {
+        for t in Target::all() {
             let sched: u64 = CoreId::all().iter().map(|&v| m.schedule_wait(t, v)).sum();
             assert!(sched <= stats.slave(t).queue_delay);
             assert_eq!(m.slave_wait(t), stats.slave(t).queue_delay);

@@ -3,8 +3,8 @@
 //! interaction of code and data streams.
 
 use tc27x_sim::{
-    AccessClass, CoreId, DataObject, Pattern, Placement, Program, Region, SimConfig, SriTarget,
-    System, TaskSpec,
+    CoreId, DataObject, Operation, Pattern, Placement, Program, Region, SimConfig, System, Target,
+    TaskSpec,
 };
 
 fn run(core: CoreId, spec: &TaskSpec) -> tc27x_sim::RunOutcome {
@@ -77,8 +77,8 @@ fn uncached_stores_are_write_transactions() {
     );
     let out = run(CoreId(2), &spec);
     let g = out.ground_truth(CoreId(2));
-    assert_eq!(g.accesses(SriTarget::Dfl, AccessClass::Data), 30);
-    assert_eq!(g.writes(SriTarget::Dfl), 30);
+    assert_eq!(g.accesses(Target::Dfl, Operation::Data), 30);
+    assert_eq!(g.writes(Target::Dfl), 30);
     // Writes are not hidden less than reads here: 43 - 1 per store.
     assert_eq!(out.counters(CoreId(2)).dmem_stall, 30 * 42);
 }
@@ -100,7 +100,7 @@ fn uncacheable_lmu_code_refetches_every_line() {
     assert_eq!(k.pmem_stall, 8 * 11);
     assert_eq!(
         out.ground_truth(CoreId(1))
-            .accesses(SriTarget::Lmu, AccessClass::Code),
+            .accesses(Target::Lmu, Operation::Code),
         8
     );
 }
@@ -179,6 +179,6 @@ fn multi_bank_code_splits_traffic() {
         .with_segment(seg(), Placement::new(Region::Pflash1, true));
     let out = run(CoreId(1), &spec);
     let g = out.ground_truth(CoreId(1));
-    assert_eq!(g.accesses(SriTarget::Pf0, AccessClass::Code), 16);
-    assert_eq!(g.accesses(SriTarget::Pf1, AccessClass::Code), 16);
+    assert_eq!(g.accesses(Target::Pf0, Operation::Code), 16);
+    assert_eq!(g.accesses(Target::Pf1, Operation::Code), 16);
 }

@@ -10,8 +10,8 @@ use tc27x_sim::cache::{Cache, CacheGeometry, Lookup};
 use tc27x_sim::rng::SplitMix64;
 use tc27x_sim::sri::{Sri, SriRequest};
 use tc27x_sim::{
-    AccessClass, CoreId, DataObject, Linker, MemMap, Pattern, Placement, Program, Region,
-    SriTarget, System, TaskSpec,
+    CoreId, DataObject, Linker, MemMap, Operation, Pattern, Placement, Program, Region, System,
+    Target, TaskSpec,
 };
 
 // ---------------------------------------------------------------------
@@ -126,8 +126,8 @@ fn sri_bounded_waiting() {
                 t0,
                 SriRequest {
                     core: CoreId(c),
-                    target: SriTarget::Lmu,
-                    class: AccessClass::Data,
+                    target: Target::Lmu,
+                    class: Operation::Data,
                     write: false,
                     service,
                 },
@@ -241,8 +241,8 @@ fn stall_bounds_dominate_true_counts() {
         // n̂ = ⌈stall / cs_min⌉ with cs_co_min = 6, cs_da_min = 10.
         let n_code_bound = k.pmem_stall.div_ceil(6);
         let n_data_bound = k.dmem_stall.div_ceil(10);
-        let true_code = g.class_total(AccessClass::Code);
-        let true_data = g.class_total(AccessClass::Data);
+        let true_code = g.class_total(Operation::Code);
+        let true_data = g.class_total(Operation::Data);
         assert!(
             n_code_bound >= true_code,
             "case {case}: code bound {n_code_bound} < truth {true_code}"

@@ -231,21 +231,21 @@ mod tests {
             (2 * ITERS_PER_BANK * mem_per_iter) as u64 * 10
         );
         // Code goes only to pf0/pf1, data only to the LMU.
-        use tc27x_sim::{AccessClass, SriTarget};
-        assert_eq!(g.accesses(SriTarget::Lmu, AccessClass::Code), 0);
-        assert_eq!(g.accesses(SriTarget::Dfl, AccessClass::Data), 0);
-        assert_eq!(g.accesses(SriTarget::Pf0, AccessClass::Data), 0);
-        assert!(g.accesses(SriTarget::Pf0, AccessClass::Code) > 0);
-        assert!(g.accesses(SriTarget::Pf1, AccessClass::Code) > 0);
+        use tc27x_sim::{Operation, Target};
+        assert_eq!(g.accesses(Target::Lmu, Operation::Code), 0);
+        assert_eq!(g.accesses(Target::Dfl, Operation::Data), 0);
+        assert_eq!(g.accesses(Target::Pf0, Operation::Data), 0);
+        assert!(g.accesses(Target::Pf0, Operation::Code) > 0);
+        assert!(g.accesses(Target::Pf1, Operation::Code) > 0);
     }
 
     #[test]
     fn scenario1_pcache_miss_equals_code_sri_requests() {
         // The Scenario-1 tailoring hinges on this counter identity.
         let (k, g) = run(DeploymentScenario::Scenario1);
-        use tc27x_sim::{AccessClass, SriTarget};
-        let code_reqs = g.accesses(SriTarget::Pf0, AccessClass::Code)
-            + g.accesses(SriTarget::Pf1, AccessClass::Code);
+        use tc27x_sim::{Operation, Target};
+        let code_reqs =
+            g.accesses(Target::Pf0, Operation::Code) + g.accesses(Target::Pf1, Operation::Code);
         assert_eq!(k.pcache_miss, code_reqs);
     }
 
@@ -258,9 +258,9 @@ mod tests {
         assert_eq!(k.dcache_miss_dirty, 0);
         // Data stalls are far smaller than code stalls (Table 6, Sc2).
         assert!(k.dmem_stall < k.pmem_stall / 5);
-        use tc27x_sim::{AccessClass, SriTarget};
+        use tc27x_sim::{Operation, Target};
         assert!(
-            g.accesses(SriTarget::Pf0, AccessClass::Data) > 0,
+            g.accesses(Target::Pf0, Operation::Data) > 0,
             "constant data in pf0"
         );
     }

@@ -110,7 +110,7 @@ pub fn fir_filter(scenario: DeploymentScenario, core: CoreId, seed: u64) -> Task
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc27x_sim::{AccessClass, SriTarget, System};
+    use tc27x_sim::{Operation, System, Target};
 
     fn run(scenario: DeploymentScenario) -> tc27x_sim::RunOutcome {
         let core = CoreId(2);
@@ -125,10 +125,10 @@ mod tests {
         let g = out.ground_truth(CoreId(2));
         // 4 shared sample reads + 1 store per produced sample.
         assert_eq!(
-            g.accesses(SriTarget::Lmu, AccessClass::Data),
+            g.accesses(Target::Lmu, Operation::Data),
             (FIR_SAMPLES * 5) as u64
         );
-        assert_eq!(g.accesses(SriTarget::Dfl, AccessClass::Data), 0);
+        assert_eq!(g.accesses(Target::Dfl, Operation::Data), 0);
     }
 
     #[test]

@@ -30,6 +30,16 @@ impl LoadLevel {
         [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High]
     }
 
+    /// The canonical token (`high` / `medium` / `low`) that serve
+    /// request fingerprints hash.
+    pub fn token(self) -> &'static str {
+        match self {
+            LoadLevel::High => "high",
+            LoadLevel::Medium => "medium",
+            LoadLevel::Low => "low",
+        }
+    }
+
     /// Main-loop iterations per bank for this level under a scenario.
     fn iterations(self, scenario: DeploymentScenario) -> u32 {
         let base = ITERS_PER_BANK;
@@ -56,6 +66,23 @@ impl LoadLevel {
             _ => 27_000,
         };
         (full - mine) * per_iter
+    }
+}
+
+/// The one load-level name table: the [`token`](LoadLevel::token) or
+/// its initial.
+impl std::str::FromStr for LoadLevel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "high" | "h" => Ok(LoadLevel::High),
+            "medium" | "m" => Ok(LoadLevel::Medium),
+            "low" | "l" => Ok(LoadLevel::Low),
+            other => Err(format!(
+                "unknown level `{other}` (expected high, medium or low)"
+            )),
+        }
     }
 }
 
@@ -218,6 +245,16 @@ mod tests {
         let mut sys = System::tc277();
         sys.load(core, &spec).unwrap();
         sys.run().unwrap().counters(core)
+    }
+
+    #[test]
+    fn level_names_round_trip() {
+        for level in LoadLevel::all() {
+            assert_eq!(level.token().parse::<LoadLevel>(), Ok(level));
+            assert_eq!(level.token()[..1].parse::<LoadLevel>(), Ok(level));
+        }
+        let err = "extreme".parse::<LoadLevel>().unwrap_err();
+        assert!(err.contains("expected high, medium or low"), "{err}");
     }
 
     #[test]

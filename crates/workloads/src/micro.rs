@@ -209,7 +209,7 @@ pub fn compute_only(core: CoreId, cycles: u32) -> TaskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc27x_sim::{AccessClass, SriTarget, System};
+    use tc27x_sim::{Operation, System, Target};
 
     fn run_isolated(core: CoreId, spec: &TaskSpec) -> tc27x_sim::RunOutcome {
         let mut sys = System::tc277();
@@ -247,7 +247,7 @@ mod tests {
         // Non-cacheable fetches never count as cache misses.
         assert_eq!(k.pcache_miss, 0);
         let g = out.ground_truth(c);
-        assert_eq!(g.max_latency(SriTarget::Pf1), 16);
+        assert_eq!(g.max_latency(Target::Pf1), 16);
     }
 
     #[test]
@@ -287,7 +287,7 @@ mod tests {
         let c = CoreId(1);
         let out = run_isolated(c, &data_random(c, Region::Pflash0, 300, 7));
         let g = out.ground_truth(c);
-        assert_eq!(g.max_latency(SriTarget::Pf0), 16);
+        assert_eq!(g.max_latency(Target::Pf0), 16);
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         // Dirty miss: write-back (10, unhidden) + fill (11, hide 1).
         let g = out.ground_truth(c);
         assert_eq!(
-            g.accesses(SriTarget::Lmu, AccessClass::Data),
+            g.accesses(Target::Lmu, Operation::Data),
             n as u64 + (n as u64 - 256)
         );
     }

@@ -1,49 +1,39 @@
 //! Command-line interface of the `aurix-contention` binary.
 //!
 //! Hand-rolled argument parsing (no extra dependencies): subcommands
-//! mirror the paper's artefacts plus a one-shot bound query.
+//! mirror the paper's artefacts plus a one-shot bound query. Figure 4
+//! itself is the `figure4` binary of `contention-bench`.
 //!
 //! ```text
 //! aurix-contention calibrate
-//! aurix-contention figure4 [--scenario sc1|sc2|low]
 //! aurix-contention bound --scenario sc1 --level high [--model ilp|ftc|fsb]
 //! aurix-contention trace [--scenario sc1] [--limit 40]
 //! ```
 //!
-//! Every subcommand accepts a global `--jobs N` flag sizing the
-//! experiment engine's worker pool (default: the machine's available
-//! parallelism). Results are identical for any `N`.
+//! Every subcommand accepts the shared flags of [`mbta::args`]
+//! (`--jobs`, `--engine`, `--platform`, `--ilp-budget`, the crash-safe
+//! campaign flags and the telemetry and attribution sinks), anywhere on
+//! the command line. Two flags are the CLI's own: `--strict` rejects
+//! counter profiles that violate a platform invariant, and `--repair`
+//! (the default) clamps them and warns. When `--ilp-budget` runs out,
+//! `bound --model ilp` degrades to the sound fTC bound and tags the
+//! output `fallback=ftc`.
 //!
-//! Three further global flags control the fault-tolerant evaluation
-//! pipeline: `--strict` rejects counter profiles that violate a
-//! platform invariant, `--repair` (the default) clamps them and warns,
-//! and `--ilp-budget N` caps the ILP solver at `N` branch-and-bound
-//! nodes — when the budget runs out, `bound --model ilp` degrades to
-//! the sound fTC bound and tags the output `fallback=ftc`.
-//!
-//! Finally, `--journal <file>` records every completed simulation to a
-//! crash-safe write-ahead journal, `--resume <file>` replays a journal
-//! (re-executing only what is missing), and `--watchdog-ms N` puts a
-//! wall-clock watchdog on every simulation job. Output is byte-identical
-//! with and without a journal.
-//!
-//! `--telemetry FILE[:FORMAT]` attaches the deterministic telemetry
-//! recorder: structured spans and metrics flushed on exit as JSONL
-//! (default), a Chrome `trace_event` document (`:chrome`), or a human
-//! summary (`:summary`; `-` writes to stderr). The deterministic subset
-//! of the stream is byte-identical across `--jobs` and `--engine`
-//! choices, and the recorder doubles as the consolidated warning
-//! channel: repaired profiles, truncated traces and torn journals are
-//! deduplicated and land in the stream instead of scrolling away.
+//! The telemetry recorder is always attached: it is the consolidated
+//! warning channel, so repaired profiles, truncated traces and torn
+//! journals are deduplicated, and `--telemetry` flushes the stream.
 
 use contention::{
     ContentionModel, EvalOptions, Evaluator, FsbModel, FtcModel, ObservedContention, Platform,
     TightnessReport, ValidationPolicy, Validator, WcetEstimate,
 };
-use mbta::{BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, SinkSpec, Telemetry};
-use std::path::PathBuf;
+use mbta::args::{
+    available_jobs, reject_rest, report_campaign, take_flag, take_parsed, CommonArgs,
+};
+use mbta::{BatchRunner, Telemetry};
+use std::str::FromStr;
 use std::sync::Arc;
-use tc27x_sim::{AccessClass, CoreId, DeploymentScenario, Engine, SimConfig, SriTarget, System};
+use tc27x_sim::{CoreId, DeploymentScenario, Engine, Operation, SimConfig, System, Target};
 use workloads::LoadLevel;
 
 /// A parsed invocation.
@@ -51,11 +41,6 @@ use workloads::LoadLevel;
 pub enum Command {
     /// Run the Table 2 calibration campaign.
     Calibrate,
-    /// Print Figure 4 panels for one or both scenarios.
-    Figure4 {
-        /// Restrict to one scenario (all when `None`).
-        scenario: Option<DeploymentScenario>,
-    },
     /// Compute one WCET bound.
     Bound {
         /// Deployment scenario.
@@ -96,7 +81,6 @@ impl Command {
     pub fn label(&self) -> &'static str {
         match self {
             Command::Calibrate => "calibrate",
-            Command::Figure4 { .. } => "figure4",
             Command::Bound { .. } => "bound",
             Command::Trace { .. } => "trace",
             Command::Profile { .. } => "profile",
@@ -117,6 +101,21 @@ pub enum ModelChoice {
     Fsb,
 }
 
+impl FromStr for ModelChoice {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "ilp" | "ilp-ptac" => Ok(ModelChoice::Ilp),
+            "ftc" => Ok(ModelChoice::Ftc),
+            "fsb" => Ok(ModelChoice::Fsb),
+            other => Err(format!(
+                "unknown model `{other}` (expected ilp, ftc or fsb)"
+            )),
+        }
+    }
+}
+
 /// Errors from argument parsing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError(pub String);
@@ -129,141 +128,57 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn parse_scenario(s: &str) -> Result<DeploymentScenario, ParseError> {
-    match s {
-        "sc1" | "scenario1" => Ok(DeploymentScenario::Scenario1),
-        "sc2" | "scenario2" => Ok(DeploymentScenario::Scenario2),
-        "low" | "low-traffic" => Ok(DeploymentScenario::LowTraffic),
-        other => Err(ParseError(format!(
-            "unknown scenario `{other}` (expected sc1, sc2 or low)"
-        ))),
+impl From<String> for ParseError {
+    fn from(message: String) -> Self {
+        ParseError(message)
     }
 }
 
-fn parse_level(s: &str) -> Result<LoadLevel, ParseError> {
-    match s {
-        "high" | "h" => Ok(LoadLevel::High),
-        "medium" | "m" => Ok(LoadLevel::Medium),
-        "low" | "l" => Ok(LoadLevel::Low),
-        other => Err(ParseError(format!(
-            "unknown level `{other}` (expected high, medium or low)"
-        ))),
-    }
-}
-
-fn parse_model(s: &str) -> Result<ModelChoice, ParseError> {
-    match s {
-        "ilp" | "ilp-ptac" => Ok(ModelChoice::Ilp),
-        "ftc" => Ok(ModelChoice::Ftc),
-        "fsb" => Ok(ModelChoice::Fsb),
-        other => Err(ParseError(format!(
-            "unknown model `{other}` (expected ilp, ftc or fsb)"
-        ))),
-    }
-}
-
-/// Reads `--key value` pairs from `args`.
-fn take_option<'a>(args: &'a [String], key: &str) -> Result<Option<&'a str>, ParseError> {
-    if let Some(pos) = args.iter().position(|a| a == key) {
-        args.get(pos + 1)
-            .map(|v| Some(v.as_str()))
-            .ok_or_else(|| ParseError(format!("{key} requires a value")))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Settings of the fault-tolerant evaluation pipeline, shared by every
-/// subcommand (from the global `--strict`/`--repair`/`--ilp-budget`
-/// flags).
+/// Settings of the fault-tolerant evaluation pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct PipelineSettings {
-    /// How profile-invariant violations are treated (default: repair).
+    /// How profile-invariant violations are treated (`--strict` /
+    /// `--repair`; default: repair).
     pub policy: ValidationPolicy,
     /// Branch-and-bound node budget override for the ILP solver; the
     /// model default when `None`.
     pub ilp_budget: Option<u64>,
-    /// Simulator timing kernel (`--engine tick|event`; default event).
-    /// The kernels are bit-identical — this flag only trades speed, and
-    /// `tick` exists to re-verify that claim on any command.
+    /// Simulator timing kernel of the inline (non-engine) runs.
     pub engine: Engine,
 }
 
-/// Campaign options from the global `--journal`/`--resume`/
-/// `--watchdog-ms` flags.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct CampaignOptions {
-    /// Record a fresh crash-safe journal at this path.
-    pub journal: Option<PathBuf>,
-    /// Resume (replay + complete) the journal at this path.
-    pub resume: Option<PathBuf>,
-    /// Per-job wall-clock watchdog in milliseconds.
-    pub watchdog_millis: Option<u64>,
-}
-
-impl CampaignOptions {
-    /// Whether any campaign machinery was requested at all.
-    pub fn is_active(&self) -> bool {
-        self.journal.is_some() || self.resume.is_some()
-    }
-}
-
-/// A fully parsed invocation: the subcommand plus the global options
-/// every subcommand shares.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A fully parsed invocation: the subcommand, the CLI's validation
+/// policy and the shared flags.
+#[derive(Clone, Debug)]
 pub struct Invocation {
     /// The subcommand to run.
     pub command: Command,
-    /// Worker count for the experiment engine (`--jobs N`).
-    pub jobs: usize,
-    /// Evaluation-pipeline settings.
-    pub settings: PipelineSettings,
-    /// Crash-safe campaign options.
-    pub campaign: CampaignOptions,
-    /// Telemetry sink (`--telemetry FILE[:FORMAT]`); disabled when
-    /// `None`.
-    pub telemetry: Option<SinkSpec>,
-    /// Attribution sink (`--attribution FILE`): switches the per-grant
-    /// contention attribution recorder on for every simulation and
-    /// flushes the folded matrices as JSONL `matrix` records on exit.
-    /// Attribution is observation-only, so every other output is
-    /// unchanged.
-    pub attribution: Option<PathBuf>,
-    /// Simulated machine (`--platform NAME`; default: the paper's
-    /// TC27x). Unlike the other global flags this one *changes
-    /// results*: core placement, slave topology and arbitration all
-    /// follow the description, and the models derive their tables
-    /// from it.
-    pub platform: platform::PlatformDesc,
+    /// `--strict` or `--repair` (the default).
+    pub policy: ValidationPolicy,
+    /// The shared flags ([`mbta::args`]).
+    pub common: CommonArgs,
 }
 
-/// Parses an argument vector (without the program name), extracting the
-/// global `--jobs N`, `--strict`, `--repair` and `--ilp-budget N` flags
-/// before subcommand dispatch.
+impl Invocation {
+    /// The evaluation-pipeline settings the flags describe.
+    pub fn settings(&self) -> PipelineSettings {
+        PipelineSettings {
+            policy: self.policy,
+            ilp_budget: self.common.ilp_budget,
+            engine: self.common.sim_engine,
+        }
+    }
+}
+
+/// Parses an argument vector (without the program name): the CLI's
+/// `--strict`/`--repair` and the shared flags, anywhere, then the
+/// subcommand and its options.
 ///
 /// # Errors
 ///
 /// [`ParseError`] on unknown subcommands, options or values.
 pub fn parse_invocation(args: &[String]) -> Result<Invocation, ParseError> {
     let mut rest = args.to_vec();
-    let jobs = match rest.iter().position(|a| a == "--jobs") {
-        Some(pos) => {
-            let v = rest
-                .get(pos + 1)
-                .ok_or_else(|| ParseError("--jobs requires a value".into()))?;
-            let n = v
-                .parse::<usize>()
-                .map_err(|_| ParseError(format!("invalid --jobs `{v}`")))?;
-            if n == 0 {
-                return Err(ParseError("--jobs must be at least 1".into()));
-            }
-            rest.drain(pos..pos + 2);
-            n
-        }
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
     let strict = take_flag(&mut rest, "--strict");
     let repair = take_flag(&mut rest, "--repair");
     if strict && repair {
@@ -276,176 +191,54 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, ParseError> {
     } else {
         ValidationPolicy::Repair
     };
-    let ilp_budget = match rest.iter().position(|a| a == "--ilp-budget") {
-        Some(pos) => {
-            let v = rest
-                .get(pos + 1)
-                .ok_or_else(|| ParseError("--ilp-budget requires a value".into()))?;
-            let n = v
-                .parse::<u64>()
-                .map_err(|_| ParseError(format!("invalid --ilp-budget `{v}`")))?;
-            if n == 0 {
-                return Err(ParseError("--ilp-budget must be at least 1".into()));
-            }
-            rest.drain(pos..pos + 2);
-            Some(n)
-        }
-        None => None,
-    };
-    let engine = take_value(&mut rest, "--engine")?
-        .map(|v| v.parse::<Engine>().map_err(|e| ParseError(e.to_string())))
-        .transpose()?
-        .unwrap_or_default();
-    let journal = take_value(&mut rest, "--journal")?.map(PathBuf::from);
-    let resume = take_value(&mut rest, "--resume")?.map(PathBuf::from);
-    if journal.is_some() && resume.is_some() {
-        return Err(ParseError(
-            "--journal and --resume are mutually exclusive (resume appends in place)".into(),
-        ));
-    }
-    let watchdog_millis = take_value(&mut rest, "--watchdog-ms")?
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| ParseError(format!("invalid --watchdog-ms `{v}`")))
-        })
-        .transpose()?;
-    let telemetry = take_value(&mut rest, "--telemetry")?
-        .map(|v| {
-            v.parse::<SinkSpec>()
-                .map_err(|e| ParseError(format!("invalid --telemetry `{v}`: {e}")))
-        })
-        .transpose()?;
-    let attribution = take_value(&mut rest, "--attribution")?.map(PathBuf::from);
-    let platform = match take_value(&mut rest, "--platform")? {
-        Some(v) => platform::PlatformDesc::builtin(&v).ok_or_else(|| {
-            ParseError(format!(
-                "unknown platform `{v}` (known platforms: {})",
-                platform::PlatformDesc::names().join(", ")
-            ))
-        })?,
-        None => platform::default_platform().clone(),
-    };
+    let common = CommonArgs::take(&mut rest, available_jobs())?;
     Ok(Invocation {
         command: parse(&rest)?,
-        jobs,
-        settings: PipelineSettings {
-            policy,
-            ilp_budget,
-            engine,
-        },
-        campaign: CampaignOptions {
-            journal,
-            resume,
-            watchdog_millis,
-        },
-        telemetry,
-        attribution,
-        platform,
+        policy,
+        common,
     })
 }
 
-/// Removes a boolean flag from `args`, reporting whether it was present.
-fn take_flag(args: &mut Vec<String>, key: &str) -> bool {
-    match args.iter().position(|a| a == key) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Removes a `--key value` pair from `args`, returning the value.
-fn take_value(args: &mut Vec<String>, key: &str) -> Result<Option<String>, ParseError> {
-    match args.iter().position(|a| a == key) {
-        Some(pos) => {
-            if pos + 1 >= args.len() {
-                return Err(ParseError(format!("{key} requires a value")));
-            }
-            let value = args.remove(pos + 1);
-            args.remove(pos);
-            Ok(Some(value))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Parses an argument vector (without the program name).
+/// Parses a subcommand and its options (no shared flags).
 ///
 /// # Errors
 ///
 /// [`ParseError`] on unknown subcommands, options or values.
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(sub) = args.first() else {
+    let Some((sub, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    match sub.as_str() {
-        "calibrate" => Ok(Command::Calibrate),
-        "figure4" => {
-            let scenario = take_option(&args[1..], "--scenario")?
-                .map(parse_scenario)
-                .transpose()?;
-            Ok(Command::Figure4 { scenario })
-        }
-        "bound" => {
-            let scenario = parse_scenario(
-                take_option(&args[1..], "--scenario")?
-                    .ok_or_else(|| ParseError("bound requires --scenario".into()))?,
-            )?;
-            let level = parse_level(
-                take_option(&args[1..], "--level")?
-                    .ok_or_else(|| ParseError("bound requires --level".into()))?,
-            )?;
-            let model = take_option(&args[1..], "--model")?
-                .map(parse_model)
-                .transpose()?
-                .unwrap_or(ModelChoice::Ilp);
-            Ok(Command::Bound {
-                scenario,
-                level,
-                model,
-            })
-        }
-        "trace" => {
-            let scenario = take_option(&args[1..], "--scenario")?
-                .map(parse_scenario)
-                .transpose()?
-                .unwrap_or(DeploymentScenario::Scenario1);
-            let limit = take_option(&args[1..], "--limit")?
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| ParseError(format!("invalid --limit `{v}`")))
-                })
-                .transpose()?
-                .unwrap_or(40);
-            Ok(Command::Trace { scenario, limit })
-        }
-        "profile" => {
-            let scenario = take_option(&args[1..], "--scenario")?
-                .map(parse_scenario)
-                .transpose()?
-                .unwrap_or(DeploymentScenario::Scenario1);
-            let level = take_option(&args[1..], "--level")?
-                .map(parse_level)
-                .transpose()?;
-            Ok(Command::Profile { scenario, level })
-        }
-        "contention-attr" => {
-            let scenario = take_option(&args[1..], "--scenario")?
-                .map(parse_scenario)
-                .transpose()?;
-            let level = take_option(&args[1..], "--level")?
-                .map(parse_level)
-                .transpose()?
-                .unwrap_or(LoadLevel::High);
-            Ok(Command::ContentionAttr { scenario, level })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown subcommand `{other}`"))),
-    }
+    let args = &mut rest.to_vec();
+    let required = |what: &str| ParseError(format!("{sub} requires {what}"));
+    let command = match sub.as_str() {
+        "calibrate" => Command::Calibrate,
+        "bound" => Command::Bound {
+            scenario: take_parsed(args, "--scenario")?.ok_or_else(|| required("--scenario"))?,
+            level: take_parsed(args, "--level")?.ok_or_else(|| required("--level"))?,
+            model: take_parsed(args, "--model")?.unwrap_or(ModelChoice::Ilp),
+        },
+        "trace" => Command::Trace {
+            scenario: take_parsed(args, "--scenario")?.unwrap_or(DeploymentScenario::Scenario1),
+            limit: take_parsed(args, "--limit")?.unwrap_or(40),
+        },
+        "profile" => Command::Profile {
+            scenario: take_parsed(args, "--scenario")?.unwrap_or(DeploymentScenario::Scenario1),
+            level: take_parsed(args, "--level")?,
+        },
+        "contention-attr" => Command::ContentionAttr {
+            scenario: take_parsed(args, "--scenario")?,
+            level: take_parsed(args, "--level")?.unwrap_or(LoadLevel::High),
+        },
+        "help" | "--help" | "-h" => Command::Help,
+        other => return Err(ParseError(format!("unknown subcommand `{other}`"))),
+    };
+    reject_rest(args)?;
+    Ok(command)
 }
 
-/// Usage text.
+/// Usage text: the subcommands and the CLI's own flags. The shared
+/// flags' help, [`mbta::args::FLAGS_HELP`], follows it wherever it is
+/// printed.
 pub const USAGE: &str = "\
 aurix-contention — multicore contention WCET bounds for the AURIX TC27x
 
@@ -454,9 +247,9 @@ USAGE:
 
 SUBCOMMANDS:
     calibrate                       run the Table 2 calibration campaign
-    figure4  [--scenario S]         model predictions vs isolation (S: sc1|sc2|low)
     bound    --scenario S --level L [--model M]
-                                    one WCET bound (L: high|medium|low; M: ilp|ftc|fsb)
+                                    one WCET bound (S: sc1|sc2|low;
+                                    L: high|medium|low; M: ilp|ftc|fsb)
     trace    [--scenario S] [--limit N]
                                     dump an isolation execution trace
     profile  [--scenario S] [--level L]
@@ -468,55 +261,17 @@ SUBCOMMANDS:
                                     slave; default: sc1 and sc2 at high load)
     help                            this text
 
-GLOBAL OPTIONS:
-    --jobs N                        worker threads for the experiment engine
-                                    (default: available parallelism; results
-                                    are identical for any N)
+    Figure 4 has its own binary in contention-bench.
+
+OPTIONS:
     --strict                        reject counter profiles that violate a
                                     platform invariant
     --repair                        clamp inconsistent profiles and warn
                                     (default)
-    --ilp-budget N                  branch-and-bound node budget for the ILP
-                                    solver; on exhaustion `bound --model ilp`
-                                    degrades to the sound fTC bound and tags
-                                    the output `fallback=ftc`
-    --engine tick|event             simulator timing kernel (default: event).
-                                    `event` skips provably quiescent cycles;
-                                    `tick` is the reference per-cycle stepper.
-                                    The two are bit-identical, so every other
-                                    output is unaffected by this flag
-    --journal FILE                  record every completed simulation to a
-                                    crash-safe write-ahead journal
-    --resume FILE                   replay a journal, re-executing only the
-                                    missing jobs; output is byte-identical to
-                                    an uninterrupted run
-    --watchdog-ms N                 wall-clock watchdog per simulation job;
-                                    livelocked jobs are journalled as timed
-                                    out instead of hanging the campaign
-    --telemetry FILE[:FORMAT]       record structured spans, metrics and
-                                    deduplicated warnings, flushed on exit as
-                                    jsonl (default), chrome (trace_event JSON
-                                    for chrome://tracing) or summary; FILE `-`
-                                    writes to stderr. The deterministic subset
-                                    is byte-identical for any --jobs/--engine
-    --attribution FILE              record per-grant contention attribution on
-                                    every simulation and flush the folded
-                                    (slave, victim, aggressor) wait matrices to
-                                    FILE as JSONL matrix records on exit.
-                                    Observation-only: every other output is
-                                    unchanged, and the matrices are identical
-                                    for any --jobs/--engine
-    --platform NAME                 simulated machine (default: tc27x, the
-                                    paper's TC277). Unlike every flag above
-                                    this one changes results: core placement,
-                                    slave topology and arbitration follow the
-                                    named description and the models derive
-                                    their tables from it. Built-ins: tc27x,
-                                    tc27x-tdma, ahb2
 ";
 
 /// Executes a parsed invocation: builds the experiment engine from the
-/// global options, wraps it in a crash-safe [`CampaignRunner`] when
+/// shared flags, wraps it in a crash-safe campaign runner when
 /// `--journal`/`--resume` ask for one, and runs the subcommand on it.
 /// An incomplete campaign (jobs left unrecovered after retries and
 /// watchdog) prints its partial-result manifest to stderr and fails.
@@ -525,73 +280,31 @@ GLOBAL OPTIONS:
 ///
 /// Propagates simulation/model/journal errors as boxed errors.
 pub fn run_invocation(inv: Invocation) -> Result<(), Box<dyn std::error::Error>> {
+    let settings = inv.settings();
+    let common = inv.common;
     // The recorder is always attached: it is the consolidated warning
     // channel, so repaired-profile and trace-truncated diagnostics are
     // deduplicated (first occurrence printed, repeats counted) even in
     // plain one-shot runs. The stream is only flushed to disk when
     // `--telemetry` names a sink.
     let telemetry: Arc<Telemetry> = Arc::new(Telemetry::new(inv.command.label()));
-    let engine = ExecEngine::new(inv.jobs)
-        .with_sim_engine(inv.settings.engine)
-        .with_platform(inv.platform.clone())
-        .with_attribution(
-            inv.attribution.is_some() || matches!(inv.command, Command::ContentionAttr { .. }),
-        )
-        .with_telemetry(Arc::clone(&telemetry));
-    let config = CampaignConfig {
-        watchdog_millis: inv.campaign.watchdog_millis,
-        ..CampaignConfig::default()
-    };
-    let campaign = if let Some(path) = &inv.campaign.journal {
-        let runner = CampaignRunner::journaled(&engine, config, path)?;
-        eprintln!("journal: recording to {}", path.display());
-        Some(runner)
-    } else if let Some(path) = &inv.campaign.resume {
-        let (runner, report) = CampaignRunner::resumed(&engine, config, path)?;
-        // Through the warning channel the torn-tail diagnostic is
-        // recorded in the stream and deduplicated; the recovery count
-        // line itself is informational, not a warning.
-        eprintln!(
-            "resume: {} record(s) recovered from {}",
-            report.records,
-            path.display()
-        );
-        if report.truncated_bytes > 0 {
-            telemetry.warn(
-                "journal.torn",
-                format!(
-                    "{} byte(s) of a torn trailing record truncated from {}",
-                    report.truncated_bytes,
-                    path.display()
-                ),
-            );
-        }
-        Some(runner)
-    } else {
-        None
-    };
+    let attribute = matches!(inv.command, Command::ContentionAttr { .. });
+    let engine = common
+        .engine_with(Some(&telemetry))
+        .with_attribution(common.attribution.is_some() || attribute);
+    let campaign = common.campaign(&engine, Some(&telemetry))?;
     let runner: &dyn BatchRunner = match campaign.as_ref() {
         Some(c) => c,
         None => &engine,
     };
-    let result = run_with_telemetry(runner, inv.command, inv.settings, Some(&telemetry));
-    if let Some(campaign) = campaign.as_ref() {
-        telemetry.record_campaign(&campaign.stats());
-    }
-    if let Some(spec) = inv.telemetry.as_ref() {
+    let result = run_with_telemetry(runner, inv.command, settings, Some(&telemetry));
+    let complete = report_campaign(campaign.as_ref(), Some(&telemetry));
+    if common.telemetry.is_some() {
         telemetry.record_engine(&engine.report());
-        let flushed = telemetry.flush(spec);
-        if result.is_ok() {
-            flushed.map_err(|e| format!("cannot write telemetry to {}: {e}", spec.path))?;
-        }
     }
-    if let Some(path) = inv.attribution.as_ref() {
-        let rendered = mbta::telemetry::render_attribution_jsonl(&telemetry.attribution());
-        let written = std::fs::write(path, rendered);
-        if result.is_ok() {
-            written.map_err(|e| format!("cannot write attribution to {}: {e}", path.display()))?;
-        }
-    }
+    let flushed = common
+        .flush_telemetry(Some(&telemetry))
+        .and(common.flush_attribution(Some(&telemetry)));
     // Dedup summary: the first occurrence of each warning was printed
     // as it happened; repeats were only counted. Surface the totals so
     // a 10k-job sweep reports each distinct warning once, with a count.
@@ -600,58 +313,12 @@ pub fn run_invocation(inv: Invocation) -> Result<(), Box<dyn std::error::Error>>
             eprintln!("warning: {} ({} occurrences in total)", w.message, w.count);
         }
     }
-    if let Some(campaign) = campaign.as_ref() {
-        let manifest = campaign.manifest();
-        if !manifest.is_complete() {
-            eprint!("{}", manifest.render());
-            if result.is_ok() {
-                return Err(Box::new(ParseError(format!(
-                    "campaign finished degraded: {} job(s) unrecovered (see manifest above)",
-                    manifest.unrecovered.len()
-                ))));
-            }
-        }
+    result?;
+    flushed?;
+    if !complete {
+        return Err("campaign finished degraded: jobs unrecovered (see manifest above)".into());
     }
-    result
-}
-
-/// Executes a parsed command on a default (available-parallelism)
-/// engine. Kept as the simple entry point; [`run_invocation`] honours
-/// `--jobs` and the campaign flags.
-///
-/// # Errors
-///
-/// Propagates simulation/model errors as boxed errors.
-pub fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
-    run_with(&ExecEngine::with_available_parallelism(), cmd)
-}
-
-/// [`run_with_settings`] under default pipeline settings (repair
-/// policy, model-default ILP budget).
-///
-/// # Errors
-///
-/// Propagates simulation/model errors as boxed errors.
-pub fn run_with(runner: &dyn BatchRunner, cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
-    run_with_settings(runner, cmd, PipelineSettings::default())
-}
-
-/// Executes a parsed command, writing human-readable output to stdout.
-/// All simulations go through `runner` — a bare [`ExecEngine`] or a
-/// crash-safe [`CampaignRunner`] — so repeated profiles are served
-/// from the memo cache (or journal replay) and batches spread across
-/// the workers. Profile validation and the ILP solve budget follow
-/// `settings`; repaired profiles are reported on stderr.
-///
-/// # Errors
-///
-/// Propagates simulation/model errors as boxed errors.
-pub fn run_with_settings(
-    engine: &dyn BatchRunner,
-    cmd: Command,
-    settings: PipelineSettings,
-) -> Result<(), Box<dyn std::error::Error>> {
-    run_with_telemetry(engine, cmd, settings, None)
+    Ok(())
 }
 
 /// Reports a repaired-profile diagnostic: through the deduplicated
@@ -664,8 +331,12 @@ fn warn_repaired(telemetry: Option<&Telemetry>, detail: &str) {
     }
 }
 
-/// [`run_with_settings`] with an optional telemetry recorder collecting
-/// ILP solve records and the formerly ad-hoc stderr diagnostics
+/// Executes a parsed command, writing human-readable output to stdout.
+/// All simulations go through `engine` — a bare [`mbta::ExecEngine`] or
+/// a crash-safe [`mbta::CampaignRunner`] — so repeated profiles are
+/// served from the memo cache (or journal replay). Profile validation
+/// and the ILP solve budget follow `settings`. An optional telemetry
+/// recorder collects ILP solve records and the stderr diagnostics
 /// (repaired profiles, truncated traces).
 ///
 /// # Errors
@@ -679,7 +350,7 @@ pub fn run_with_telemetry(
 ) -> Result<(), Box<dyn std::error::Error>> {
     match cmd {
         Command::Help => {
-            print!("{USAGE}");
+            print!("{USAGE}{}", mbta::args::FLAGS_HELP);
             Ok(())
         }
         Command::Calibrate => {
@@ -695,28 +366,6 @@ pub fn run_with_telemetry(
                 }
             }
             println!("  lmu dirty-miss latency = {}", cal.lmu_dirty_latency);
-            Ok(())
-        }
-        Command::Figure4 { scenario } => {
-            let platform = Platform::from_desc(engine.platform());
-            let scenarios = match scenario {
-                Some(s) => vec![s],
-                None => vec![DeploymentScenario::Scenario1, DeploymentScenario::Scenario2],
-            };
-            for s in scenarios {
-                let panel = mbta::figure4_panel_with(engine, s, &platform, 42)?;
-                println!("{s}: isolation {} cycles", panel.app.counters().ccnt);
-                for cell in panel.cells.iter().rev() {
-                    println!(
-                        "  {:<7} fTC {:.2}x  ILP {:.2}x  observed {:.2}x",
-                        cell.level.to_string(),
-                        cell.ftc.ratio(),
-                        cell.ilp.ratio(),
-                        cell.observed_ratio()
-                    );
-                }
-                println!("  sound: {}", panel.all_bounds_sound());
-            }
             Ok(())
         }
         Command::Bound {
@@ -855,7 +504,7 @@ pub fn run_with_telemetry(
                     print!(" {:>8}", format!("c{a}"));
                 }
                 println!(" {:>8}", "sched");
-                for t in SriTarget::all() {
+                for t in Target::all() {
                     if !desc.slave(t.index()).present {
                         continue;
                     }
@@ -872,14 +521,11 @@ pub fn run_with_telemetry(
                     contenders: 1,
                     ..Default::default()
                 };
-                for (i, class) in [AccessClass::Code, AccessClass::Data]
-                    .into_iter()
-                    .enumerate()
-                {
-                    observed.interference[i] = m.interference_total(app_core, class);
-                    observed.grants[i] = m.class_grants_total(app_core, class);
+                for class in Operation::all() {
+                    observed.interference[class.index()] = m.interference_total(app_core, class);
+                    observed.grants[class.index()] = m.class_grants_total(app_core, class);
                 }
-                for t in SriTarget::all() {
+                for t in Target::all() {
                     observed.max_wait[t.index()] = m.max_wait(t, app_core);
                 }
                 let report =
@@ -926,10 +572,23 @@ pub fn run_with_telemetry(
 
 #[cfg(test)]
 mod tests {
+    //! The subcommand grammar and the CLI's wiring of the shared flags.
+    //! What each shared flag accepts and rejects is tested once, in
+    //! `mbta::args`.
+
     use super::*;
+    use std::path::PathBuf;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    fn inv(s: &str) -> Invocation {
+        parse_invocation(&argv(s)).unwrap()
+    }
+
+    fn rejects(s: &str) -> String {
+        parse_invocation(&argv(s)).unwrap_err().to_string()
     }
 
     #[test]
@@ -937,20 +596,6 @@ mod tests {
         assert_eq!(parse(&argv("calibrate")).unwrap(), Command::Calibrate);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&[]).unwrap(), Command::Help);
-    }
-
-    #[test]
-    fn parses_figure4_with_and_without_scenario() {
-        assert_eq!(
-            parse(&argv("figure4")).unwrap(),
-            Command::Figure4 { scenario: None }
-        );
-        assert_eq!(
-            parse(&argv("figure4 --scenario sc2")).unwrap(),
-            Command::Figure4 {
-                scenario: Some(DeploymentScenario::Scenario2)
-            }
-        );
     }
 
     #[test]
@@ -1012,233 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_input() {
-        assert!(parse(&argv("frobnicate")).is_err());
-        assert!(parse(&argv("bound --scenario sc1")).is_err());
-        assert!(parse(&argv("bound --scenario nope --level high")).is_err());
-        assert!(parse(&argv("bound --scenario sc1 --level nope")).is_err());
-        assert!(parse(&argv("bound --scenario sc1 --level h --model nope")).is_err());
-        assert!(parse(&argv("trace --limit abc")).is_err());
-        assert!(parse(&argv("figure4 --scenario")).is_err());
-    }
-
-    #[test]
-    fn parses_global_jobs_flag() {
-        let inv = parse_invocation(&argv("calibrate --jobs 4")).unwrap();
-        assert_eq!(inv.command, Command::Calibrate);
-        assert_eq!(inv.jobs, 4);
-        // Position-independent: before the subcommand or between options.
-        let inv = parse_invocation(&argv("--jobs 2 figure4 --scenario sc2")).unwrap();
-        assert_eq!(
-            inv.command,
-            Command::Figure4 {
-                scenario: Some(DeploymentScenario::Scenario2)
-            }
-        );
-        assert_eq!(inv.jobs, 2);
-        let inv = parse_invocation(&argv("bound --scenario sc1 --jobs 8 --level high")).unwrap();
-        assert_eq!(inv.jobs, 8);
-        // Default: available parallelism, at least one worker.
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert!(inv.jobs >= 1);
-    }
-
-    #[test]
-    fn rejects_bad_jobs_values() {
-        assert!(parse_invocation(&argv("calibrate --jobs")).is_err());
-        assert!(parse_invocation(&argv("calibrate --jobs 0")).is_err());
-        assert!(parse_invocation(&argv("calibrate --jobs many")).is_err());
-    }
-
-    #[test]
-    fn parses_pipeline_flags() {
-        let inv = parse_invocation(&argv("bound --scenario sc1 --level high")).unwrap();
-        assert_eq!(inv.settings, PipelineSettings::default());
-        assert_eq!(inv.settings.policy, ValidationPolicy::Repair);
-        assert_eq!(inv.settings.ilp_budget, None);
-
-        let inv = parse_invocation(&argv("--strict bound --scenario sc1 --level high")).unwrap();
-        assert_eq!(inv.settings.policy, ValidationPolicy::Strict);
-
-        let inv = parse_invocation(&argv("bound --repair --scenario sc1 --level high")).unwrap();
-        assert_eq!(inv.settings.policy, ValidationPolicy::Repair);
-
-        let inv = parse_invocation(&argv(
-            "bound --scenario sc1 --ilp-budget 1 --level high --jobs 2",
-        ))
-        .unwrap();
-        assert_eq!(inv.settings.ilp_budget, Some(1));
-        assert_eq!(inv.jobs, 2);
-        assert_eq!(
-            inv.command,
-            Command::Bound {
-                scenario: DeploymentScenario::Scenario1,
-                level: LoadLevel::High,
-                model: ModelChoice::Ilp,
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_bad_pipeline_flags() {
-        assert!(parse_invocation(&argv("calibrate --strict --repair")).is_err());
-        assert!(parse_invocation(&argv("calibrate --ilp-budget")).is_err());
-        assert!(parse_invocation(&argv("calibrate --ilp-budget 0")).is_err());
-        assert!(parse_invocation(&argv("calibrate --ilp-budget lots")).is_err());
-    }
-
-    #[test]
-    fn parses_engine_flag() {
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert_eq!(inv.settings.engine, Engine::Event, "event is the default");
-
-        let inv = parse_invocation(&argv("--engine tick calibrate")).unwrap();
-        assert_eq!(inv.settings.engine, Engine::Tick);
-        let inv = parse_invocation(&argv("calibrate --engine reference")).unwrap();
-        assert_eq!(inv.settings.engine, Engine::Tick);
-        let inv = parse_invocation(&argv("trace --engine event --limit 3")).unwrap();
-        assert_eq!(inv.settings.engine, Engine::Event);
-        assert_eq!(
-            inv.command,
-            Command::Trace {
-                scenario: DeploymentScenario::Scenario1,
-                limit: 3
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_bad_engine_values() {
-        assert!(parse_invocation(&argv("calibrate --engine")).is_err());
-        let err = parse_invocation(&argv("calibrate --engine warp")).unwrap_err();
-        assert!(err.to_string().contains("warp"));
-    }
-
-    #[test]
-    fn parses_campaign_flags() {
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert_eq!(inv.campaign, CampaignOptions::default());
-        assert!(!inv.campaign.is_active());
-
-        let inv = parse_invocation(&argv("--journal cal.journal calibrate --jobs 2")).unwrap();
-        assert_eq!(inv.campaign.journal, Some(PathBuf::from("cal.journal")));
-        assert_eq!(inv.campaign.resume, None);
-        assert!(inv.campaign.is_active());
-        assert_eq!(inv.command, Command::Calibrate);
-        assert_eq!(inv.jobs, 2);
-
-        let inv = parse_invocation(&argv(
-            "figure4 --resume fig4.journal --watchdog-ms 5000 --scenario sc2",
-        ))
-        .unwrap();
-        assert_eq!(inv.campaign.resume, Some(PathBuf::from("fig4.journal")));
-        assert_eq!(inv.campaign.watchdog_millis, Some(5000));
-        assert_eq!(
-            inv.command,
-            Command::Figure4 {
-                scenario: Some(DeploymentScenario::Scenario2)
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_bad_campaign_flags() {
-        assert!(parse_invocation(&argv("calibrate --journal a --resume b")).is_err());
-        assert!(parse_invocation(&argv("calibrate --journal")).is_err());
-        assert!(parse_invocation(&argv("calibrate --resume")).is_err());
-        assert!(parse_invocation(&argv("calibrate --watchdog-ms")).is_err());
-        assert!(parse_invocation(&argv("calibrate --watchdog-ms soon")).is_err());
-    }
-
-    /// End-to-end through `run_invocation`: a journaled calibrate run
-    /// followed by a resumed one, both exercising the campaign plumbing
-    /// behind the global flags.
-    #[test]
-    fn run_invocation_journals_and_resumes() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("aurix-cli-journal-{}", std::process::id()));
-        let journal_args = argv(&format!("--jobs 1 --journal {} calibrate", path.display()));
-        run_invocation(parse_invocation(&journal_args).unwrap()).unwrap();
-        assert!(path.exists(), "journal file must be written");
-
-        let resume_args = argv(&format!("--jobs 1 --resume {} calibrate", path.display()));
-        run_invocation(parse_invocation(&resume_args).unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn usage_mentions_every_subcommand() {
-        for sub in [
-            "calibrate",
-            "figure4",
-            "bound",
-            "trace",
-            "profile",
-            "contention-attr",
-            "--jobs",
-            "--strict",
-            "--repair",
-            "--ilp-budget",
-            "--journal",
-            "--resume",
-            "--watchdog-ms",
-            "--engine",
-            "--telemetry",
-            "--platform",
-            "--attribution",
-        ] {
-            assert!(USAGE.contains(sub), "{sub}");
-        }
-    }
-
-    #[test]
-    fn parses_telemetry_flag() {
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert_eq!(inv.telemetry, None);
-
-        let inv = parse_invocation(&argv("--telemetry run.jsonl calibrate --jobs 2")).unwrap();
-        let spec = inv.telemetry.expect("sink spec parsed");
-        assert_eq!(spec.path, "run.jsonl");
-        assert_eq!(spec.format, mbta::Format::Jsonl);
-        assert_eq!(inv.command, Command::Calibrate);
-        assert_eq!(inv.jobs, 2);
-
-        let inv = parse_invocation(&argv("trace --telemetry out.json:chrome")).unwrap();
-        let spec = inv.telemetry.expect("sink spec parsed");
-        assert_eq!(spec.path, "out.json");
-        assert_eq!(spec.format, mbta::Format::Chrome);
-
-        let inv = parse_invocation(&argv("calibrate --telemetry -:summary")).unwrap();
-        let spec = inv.telemetry.expect("sink spec parsed");
-        assert_eq!(spec.path, "-");
-        assert_eq!(spec.format, mbta::Format::Summary);
-    }
-
-    #[test]
-    fn parses_platform_flag() {
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert!(inv.platform.is_default(), "default is the paper's TC27x");
-        assert_eq!(inv.platform.name, "tc27x");
-
-        let inv = parse_invocation(&argv("--platform tc27x-tdma trace --limit 3")).unwrap();
-        assert_eq!(inv.platform.name, "tc27x-tdma");
-        assert!(!inv.platform.is_default());
-        assert_eq!(
-            inv.command,
-            Command::Trace {
-                scenario: DeploymentScenario::Scenario1,
-                limit: 3
-            }
-        );
-
-        let err = parse_invocation(&argv("calibrate --platform vax")).unwrap_err();
-        for name in platform::PlatformDesc::names() {
-            assert!(err.to_string().contains(name), "error must list `{name}`");
-        }
-        assert!(parse_invocation(&argv("calibrate --platform")).is_err());
-    }
-
-    #[test]
     fn parses_contention_attr() {
         assert_eq!(
             parse(&argv("contention-attr")).unwrap(),
@@ -1259,13 +677,164 @@ mod tests {
     }
 
     #[test]
+    fn rejects_bad_input() {
+        for bad in [
+            "frobnicate",
+            "figure4",
+            "bound --scenario sc1",
+            "bound --scenario nope --level high",
+            "bound --scenario sc1 --level nope",
+            "bound --scenario sc1 --level h --model nope",
+            "trace --limit abc",
+            "trace --scenario",
+            "calibrate --scenario sc1",
+            "calibrate extra",
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "{bad}");
+        }
+        assert!(rejects("bound --scenario sc1 --level high --platfrom ahb2").contains("--platfrom"));
+    }
+
+    /// Shared flags are taken anywhere around the subcommand.
+    #[test]
+    fn parses_global_jobs_flag() {
+        assert_eq!(
+            inv("--jobs 2 bound --scenario sc1 --level high")
+                .common
+                .jobs,
+            2
+        );
+        assert_eq!(
+            inv("bound --scenario sc1 --jobs 8 --level high")
+                .common
+                .jobs,
+            8
+        );
+        assert!(inv("calibrate").common.jobs >= 1);
+    }
+
+    #[test]
+    fn rejects_bad_jobs_values() {
+        assert!(rejects("calibrate --jobs 0").contains("at least 1"));
+    }
+
+    #[test]
+    fn parses_pipeline_flags() {
+        let i = inv("bound --scenario sc1 --ilp-budget 1 --level high");
+        assert_eq!(
+            i.settings(),
+            PipelineSettings {
+                policy: ValidationPolicy::Repair,
+                ilp_budget: Some(1),
+                engine: Engine::Event,
+            }
+        );
+        assert_eq!(inv("--strict calibrate").policy, ValidationPolicy::Strict);
+        assert_eq!(inv("calibrate --repair").policy, ValidationPolicy::Repair);
+    }
+
+    #[test]
+    fn rejects_bad_pipeline_flags() {
+        assert!(rejects("calibrate --strict --repair").contains("mutually exclusive"));
+        assert!(rejects("calibrate --ilp-budget 0").contains("at least 1"));
+    }
+
+    #[test]
+    fn parses_engine_flag() {
+        assert_eq!(
+            inv("--engine tick calibrate").settings().engine,
+            Engine::Tick
+        );
+        assert!(!inv("calibrate --no-block-memo").common.block_memo);
+    }
+
+    #[test]
+    fn rejects_bad_engine_values() {
+        assert!(rejects("calibrate --engine warp").contains("warp"));
+    }
+
+    #[test]
+    fn parses_campaign_flags() {
+        let i = inv("trace --resume fig4.journal --watchdog-ms 5000 --scenario sc2");
+        assert_eq!(i.common.resume, Some(PathBuf::from("fig4.journal")));
+        assert_eq!(i.common.watchdog_millis, Some(5000));
+        assert_eq!(
+            i.command,
+            Command::Trace {
+                scenario: DeploymentScenario::Scenario2,
+                limit: 40
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_bad_campaign_flags() {
+        assert!(rejects("calibrate --journal a --resume b").contains("mutually exclusive"));
+    }
+
+    #[test]
+    fn parses_telemetry_flag() {
+        let spec = inv("trace --telemetry out.json:chrome")
+            .common
+            .telemetry
+            .unwrap();
+        assert_eq!(
+            (spec.path.as_str(), spec.format),
+            ("out.json", mbta::Format::Chrome)
+        );
+    }
+
+    #[test]
+    fn rejects_bad_telemetry_flags() {
+        assert!(rejects("calibrate --telemetry :chrome").contains("--telemetry"));
+    }
+
+    #[test]
+    fn parses_platform_flag() {
+        let i = inv("--platform tc27x-tdma trace --limit 3");
+        assert_eq!(i.common.platform.name, "tc27x-tdma");
+        assert!(rejects("calibrate --platform vax").contains("known platforms"));
+    }
+
+    #[test]
     fn parses_attribution_flag() {
-        let inv = parse_invocation(&argv("calibrate")).unwrap();
-        assert_eq!(inv.attribution, None);
-        let inv = parse_invocation(&argv("--attribution attr.jsonl calibrate --jobs 2")).unwrap();
-        assert_eq!(inv.attribution, Some(PathBuf::from("attr.jsonl")));
-        assert_eq!(inv.command, Command::Calibrate);
-        assert!(parse_invocation(&argv("calibrate --attribution")).is_err());
+        let i = inv("--attribution attr.jsonl calibrate");
+        assert_eq!(i.common.attribution, Some(PathBuf::from("attr.jsonl")));
+    }
+
+    /// End-to-end through `run_invocation`: a journaled calibrate run
+    /// followed by a resumed one, both exercising the campaign plumbing
+    /// behind the global flags.
+    #[test]
+    fn run_invocation_journals_and_resumes() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("aurix-cli-journal-{}", std::process::id()));
+        let journal_args = argv(&format!("--jobs 1 --journal {} calibrate", path.display()));
+        run_invocation(parse_invocation(&journal_args).unwrap()).unwrap();
+        assert!(path.exists(), "journal file must be written");
+
+        let resume_args = argv(&format!("--jobs 1 --resume {} calibrate", path.display()));
+        run_invocation(parse_invocation(&resume_args).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn usage_mentions_every_subcommand() {
+        let text = format!("{USAGE}{}", mbta::args::FLAGS_HELP);
+        for sub in [
+            "calibrate",
+            "bound",
+            "trace",
+            "profile",
+            "contention-attr",
+            "--strict",
+            "--repair",
+            "--jobs",
+            "--platform",
+        ] {
+            assert!(text.contains(sub), "{sub}");
+        }
+        assert!(!USAGE.contains("figure4"), "Figure 4 is a bench binary");
     }
 
     /// End-to-end: `contention-attr` prints the wait matrix and a
@@ -1288,12 +857,6 @@ mod tests {
         );
         assert!(stream.contains("attribution.wait"));
         assert!(stream.contains("attribution.interference"));
-    }
-
-    #[test]
-    fn rejects_bad_telemetry_flags() {
-        assert!(parse_invocation(&argv("calibrate --telemetry")).is_err());
-        assert!(parse_invocation(&argv("calibrate --telemetry :chrome")).is_err());
     }
 
     /// End-to-end: `--telemetry` writes a JSONL stream whose

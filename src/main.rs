@@ -8,7 +8,7 @@ fn main() {
         Ok(i) => i,
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprint!("{}", cli::USAGE);
+            eprint!("{}{}", cli::USAGE, aurix_contention::mbta::args::FLAGS_HELP);
             std::process::exit(2);
         }
     };
