@@ -286,6 +286,7 @@ mod tests {
             cache_hits: 0,
             cache_misses: 1,
             wall_seconds: 0.25,
+            spec_hashes: 1,
         });
         let jsonl = t.render(mbta::Format::Jsonl);
         lint_jsonl(&jsonl, true).unwrap();

@@ -12,7 +12,11 @@
 //! * isolation profiles can be memoized across (and within) batches,
 //!   keyed by a stable fingerprint of the task spec, the core and the
 //!   platform configuration ([`obs::Fnv`]). Calibration
-//!   probes and repeated panels hit the cache instead of re-simulating.
+//!   probes and repeated panels hit the cache instead of re-simulating;
+//! * a caller that names a profile by its [`Recipe`] — the generator
+//!   call that builds the spec — gets a repeat answer without building
+//!   or hashing the spec again
+//!   ([`ExecEngine::isolation_by_recipe`]).
 //!
 //! # Examples
 //!
@@ -43,7 +47,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tc27x_sim::{CoreId, Engine, SimError, SimStats, TaskSpec};
+use tc27x_sim::{CoreId, DeploymentScenario, Engine, SimError, SimStats, TaskSpec};
+use workloads::LoadLevel;
 
 /// Why one job in a batch failed.
 #[derive(Clone, Debug)]
@@ -218,8 +223,12 @@ pub struct EngineReport {
     pub cache_hits: u64,
     /// Isolation requests that had to simulate.
     pub cache_misses: u64,
-    /// Wall-clock seconds spent inside `run_batch`.
+    /// Wall-clock seconds spent inside `run_batch` and the isolation
+    /// lookups.
     pub wall_seconds: f64,
+    /// Task specs hashed into job keys (one per isolation key, two per
+    /// co-run key). A recipe answered from the alias table hashes none.
+    pub spec_hashes: u64,
 }
 
 impl EngineReport {
@@ -281,10 +290,68 @@ pub struct ExecEngine {
     platform: Arc<::platform::PlatformDesc>,
     telemetry: Option<Arc<Telemetry>>,
     cache: Mutex<HashMap<u64, IsolationProfile>>,
+    /// Recipe → job key of the spec it builds. It holds keys, never
+    /// specs: a spec is about 0.4 MB, a key 8 bytes.
+    recipes: Mutex<HashMap<Recipe, u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     runs: AtomicU64,
     wall_nanos: AtomicU64,
+    spec_hashes: AtomicU64,
+}
+
+/// The generator call that builds an isolation task spec on the
+/// engine's platform: everything but the platform that decides the
+/// spec, and so its job key. Two equal recipes on one engine always
+/// build byte-identical specs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Recipe {
+    /// [`workloads::control_loop_on`] the engine's platform.
+    ControlLoop {
+        /// Deployment scenario.
+        scenario: DeploymentScenario,
+        /// The core the task runs on.
+        core: CoreId,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// [`workloads::contender_on`] the engine's platform.
+    Contender {
+        /// Deployment scenario.
+        scenario: DeploymentScenario,
+        /// Contender load level.
+        level: LoadLevel,
+        /// The core the task runs on.
+        core: CoreId,
+        /// Generator seed.
+        seed: u64,
+    },
+}
+
+impl Recipe {
+    /// The core the built task runs on.
+    pub fn core(&self) -> CoreId {
+        match *self {
+            Recipe::ControlLoop { core, .. } | Recipe::Contender { core, .. } => core,
+        }
+    }
+
+    /// Builds the task spec on `desc`.
+    pub fn build(&self, desc: &::platform::PlatformDesc) -> TaskSpec {
+        match *self {
+            Recipe::ControlLoop {
+                scenario,
+                core,
+                seed,
+            } => workloads::control_loop_on(desc, scenario, core, seed),
+            Recipe::Contender {
+                scenario,
+                level,
+                core,
+                seed,
+            } => workloads::contender_on(desc, scenario, level, core, seed),
+        }
+    }
 }
 
 /// Execution plan for one batch entry.
@@ -309,10 +376,12 @@ impl ExecEngine {
             platform: Arc::new(::platform::default_platform().clone()),
             telemetry: None,
             cache: Mutex::new(HashMap::new()),
+            recipes: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
+            spec_hashes: AtomicU64::new(0),
         }
     }
 
@@ -359,6 +428,9 @@ impl ExecEngine {
     #[must_use]
     pub fn with_platform(mut self, desc: ::platform::PlatformDesc) -> Self {
         self.platform = Arc::new(desc);
+        // Recipes build their specs on the platform, so their keys go
+        // with it.
+        self.recipes = Mutex::new(HashMap::new());
         self
     }
 
@@ -447,8 +519,27 @@ impl ExecEngine {
         // `TaskSpec`'s Debug output covers every field recursively and
         // changes whenever the spec's structure does — exactly the
         // invalidation behaviour a memo key needs.
-        h.write_str_delimited(&format!("{spec:?}"));
+        h.write_debug_delimited(spec);
         h.finish()
+    }
+
+    /// [`Self::fingerprint_on`] this engine's platform, counted in
+    /// [`EngineReport::spec_hashes`].
+    fn isolation_key(&self, spec: &TaskSpec, core: CoreId) -> u64 {
+        self.spec_hashes.fetch_add(1, Ordering::Relaxed);
+        Self::fingerprint_on(spec, core, &self.platform)
+    }
+
+    /// [`job_key_on`] this engine's platform, counted in
+    /// [`EngineReport::spec_hashes`].
+    fn job_key(&self, job: &SimJob) -> u64 {
+        let specs = match job {
+            SimJob::Isolation { .. } => 1,
+            SimJob::Corun { .. } => 2,
+            SimJob::Poison => 0,
+        };
+        self.spec_hashes.fetch_add(specs, Ordering::Relaxed);
+        job_key_on(job, &self.platform)
     }
 
     /// [`Self::fingerprint_on`] for the default platform description.
@@ -463,6 +554,30 @@ impl ExecEngine {
     /// have left a torn entry behind.
     fn cache_lock(&self) -> MutexGuard<'_, HashMap<u64, IsolationProfile>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the recipe aliases; poisoning is recovered for the same
+    /// reason as [`Self::cache_lock`] (entries are inserted whole).
+    fn recipes_lock(&self) -> MutexGuard<'_, HashMap<Recipe, u64>> {
+        self.recipes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f`, adding its wall-clock time to the report.
+    fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        self.wall_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// The memoized profile under `key`, counted as a hit when present.
+    fn cached(&self, key: u64) -> Option<IsolationProfile> {
+        let profile = self.cache_lock().get(&key).cloned();
+        if profile.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        profile
     }
 
     /// Runs a batch of jobs and returns their outcomes in batch order,
@@ -498,23 +613,35 @@ impl ExecEngine {
     /// carries the [`JobFailure`] and every other job completes
     /// normally.
     pub fn run_batch_detailed(&self, batch: &[SimJob]) -> Vec<Result<SimOutcome, JobFailure>> {
-        let t0 = Instant::now();
-        let result = self.run_batch_inner(batch);
-        self.wall_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
+        self.timed(|| {
+            // Each isolation job is keyed once, before the cache lock is
+            // taken; the plan, the cache fill and the telemetry reuse it.
+            let keys: Vec<Option<u64>> = batch
+                .iter()
+                .map(|job| match job {
+                    SimJob::Isolation { spec, core } => Some(self.isolation_key(spec, *core)),
+                    SimJob::Corun { .. } | SimJob::Poison => None,
+                })
+                .collect();
+            self.run_batch_inner(batch, &keys)
+        })
     }
 
-    fn run_batch_inner(&self, batch: &[SimJob]) -> Vec<Result<SimOutcome, JobFailure>> {
+    /// The batch body; `keys[i]` is the job key of `batch[i]` when it is
+    /// an isolation job, `None` otherwise.
+    fn run_batch_inner(
+        &self,
+        batch: &[SimJob],
+        keys: &[Option<u64>],
+    ) -> Vec<Result<SimOutcome, JobFailure>> {
         // Phase 1: plan — consult the cache, dedupe within the batch.
         let mut plan = Vec::with_capacity(batch.len());
         let mut first_by_fp: HashMap<u64, usize> = HashMap::new();
         {
             let cache = self.cache_lock();
-            for (i, job) in batch.iter().enumerate() {
-                match job {
-                    SimJob::Isolation { spec, core } => {
-                        let fp = Self::fingerprint_on(spec, *core, &self.platform);
+            for (i, key) in keys.iter().enumerate() {
+                match *key {
+                    Some(fp) => {
                         if let Some(p) = cache.get(&fp) {
                             self.hits.fetch_add(1, Ordering::Relaxed);
                             plan.push(Plan::Cached(p.clone()));
@@ -527,7 +654,7 @@ impl ExecEngine {
                             plan.push(Plan::Execute);
                         }
                     }
-                    SimJob::Corun { .. } | SimJob::Poison => plan.push(Plan::Execute),
+                    None => plan.push(Plan::Execute),
                 }
             }
         }
@@ -562,10 +689,10 @@ impl ExecEngine {
             exec_idx.into_iter().zip(executed).collect();
         let mut outcomes: Vec<Result<SimOutcome, JobFailure>> = Vec::with_capacity(batch.len());
         let mut fresh: Vec<(u64, IsolationProfile)> = Vec::new();
-        for (i, entry) in plan.iter().enumerate() {
+        for (i, entry) in plan.into_iter().enumerate() {
             let outcome = match entry {
-                Plan::Cached(p) => Ok(SimOutcome::Isolation(p.clone())),
-                Plan::Alias(j) => outcomes[*j].clone(),
+                Plan::Cached(p) => Ok(SimOutcome::Isolation(p)),
+                Plan::Alias(j) => outcomes[j].clone(),
                 Plan::Execute => {
                     let (r, stats) = by_index.remove(&i).unwrap_or_else(|| {
                         (
@@ -580,20 +707,14 @@ impl ExecEngine {
                                     SimOutcome::Isolation(p) => p.counters().ccnt,
                                     SimOutcome::Corun(c) => *c,
                                 };
-                                t.record_job(
-                                    job_key_on(&batch[i], &self.platform),
-                                    &batch[i],
-                                    cycles,
-                                    stats.as_ref(),
-                                );
+                                let key = keys[i].unwrap_or_else(|| self.job_key(&batch[i]));
+                                t.record_job(key, &batch[i], cycles, stats.as_ref());
                             }
                             Err(_) => t.record_job_failure(),
                         }
                     }
-                    if let (Ok(SimOutcome::Isolation(p)), SimJob::Isolation { spec, core }) =
-                        (&r, &batch[i])
-                    {
-                        fresh.push((Self::fingerprint_on(spec, *core, &self.platform), p.clone()));
+                    if let (Ok(SimOutcome::Isolation(p)), Some(key)) = (&r, keys[i]) {
+                        fresh.push((key, p.clone()));
                     }
                     r
                 }
@@ -617,17 +738,67 @@ impl ExecEngine {
         )
     }
 
-    /// Memoized single isolation run.
+    /// Memoized single isolation run. A cache hit hashes the borrowed
+    /// spec once and clones nothing but the profile.
     ///
     /// # Errors
     ///
     /// Propagates link and simulation errors (as the failing job).
     pub fn isolation(&self, spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, JobError> {
-        let mut out = self.run_batch(std::slice::from_ref(&SimJob::Isolation {
-            spec: spec.clone(),
-            core,
-        }))?;
-        Ok(out.remove(0).into_profile())
+        self.timed(|| {
+            let key = self.isolation_key(spec, core);
+            self.isolation_keyed(key, core, || spec.clone())
+        })
+    }
+
+    /// The isolation profile of `recipe`'s spec on this engine's
+    /// platform, with its job key (the key [`job_key_on`] gives the
+    /// built spec, so it addresses stores and journals alike).
+    ///
+    /// The engine remembers which key each recipe built. When that key's
+    /// profile is still memoized, the call builds, clones and hashes no
+    /// spec; it counts one cache hit, as a cached [`Self::isolation`]
+    /// does. Otherwise — the first call per recipe, or after
+    /// [`Self::clear_cache`] — it builds and keys the spec once, then
+    /// looks the profile up or simulates it like [`Self::isolation`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates link and simulation errors (as the failing job).
+    pub fn isolation_by_recipe(&self, recipe: Recipe) -> Result<(u64, IsolationProfile), JobError> {
+        self.timed(|| {
+            let known = self.recipes_lock().get(&recipe).copied();
+            if let Some(key) = known {
+                if let Some(profile) = self.cached(key) {
+                    return Ok((key, profile));
+                }
+            }
+            let spec = recipe.build(&self.platform);
+            let core = recipe.core();
+            let key = self.isolation_key(&spec, core);
+            let profile = self.isolation_keyed(key, core, move || spec)?;
+            self.recipes_lock().insert(recipe, key);
+            Ok((key, profile))
+        })
+    }
+
+    /// A memoized isolation under a known `key`: the profile from the
+    /// cache, or a one-job batch over the spec `spec` builds.
+    fn isolation_keyed(
+        &self,
+        key: u64,
+        core: CoreId,
+        spec: impl FnOnce() -> TaskSpec,
+    ) -> Result<IsolationProfile, JobError> {
+        if let Some(profile) = self.cached(key) {
+            return Ok(profile);
+        }
+        let job = SimJob::Isolation { spec: spec(), core };
+        let mut out = self.run_batch_inner(std::slice::from_ref(&job), &[Some(key)]);
+        match out.remove(0) {
+            Ok(outcome) => Ok(outcome.into_profile()),
+            Err(cause) => Err(JobError { index: 0, cause }),
+        }
     }
 
     /// Single co-run observation through the engine (counted in the
@@ -657,8 +828,10 @@ impl ExecEngine {
         self.cache_lock().len()
     }
 
-    /// Drops every memoized profile (counters are kept).
+    /// Drops every memoized profile and recipe alias (counters are
+    /// kept).
     pub fn clear_cache(&self) {
+        self.recipes_lock().clear();
         self.cache_lock().clear();
     }
 
@@ -670,6 +843,7 @@ impl ExecEngine {
             cache_hits: self.hits.load(Ordering::Relaxed),
             cache_misses: self.misses.load(Ordering::Relaxed),
             wall_seconds: self.wall_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            spec_hashes: self.spec_hashes.load(Ordering::Relaxed),
         }
     }
 
@@ -682,8 +856,8 @@ impl ExecEngine {
     /// are never memoized).
     pub fn prime(&self, job: &SimJob, profile: IsolationProfile) {
         if let SimJob::Isolation { spec, core } = job {
-            self.cache_lock()
-                .insert(Self::fingerprint_on(spec, *core, &self.platform), profile);
+            let key = self.isolation_key(spec, *core);
+            self.cache_lock().insert(key, profile);
         }
     }
 
@@ -793,9 +967,9 @@ pub fn job_key_on(job: &SimJob, desc: &::platform::PlatformDesc) -> u64 {
                 h.write_u64(desc.fingerprint());
             }
             h.write_u8(app_core.0);
-            h.write_str_delimited(&format!("{app:?}"));
+            h.write_debug_delimited(app);
             h.write_u8(load_core.0);
-            h.write_str_delimited(&format!("{load:?}"));
+            h.write_debug_delimited(load);
             h.finish()
         }
         SimJob::Poison => {
@@ -893,6 +1067,10 @@ impl BatchRunner for ExecEngine {
 
     fn run_batch(&self, batch: &[SimJob]) -> Result<Vec<SimOutcome>, JobError> {
         ExecEngine::run_batch(self, batch)
+    }
+
+    fn isolation(&self, spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, JobError> {
+        ExecEngine::isolation(self, spec, core)
     }
 }
 
@@ -1239,6 +1417,140 @@ mod tests {
         let r = engine.report();
         assert_eq!(r.cache_hits, 1);
         assert_eq!(r.simulations_run, 0, "primed profile skipped simulation");
+    }
+
+    /// A profile that no simulation produced: whatever a lookup returns
+    /// after priming with it came from the memo, not from a run.
+    fn stand_in(name: &str) -> IsolationProfile {
+        IsolationProfile::new(name, tc27x_sim::DebugCounters::default())
+    }
+
+    #[test]
+    fn recipe_keys_equal_the_built_specs_job_keys_on_every_platform() {
+        for name in ::platform::PlatformDesc::names() {
+            let desc = ::platform::PlatformDesc::by_name(name).unwrap();
+            let engine = ExecEngine::sequential().with_platform(desc.clone());
+            let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
+            for scenario in DeploymentScenario::all() {
+                for level in LoadLevel::all() {
+                    let recipes = [
+                        Recipe::ControlLoop {
+                            scenario,
+                            core: app_core,
+                            seed: 42,
+                        },
+                        Recipe::Contender {
+                            scenario,
+                            level,
+                            core: load_core,
+                            seed: 7,
+                        },
+                    ];
+                    for recipe in recipes {
+                        let job = SimJob::Isolation {
+                            spec: recipe.build(&desc),
+                            core: recipe.core(),
+                        };
+                        let key = job_key_on(&job, &desc);
+                        let profile = stand_in(&format!("{recipe:?}"));
+                        engine.prime_keyed(key, profile.clone());
+                        let (got, served) = engine.isolation_by_recipe(recipe).unwrap();
+                        assert_eq!(got, key, "{name}: {recipe:?}");
+                        assert_eq!(served, profile, "{name}: {recipe:?}");
+                    }
+                }
+            }
+            assert_eq!(engine.report().simulations_run, 0, "{name}");
+        }
+    }
+
+    /// Stores and journals written before recipes existed hold profiles
+    /// under the pinned job key; a recipe lookup on a restarted engine
+    /// primed from them finds the profile without simulating.
+    #[test]
+    fn recipe_lookups_resolve_pinned_store_keys() {
+        let engine = ExecEngine::sequential();
+        engine.prime_keyed(0x6ead_d9ba_fccc_1903, stand_in("stored"));
+        let (key, profile) = engine
+            .isolation_by_recipe(Recipe::ControlLoop {
+                scenario: DeploymentScenario::Scenario1,
+                core: CoreId(1),
+                seed: 42,
+            })
+            .unwrap();
+        assert_eq!(key, 0x6ead_d9ba_fccc_1903);
+        assert_eq!(profile, stand_in("stored"));
+        assert_eq!(engine.report().simulations_run, 0);
+    }
+
+    #[test]
+    fn repeat_recipes_build_and_hash_nothing() {
+        let recipe = Recipe::ControlLoop {
+            scenario: DeploymentScenario::Scenario1,
+            core: CoreId(1),
+            seed: 42,
+        };
+        let engine = ExecEngine::sequential();
+        let (key, first) = engine.isolation_by_recipe(recipe).unwrap();
+        assert_eq!(
+            key,
+            job_key(&SimJob::Isolation {
+                spec: app(),
+                core: CoreId(1),
+            })
+        );
+        let r = engine.report();
+        assert_eq!(
+            (r.simulations_run, r.cache_misses, r.spec_hashes),
+            (1, 1, 1)
+        );
+
+        // The alias hit: one memo hit, nothing built or hashed.
+        for _ in 0..3 {
+            assert_eq!(
+                engine.isolation_by_recipe(recipe).unwrap(),
+                (key, first.clone())
+            );
+        }
+        let r = engine.report();
+        assert_eq!((r.cache_hits, r.spec_hashes), (3, 1));
+        assert!(r.wall_seconds > 0.0, "lookups count as engine time");
+
+        // Clearing drops the alias with the profile: rebuild, re-run.
+        engine.clear_cache();
+        assert_eq!(
+            engine.isolation_by_recipe(recipe).unwrap(),
+            (key, first.clone())
+        );
+        let r = engine.report();
+        assert_eq!((r.simulations_run, r.spec_hashes), (2, 2));
+
+        // A restarted engine primed by key pays one hash per recipe.
+        let restarted = ExecEngine::sequential();
+        restarted.prime_keyed(key, first.clone());
+        for _ in 0..2 {
+            assert_eq!(
+                restarted.isolation_by_recipe(recipe).unwrap(),
+                (key, first.clone())
+            );
+        }
+        let r = restarted.report();
+        assert_eq!((r.simulations_run, r.cache_hits, r.spec_hashes), (0, 2, 1));
+    }
+
+    #[test]
+    fn each_isolation_job_is_hashed_once() {
+        let engine = ExecEngine::sequential();
+        let iso = SimJob::Isolation {
+            spec: app(),
+            core: CoreId(1),
+        };
+        engine.run_batch(&[iso.clone(), iso]).unwrap();
+        let r = engine.report();
+        assert_eq!((r.simulations_run, r.spec_hashes), (1, 2));
+        // A cached single isolation keys the borrowed spec once.
+        engine.isolation(&app(), CoreId(1)).unwrap();
+        assert_eq!(engine.report().spec_hashes, 3);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub use campaign::{
     CampaignConfig, CampaignManifest, CampaignRunner, CampaignStats, FaultPlan, ManifestEntry,
 };
 pub use exec::{
-    job_key, job_key_on, BatchRunner, EngineReport, ExecEngine, JobError, JobFailure, SimJob,
-    SimOutcome,
+    job_key, job_key_on, BatchRunner, EngineReport, ExecEngine, JobError, JobFailure, Recipe,
+    SimJob, SimOutcome,
 };
 pub use experiment::{
     constraints_for, figure4_panel, figure4_panel_with, table6_block, table6_block_with,

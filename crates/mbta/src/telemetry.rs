@@ -306,8 +306,9 @@ impl Telemetry {
     }
 
     /// Folds the engine report in: cache and simulation counts are
-    /// deterministic; worker count and wall-clock go to the profile
-    /// record.
+    /// deterministic; the spec-hash count depends on how concurrent
+    /// lookups interleave, and worker count and wall-clock go to the
+    /// profile record.
     pub fn record_engine(&self, report: &EngineReport) {
         let mut inner = lock(&self.inner);
         inner.det.add("exec.cache_hits", report.cache_hits);
@@ -315,6 +316,7 @@ impl Telemetry {
         inner
             .det
             .add("exec.simulations_run", report.simulations_run);
+        inner.nondet.add("exec.spec_hashes", report.spec_hashes);
         inner
             .profile
             .push(("jobs".to_string(), Val::U64(report.jobs as u64)));
@@ -663,6 +665,7 @@ mod tests {
             cache_hits: 1,
             cache_misses: 2,
             wall_seconds: 0.5,
+            spec_hashes: 3,
         });
         let jsonl = t.render(Format::Jsonl);
         for line in jsonl.lines().filter(|l| l.contains("\"det\":true")) {
@@ -671,8 +674,13 @@ mod tests {
                 "det record leaks wall clock: {line}"
             );
             assert!(!line.contains("\"jobs\""), "det record leaks jobs: {line}");
+            assert!(
+                !line.contains("spec_hashes"),
+                "det record leaks the hash count: {line}"
+            );
         }
         assert!(jsonl.contains("\"wall_seconds\":0.5"));
+        assert_eq!(t.nondet_counter("exec.spec_hashes"), 3);
     }
 
     #[test]

@@ -49,6 +49,8 @@ pub use sink::{Format, SinkSpec};
 pub use span::{span_id, SpanRec};
 pub use stream::{MatrixRec, Stream, TableRec, Warning};
 
+use std::fmt;
+
 /// An incremental FNV-1a 64-bit hasher — the workspace's one stable
 /// hasher. `std::hash` promises no stability across releases or
 /// processes, so everything that keys a persistent or cross-run value
@@ -60,6 +62,13 @@ pub use stream::{MatrixRec, Stream, TableRec, Warning};
 /// bytes (span IDs, benchmark digests), while
 /// [`Fnv::write_str_delimited`] appends a `0xff` terminator (platform
 /// fingerprints, job keys, journals, stores and campaign identities).
+/// [`Fnv::write_debug_delimited`] absorbs a value's `Debug` form in the
+/// delimited framing without materialising the string.
+///
+/// The [`fmt::Write`] impl absorbs raw bytes with no framing, so
+/// `write!` streams formatted text into the hash; the inherent
+/// [`Fnv::write_str`] (length-prefixed) shadows the trait method of the
+/// same name in method-call syntax.
 #[derive(Clone, Debug)]
 pub struct Fnv(u64);
 
@@ -94,6 +103,17 @@ impl Fnv {
         self.write(&[0xff]);
     }
 
+    /// Absorbs `value`'s `{:?}` rendering followed by a `0xff`
+    /// terminator: byte for byte what
+    /// `write_str_delimited(&format!("{value:?}"))` absorbs, streamed
+    /// through [`fmt::Write`] instead of built as one string.
+    pub fn write_debug_delimited<T: fmt::Debug + ?Sized>(&mut self, value: &T) {
+        // The hasher's `write_str` never fails, so an error could only
+        // come from `value`'s own `Debug` impl, where `format!` panics.
+        let _ = fmt::Write::write_fmt(self, format_args!("{value:?}"));
+        self.write(&[0xff]);
+    }
+
     /// Absorbs one byte.
     pub fn write_u8(&mut self, v: u8) {
         self.write(&[v]);
@@ -107,6 +127,13 @@ impl Fnv {
     /// The current hash value.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -168,5 +195,21 @@ mod tests {
         a.write_str_delimited("a");
         a.write_str_delimited("bc");
         assert_ne!(ab.finish(), a.finish());
+    }
+
+    /// Streaming a `Debug` form absorbs exactly the bytes of the
+    /// formatted-string route, so keys minted either way agree.
+    #[test]
+    fn debug_streaming_matches_the_formatted_string() {
+        let value = (vec![1u32, 2, 3], "tc277", Some(-7i64), [0.5f64; 2]);
+        let mut streamed = Fnv::new();
+        streamed.write_debug_delimited(&value);
+        let mut formatted = Fnv::new();
+        formatted.write_str_delimited(&format!("{value:?}"));
+        assert_eq!(streamed.finish(), formatted.finish());
+
+        let mut raw = Fnv::new();
+        fmt::Write::write_str(&mut raw, "aurix").unwrap();
+        assert_eq!(raw.finish(), fnv1a(b"aurix"));
     }
 }

@@ -20,7 +20,7 @@ use contention::{
     ContentionModel, EvalOptions, Evaluator, FtcModel, Platform, ValidationPolicy, Validator,
     WcetEstimate,
 };
-use mbta::{constraints_for, job_key_on, ExecEngine, SimJob};
+use mbta::{constraints_for, ExecEngine, Recipe};
 use obs::json::Val;
 use tc27x_sim::{CoreId, DeploymentScenario};
 use workloads::LoadLevel;
@@ -125,47 +125,44 @@ impl<'e> QueryEngine<'e> {
         options
     }
 
+    /// The recipes of the app and contender tasks every data-plane
+    /// query runs, on the engine's cores.
+    fn recipes(&self, scenario: DeploymentScenario, level: LoadLevel) -> [Recipe; 2] {
+        let desc = self.engine.platform();
+        [
+            Recipe::ControlLoop {
+                scenario,
+                core: CoreId(desc.app_core as u8),
+                seed: 42,
+            },
+            Recipe::Contender {
+                scenario,
+                level,
+                core: CoreId(desc.load_core as u8),
+                seed: 7,
+            },
+        ]
+    }
+
     /// The two isolation profiles every data-plane query needs, with
-    /// their engine job keys (the profile-store addresses).
+    /// their engine job keys (the profile-store addresses). A repeat
+    /// pair comes straight from the engine's recipe aliases: no spec is
+    /// built or hashed.
     fn isolation_pair(
         &self,
         scenario: DeploymentScenario,
         level: LoadLevel,
     ) -> Result<Pair, String> {
-        let desc = self.engine.platform();
-        let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-        let app_spec = workloads::control_loop_on(desc, scenario, app_core, 42);
-        let load_spec = workloads::contender_on(desc, scenario, level, load_core, 7);
-        let app = self
+        let [app_recipe, load_recipe] = self.recipes(scenario, level);
+        let (app_key, app) = self
             .engine
-            .isolation(&app_spec, app_core)
+            .isolation_by_recipe(app_recipe)
             .map_err(|e| format!("app isolation failed: {e}"))?;
-        let load = self
+        let (load_key, load) = self
             .engine
-            .isolation(&load_spec, load_core)
+            .isolation_by_recipe(load_recipe)
             .map_err(|e| format!("contender isolation failed: {e}"))?;
-        let profiles = vec![
-            (
-                job_key_on(
-                    &SimJob::Isolation {
-                        spec: app_spec,
-                        core: app_core,
-                    },
-                    desc,
-                ),
-                app.clone(),
-            ),
-            (
-                job_key_on(
-                    &SimJob::Isolation {
-                        spec: load_spec,
-                        core: load_core,
-                    },
-                    desc,
-                ),
-                load.clone(),
-            ),
-        ];
+        let profiles = vec![(app_key, app.clone()), (load_key, load.clone())];
         Ok((profiles, app, load))
     }
 
@@ -262,14 +259,14 @@ impl<'e> QueryEngine<'e> {
             .wcet_estimate(&va, &[&vb])
             .map_err(|e| format!("fTC model failed: {e}"))?;
         let desc = self.engine.platform();
-        let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
+        let [app_recipe, load_recipe] = self.recipes(scenario, level);
         let observed = self
             .engine
             .corun(
-                &workloads::control_loop_on(desc, scenario, app_core, 42),
-                app_core,
-                &workloads::contender_on(desc, scenario, level, load_core, 7),
-                load_core,
+                &app_recipe.build(desc),
+                app_recipe.core(),
+                &load_recipe.build(desc),
+                load_recipe.core(),
             )
             .map_err(|e| format!("co-run failed: {e}"))?;
         let iso = app.counters().ccnt;
@@ -308,6 +305,7 @@ impl<'e> QueryEngine<'e> {
 mod tests {
     use super::*;
     use crate::proto::Request;
+    use mbta::SimJob;
 
     fn engine() -> ExecEngine {
         ExecEngine::new(2)
@@ -403,6 +401,77 @@ mod tests {
             ))
             .unwrap();
         assert!(miss.body.contains("\"schedulable\":false"));
+    }
+
+    #[test]
+    fn repeat_bounds_hash_no_spec_and_survive_clear_cache() {
+        let e = engine();
+        let qe = QueryEngine::new(&e, QueryOptions::default());
+        let rta = |period| {
+            req(
+                QueryKind::Rta {
+                    scenario: DeploymentScenario::LowTraffic,
+                    level: LoadLevel::Low,
+                    period,
+                    deadline: period,
+                },
+                None,
+            )
+        };
+        let first = qe.answer(&rta(50_000_000)).unwrap();
+        assert_eq!(e.report().spec_hashes, 2, "one hash per spec");
+
+        // Repeats, and fresh periods over the same pair, hash nothing.
+        let repeat = qe.answer(&rta(50_000_000)).unwrap();
+        assert_eq!(repeat.body, first.body);
+        assert_eq!(repeat.profiles, first.profiles);
+        let bound = qe
+            .answer(&req(
+                QueryKind::Bound {
+                    scenario: DeploymentScenario::LowTraffic,
+                    level: LoadLevel::Low,
+                },
+                None,
+            ))
+            .unwrap();
+        assert_eq!(bound.profiles, first.profiles);
+        qe.answer(&rta(60_000_000)).unwrap();
+        assert_eq!(e.report().spec_hashes, 2);
+
+        // The keys are the ones the profile store has always used.
+        let desc = e.platform();
+        let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
+        let expected = [
+            SimJob::Isolation {
+                spec: workloads::control_loop_on(
+                    desc,
+                    DeploymentScenario::LowTraffic,
+                    app_core,
+                    42,
+                ),
+                core: app_core,
+            },
+            SimJob::Isolation {
+                spec: workloads::contender_on(
+                    desc,
+                    DeploymentScenario::LowTraffic,
+                    LoadLevel::Low,
+                    load_core,
+                    7,
+                ),
+                core: load_core,
+            },
+        ]
+        .map(|job| mbta::job_key_on(&job, desc));
+        let keys: Vec<u64> = first.profiles.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, expected);
+
+        // After clear_cache the pair is rebuilt, re-keyed and re-run.
+        e.clear_cache();
+        let cleared = qe.answer(&rta(50_000_000)).unwrap();
+        assert_eq!(cleared.body, first.body);
+        assert_eq!(cleared.profiles, first.profiles);
+        assert_eq!(e.report().spec_hashes, 4);
     }
 
     #[test]

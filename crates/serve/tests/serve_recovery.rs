@@ -25,9 +25,25 @@ fn server_with(
     queue_cap: usize,
     query: QueryOptions,
 ) -> (Server, Addr) {
-    let sock = dir.join(format!("daemon-{workers}-{jobs}.sock"));
-    let server = Server::start(
+    start_on(
+        dir,
+        workers,
+        queue_cap,
+        query,
         Arc::new(mbta::ExecEngine::new(jobs)),
+    )
+}
+
+fn start_on(
+    dir: &std::path::Path,
+    workers: usize,
+    queue_cap: usize,
+    query: QueryOptions,
+    engine: Arc<mbta::ExecEngine>,
+) -> (Server, Addr) {
+    let sock = dir.join(format!("daemon-{workers}-{}.sock", engine.jobs()));
+    let server = Server::start(
+        engine,
         ServerConfig {
             unix_socket: Some(sock.clone()),
             tcp_addr: None,
@@ -132,6 +148,54 @@ fn restart_replays_byte_identical_at_different_worker_count() {
     assert!(server_b.recovery().profiles >= 2);
     let second = drive(&addr_b, &reqs);
     assert_eq!(first, second, "replayed responses must be byte-identical");
+    server_b.trigger_shutdown();
+    server_b.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restarted_daemon_keys_each_recipe_once_and_answers_identically() {
+    let dir = scratch("recipes");
+    let rta = |i: usize, period: u64| Request {
+        id: format!("p{i}"),
+        tenant: "alpha".to_string(),
+        kind: QueryKind::Rta {
+            scenario: DeploymentScenario::LowTraffic,
+            level: LoadLevel::Low,
+            period,
+            deadline: period,
+        },
+        budget: None,
+        strict: false,
+    };
+    let reqs = [rta(0, 40_000_000), rta(1, 41_000_000), rta(2, 42_000_000)];
+    let start = |engine: &Arc<mbta::ExecEngine>| {
+        start_on(&dir, 1, 64, QueryOptions::default(), Arc::clone(engine))
+    };
+
+    let engine_a = Arc::new(mbta::ExecEngine::new(1));
+    let (server_a, addr_a) = start(&engine_a);
+    let first = drive(&addr_a, &reqs);
+    assert_eq!(
+        engine_a.report().spec_hashes,
+        2,
+        "the first request keys both specs, the fresh periods none"
+    );
+    server_a.trigger_shutdown();
+    server_a.wait();
+
+    // Keep the profile store but drop the response store, so the
+    // restarted daemon recomputes every body from primed profiles.
+    std::fs::remove_file(dir.join("state").join("responses.store")).unwrap();
+    let engine_b = Arc::new(mbta::ExecEngine::new(1));
+    let (server_b, addr_b) = start(&engine_b);
+    assert_eq!(server_b.recovery().responses, 0);
+    assert!(server_b.recovery().profiles >= 2);
+    let second = drive(&addr_b, &reqs);
+    assert_eq!(first, second, "recomputed bodies must be byte-identical");
+    let r = engine_b.report();
+    assert_eq!(r.simulations_run, 0, "profiles come from the store");
+    assert_eq!(r.spec_hashes, 2, "one hash per spec after a restart");
     server_b.trigger_shutdown();
     server_b.wait();
     let _ = std::fs::remove_dir_all(&dir);

@@ -314,12 +314,20 @@ impl Attribution {
 mod tests {
     use super::*;
 
+    /// The default platform's pflash service latency (Table 2), taken
+    /// from its profile rather than restated here.
+    fn pf_service() -> u32 {
+        platform::PlatformDesc::tc27x()
+            .slave(Target::Pf0.index())
+            .service
+    }
+
     /// Test shorthand: a [`Pending`] for `core`/`class` posted at
     /// `posted_at`.
     fn pend(core: u8, class: Operation, posted_at: u64) -> Pending {
         Pending {
             core: CoreId(core),
-            service: 16,
+            service: pf_service(),
             posted_at,
             class,
         }
@@ -424,7 +432,7 @@ mod tests {
         // A waiter posted long ago keeps the overlapping tail alive.
         let waiter = Pending {
             core: CoreId(2),
-            service: 16,
+            service: pf_service(),
             posted_at: 90 * 16,
             class: Operation::Code,
         };

@@ -23,7 +23,7 @@ use crate::addr::{CoreId, MemMap, Region, LINE_BYTES};
 use crate::cache::{Cache, Lookup};
 use crate::config::SimConfig;
 use crate::counters::GroundTruth;
-use crate::linker::{InstrKind, TaskImage};
+use crate::linker::{InstrKind, ObjRt, TaskImage};
 use crate::program::Pattern;
 use crate::rng::SplitMix64;
 use crate::sri::{Grant, Sri, SriRequest};
@@ -517,17 +517,24 @@ impl CorePipeline {
         pattern: Pattern,
         write: bool,
     ) {
-        let o = self.image.objects[obj as usize].clone();
-        let off = self.next_offset(idx, pattern, o.size);
-        let addr = o.base.offset(off);
+        // Copy the layout fields out: this runs once per data access,
+        // and cloning the object would copy its name too.
+        let ObjRt {
+            base,
+            size,
+            region,
+            cacheable,
+            ..
+        } = self.image.objects[obj as usize];
+        let off = self.next_offset(idx, pattern, size);
+        let addr = base.offset(off);
 
         // Scratchpad: single-cycle.
-        if o.region.is_local() {
+        if region.is_local() {
             self.state = State::Blocked { until: now + 1 };
             return;
         }
-        let target = o
-            .region
+        let target = region
             .sri_target()
             .unwrap_or_else(|| unreachable!("shared data regions have an SRI target"));
         let timing = config.slave(target);
@@ -541,7 +548,7 @@ impl CorePipeline {
             timing.service
         };
 
-        if o.cacheable {
+        if cacheable {
             match self.dcache.access(addr.line(), write) {
                 Lookup::Hit => {
                     self.state = State::Blocked { until: now + 1 };

@@ -57,7 +57,7 @@
 
 use crate::core_pipeline::{CorePipeline, State};
 use crate::counters::KernelStats;
-use crate::linker::InstrKind;
+use crate::linker::{InstrKind, ObjRt};
 use crate::program::Pattern;
 use crate::rng::SplitMix64;
 
@@ -501,15 +501,23 @@ fn interpret(core: &mut CorePipeline, now: u64) -> Option<BlockEntry> {
                 write,
             } => {
                 let idx = core.pc;
-                let o = core.image.objects[obj as usize].clone();
-                if o.region.is_local() {
+                // Copy the layout fields out rather than clone the
+                // object (and its name) on every access.
+                let ObjRt {
+                    base,
+                    size,
+                    region,
+                    cacheable,
+                    ..
+                } = core.image.objects[obj as usize];
+                if region.is_local() {
                     // Offset is unobservable; only the cursor/RNG move.
                     match pattern {
-                        Pattern::Sequential if o.size >= 4 => {
-                            accumulate_delta(&mut cursor_delta, idx, 4, o.size);
+                        Pattern::Sequential if size >= 4 => {
+                            accumulate_delta(&mut cursor_delta, idx, 4, size);
                         }
-                        Pattern::Stride(s) if o.size >= 4 => {
-                            accumulate_delta(&mut cursor_delta, idx, s.max(4) % o.size, o.size);
+                        Pattern::Stride(s) if size >= 4 => {
+                            accumulate_delta(&mut cursor_delta, idx, s.max(4) % size, size);
                         }
                         Pattern::Sequential | Pattern::Stride(_) => {
                             // Tiny object: the cursor recurrence is not
@@ -519,14 +527,14 @@ fn interpret(core: &mut CorePipeline, now: u64) -> Option<BlockEntry> {
                         Pattern::Random => draws += 1,
                         Pattern::Fixed(_) => {}
                     }
-                    let _ = core.next_offset(idx as usize, pattern, o.size);
+                    let _ = core.next_offset(idx as usize, pattern, size);
                     core.pc += 1;
                     t += 1;
-                } else if o.cacheable {
+                } else if cacheable {
                     // Peek the offset without committing so a miss (run
                     // live) leaves the cursor for the live path.
-                    let off = core.peek_offset(idx as usize, pattern, o.size);
-                    let line2 = o.base.offset(off).line();
+                    let off = core.peek_offset(idx as usize, pattern, size);
+                    let line2 = base.offset(off).line();
                     if core.dcache.probe(line2) {
                         match pattern {
                             Pattern::Sequential | Pattern::Stride(_) => {
@@ -535,7 +543,7 @@ fn interpret(core: &mut CorePipeline, now: u64) -> Option<BlockEntry> {
                             Pattern::Random => rng_exact = true,
                             Pattern::Fixed(_) => {}
                         }
-                        let _ = core.next_offset(idx as usize, pattern, o.size);
+                        let _ = core.next_offset(idx as usize, pattern, size);
                         core.dcache.replay_hit(line2, write);
                         accesses.push(HitAccess {
                             dcache: true,
