@@ -111,6 +111,10 @@ stage_test() {
     echo "==> block-memo adversarial suite (mid-block SRI posts, co-run warps)"
     cargo test -q --offline -p tc27x-sim --test memo_adversarial
 
+    echo "==> solo-tail splicing differential suite (spliced vs full co-runs, every platform)"
+    cargo test -q --offline -p tc27x-sim --test solo_tail
+    cargo test -q --offline --release -p tc27x-sim --test solo_tail -- --ignored
+
     echo "==> journal recovery property suite (replay idempotence, torn records)"
     cargo test -q --offline -p mbta --test journal_recovery
 }

@@ -15,11 +15,18 @@
 //! would miss a response cache, while its isolation profiles come from
 //! the engine's recipe aliases. It is the model evaluation plus the
 //! profile lookup, and `perf_gate` caps it in `ceilings_ms` too.
+//!
+//! `sweep_row_sc1` times one Scenario-1 sweep row on a warm engine:
+//! `run_batch` of [app isolation, 500‰ contender isolation, co-run].
+//! Both profiles are memoized, so the row is two spec hashes and the
+//! co-run, whose contender-free tail splices from the app's solo
+//! timeline; `perf_gate` caps it as well.
 
 use contention::{
     ContentionModel, EvalOptions, Evaluator, FtcModel, IlpPtacModel, Platform, ScenarioConstraints,
 };
 use contention_bench::harness::Harness;
+use mbta::SimJob;
 use serve::{QueryEngine, QueryKind, QueryOptions, Request};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -109,6 +116,32 @@ fn main() {
     h.throughput_elements(1);
     h.bench("serve_answer_sc1", || {
         black_box(query.answer(&fresh_rta()).unwrap().body.len())
+    });
+
+    let (app_core, load_core) = (CoreId(1), CoreId(2));
+    let app_spec = control_loop(DeploymentScenario::Scenario1, app_core, 42);
+    let load_spec = contention_bench::scaled_contender(load_core, 500);
+    let row = [
+        SimJob::Isolation {
+            spec: app_spec.clone(),
+            core: app_core,
+        },
+        SimJob::Isolation {
+            spec: load_spec.clone(),
+            core: load_core,
+        },
+        SimJob::Corun {
+            app: app_spec,
+            app_core,
+            load: load_spec,
+            load_core,
+        },
+    ];
+    // Warm the engine: the first row simulates both profiles.
+    let row_engine = mbta::ExecEngine::new(1);
+    row_engine.run_batch(&row).unwrap();
+    h.bench("sweep_row_sc1", || {
+        black_box(row_engine.run_batch(&row).unwrap().len())
     });
 
     h.finish();

@@ -287,6 +287,8 @@ mod tests {
             cache_misses: 1,
             wall_seconds: 0.25,
             spec_hashes: 1,
+            tail_recordings: 0,
+            tail_splices: 0,
         });
         let jsonl = t.render(mbta::Format::Jsonl);
         lint_jsonl(&jsonl, true).unwrap();

@@ -16,7 +16,11 @@
 //! * a caller that names a profile by its [`Recipe`] — the generator
 //!   call that builds the spec — gets a repeat answer without building
 //!   or hashing the spec again
-//!   ([`ExecEngine::isolation_by_recipe`]).
+//!   ([`ExecEngine::isolation_by_recipe`]);
+//! * a co-run whose app has an isolation job in the same batch splices
+//!   its contender-free tail from the app's solo timeline instead of
+//!   simulating it ([`tc27x_sim::solo`]): the timeline is recorded once
+//!   per app and kept next to the profile memo.
 //!
 //! # Examples
 //!
@@ -47,7 +51,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tc27x_sim::{CoreId, DeploymentScenario, Engine, SimError, SimStats, TaskSpec};
+use tc27x_sim::{CoreId, DeploymentScenario, Engine, SimError, SimStats, SoloTimeline, TaskSpec};
 use workloads::LoadLevel;
 
 /// Why one job in a batch failed.
@@ -229,6 +233,13 @@ pub struct EngineReport {
     /// Task specs hashed into job keys (one per isolation key, two per
     /// co-run key). A recipe answered from the alias table hashes none.
     pub spec_hashes: u64,
+    /// Solo runs that recorded an app's timeline for its co-runs: the
+    /// app's own isolation job when the batch executes it, else one
+    /// extra run, which `simulations_run` does not count.
+    pub tail_recordings: u64,
+    /// Co-runs whose contender-free tail was spliced from their app's
+    /// solo timeline instead of simulated.
+    pub tail_splices: u64,
 }
 
 impl EngineReport {
@@ -293,11 +304,19 @@ pub struct ExecEngine {
     /// Recipe → job key of the spec it builds. It holds keys, never
     /// specs: a spec is about 0.4 MB, a key 8 bytes.
     recipes: Mutex<HashMap<Recipe, u64>>,
+    /// App isolation key → the app's solo timeline. Only apps a batch
+    /// co-runs get one; contenders never do.
+    timelines: Mutex<HashMap<u64, Arc<SoloTimeline>>>,
+    /// `(app, contender)` recipe pair → observed app cycles of their
+    /// co-run ([`Self::corun_by_recipe`]).
+    coruns: Mutex<HashMap<(Recipe, Recipe), u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     runs: AtomicU64,
     wall_nanos: AtomicU64,
     spec_hashes: AtomicU64,
+    tail_recordings: AtomicU64,
+    tail_splices: AtomicU64,
 }
 
 /// The generator call that builds an isolation task spec on the
@@ -354,6 +373,71 @@ impl Recipe {
     }
 }
 
+/// How one scheduled run executes.
+#[derive(Clone)]
+enum Mode {
+    /// As its job says.
+    Plain,
+    /// An isolation job that also records its task's solo timeline.
+    Record,
+    /// Only the solo timeline of an isolation job whose profile is
+    /// already known; the profile it yields is dropped.
+    RecordOnly,
+    /// A co-run that splices its tail from its app's solo timeline.
+    Splice(Arc<SoloTimeline>),
+}
+
+/// What one run produced.
+struct Ran {
+    result: Result<SimOutcome, JobFailure>,
+    stats: Option<SimStats>,
+    timeline: Option<SoloTimeline>,
+    spliced: bool,
+}
+
+impl Ran {
+    fn failed(cause: JobFailure) -> Self {
+        Ran {
+            result: Err(cause),
+            stats: None,
+            timeline: None,
+            spliced: false,
+        }
+    }
+}
+
+/// The solo-tail part of a batch's schedule ([`ExecEngine::plan_tails`]).
+struct Tails {
+    /// How each batch entry runs if it executes.
+    modes: Vec<Mode>,
+    /// Co-runs (batch index) waiting for the timeline of the app key
+    /// this batch records.
+    waiting: Vec<(usize, u64)>,
+    /// Isolation jobs (batch index) whose cached app gets a record-only
+    /// run.
+    record_only: Vec<usize>,
+}
+
+/// The batch index and job key of the isolation job that runs `app` on
+/// `app_core`, if the batch has one.
+fn app_isolation(
+    batch: &[SimJob],
+    keys: &[Option<u64>],
+    app: &TaskSpec,
+    app_core: CoreId,
+) -> Option<(usize, u64)> {
+    batch
+        .iter()
+        .zip(keys)
+        .enumerate()
+        .find_map(|(j, (job, key))| match job {
+            SimJob::Isolation { spec, core } if *core == app_core && spec == app => {
+                key.map(|key| (j, key))
+            }
+            _ => None,
+        })
+}
+
 /// Execution plan for one batch entry.
 enum Plan {
     /// Already in the memo cache.
@@ -377,11 +461,15 @@ impl ExecEngine {
             telemetry: None,
             cache: Mutex::new(HashMap::new()),
             recipes: Mutex::new(HashMap::new()),
+            timelines: Mutex::new(HashMap::new()),
+            coruns: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
             spec_hashes: AtomicU64::new(0),
+            tail_recordings: AtomicU64::new(0),
+            tail_splices: AtomicU64::new(0),
         }
     }
 
@@ -428,9 +516,11 @@ impl ExecEngine {
     #[must_use]
     pub fn with_platform(mut self, desc: ::platform::PlatformDesc) -> Self {
         self.platform = Arc::new(desc);
-        // Recipes build their specs on the platform, so their keys go
-        // with it.
+        // Recipes build their specs on the platform, so their keys and
+        // co-run answers go with it; so do the timelines recorded on it.
         self.recipes = Mutex::new(HashMap::new());
+        self.coruns = Mutex::new(HashMap::new());
+        self.timelines = Mutex::new(HashMap::new());
         self
     }
 
@@ -562,6 +652,78 @@ impl ExecEngine {
         self.recipes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Locks the recipe-pair co-run answers; poisoning is recovered for
+    /// the same reason as [`Self::cache_lock`].
+    fn coruns_lock(&self) -> MutexGuard<'_, HashMap<(Recipe, Recipe), u64>> {
+        self.coruns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the solo timelines; poisoning is recovered for the same
+    /// reason as [`Self::cache_lock`] (entries are inserted whole).
+    fn timelines_lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<SoloTimeline>>> {
+        self.timelines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether co-runs may splice their tails: only on the event
+    /// kernel, and only when no per-job statistics are observed.
+    /// Telemetry and attribution read each co-run's complete
+    /// [`SimStats`], and a spliced run has none; the reference stepper
+    /// stays the full-run oracle.
+    fn splices(&self) -> bool {
+        self.sim_engine == Engine::Event && self.telemetry.is_none() && !self.attribution
+    }
+
+    /// Decides which co-runs of a batch splice, and which runs record
+    /// the timelines they need. A co-run's app is keyed by an isolation
+    /// job of the same batch on the same core with an equal spec (an
+    /// equality test is far cheaper than hashing the app again). A
+    /// known timeline is used at once; otherwise the batch's own run of
+    /// that isolation job records it, or — when the profile is cached —
+    /// one record-only run does, and the co-run waits for it.
+    fn plan_tails(
+        &self,
+        batch: &[SimJob],
+        keys: &[Option<u64>],
+        executes: &HashMap<u64, usize>,
+    ) -> Tails {
+        let mut tails = Tails {
+            modes: vec![Mode::Plain; batch.len()],
+            waiting: Vec::new(),
+            record_only: Vec::new(),
+        };
+        if !self.splices() {
+            return tails;
+        }
+        let timelines = self.timelines_lock();
+        let mut recording: Vec<u64> = Vec::new();
+        for (i, job) in batch.iter().enumerate() {
+            let SimJob::Corun { app, app_core, .. } = job else {
+                continue;
+            };
+            let Some((j, key)) = app_isolation(batch, keys, app, *app_core) else {
+                continue;
+            };
+            if let Some(timeline) = timelines.get(&key) {
+                tails.modes[i] = Mode::Splice(Arc::clone(timeline));
+                continue;
+            }
+            tails.waiting.push((i, key));
+            if recording.contains(&key) {
+                continue;
+            }
+            recording.push(key);
+            match executes.get(&key) {
+                Some(&first) => tails.modes[first] = Mode::Record,
+                None => tails.record_only.push(j),
+            }
+        }
+        self.tail_recordings
+            .fetch_add(recording.len() as u64, Ordering::Relaxed);
+        tails
+    }
+
     /// Runs `f`, adding its wall-clock time to the report.
     fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
@@ -664,7 +826,8 @@ impl ExecEngine {
         // pool nor the batch — it becomes a `JobFailure::Panic` at its
         // own index. `AssertUnwindSafe` is sound here: the closure only
         // captures `&batch`, which the unwinding job cannot have
-        // mutated.
+        // mutated. Co-runs that wait for a timeline this batch records
+        // run in a second wave, after the runs that record it.
         let exec_idx: Vec<usize> = plan
             .iter()
             .enumerate()
@@ -673,20 +836,59 @@ impl ExecEngine {
             .collect();
         self.runs
             .fetch_add(exec_idx.len() as u64, Ordering::Relaxed);
-        let executed: Vec<(Result<SimOutcome, JobFailure>, Option<SimStats>)> =
-            pool::run_indexed(&exec_idx, self.jobs, |_, &i| {
-                panic::catch_unwind(AssertUnwindSafe(|| self.execute_job(&batch[i])))
+        let tails = self.plan_tails(batch, keys, &first_by_fp);
+        let first_wave: Vec<(usize, Mode)> = exec_idx
+            .iter()
+            .filter(|i| !tails.waiting.iter().any(|(w, _)| w == *i))
+            .map(|&i| (i, tails.modes[i].clone()))
+            .chain(tails.record_only.iter().map(|&j| (j, Mode::RecordOnly)))
+            .collect();
+        let run_wave = |wave: &[(usize, Mode)]| {
+            pool::run_indexed(wave, self.jobs, |_, (i, mode)| {
+                panic::catch_unwind(AssertUnwindSafe(|| self.execute(&batch[*i], mode)))
                     .unwrap_or_else(|payload| {
-                        (Err(JobFailure::Panic(panic_message(payload))), None)
+                        Ran::failed(JobFailure::Panic(panic_message(payload)))
                     })
-            });
+            })
+        };
+        let mut by_index: HashMap<usize, Ran> = HashMap::new();
+        let mut recorded: HashMap<u64, Arc<SoloTimeline>> = HashMap::new();
+        for ((i, mode), mut ran) in first_wave.iter().zip(run_wave(&first_wave)) {
+            if let (Some(timeline), Some(key)) = (ran.timeline.take(), keys[*i]) {
+                recorded.insert(key, Arc::new(timeline));
+            }
+            if !matches!(mode, Mode::RecordOnly) {
+                by_index.insert(*i, ran);
+            }
+        }
+        if !tails.waiting.is_empty() {
+            self.timelines_lock()
+                .extend(recorded.iter().map(|(k, t)| (*k, Arc::clone(t))));
+            let second_wave: Vec<(usize, Mode)> = tails
+                .waiting
+                .iter()
+                .map(|(i, key)| {
+                    let mode = recorded
+                        .get(key)
+                        .map_or(Mode::Plain, |t| Mode::Splice(Arc::clone(t)));
+                    (*i, mode)
+                })
+                .collect();
+            by_index.extend(
+                second_wave
+                    .iter()
+                    .map(|(i, _)| *i)
+                    .zip(run_wave(&second_wave)),
+            );
+        }
+        let splices = by_index.values().filter(|r| r.spliced).count();
+        self.tail_splices
+            .fetch_add(splices as u64, Ordering::Relaxed);
 
         // Phase 3: merge in batch order; fill the cache from the jobs
         // that succeeded and record executed jobs into the telemetry.
         // Recording happens here — not on the workers — so span and
         // metric updates follow the deterministic plan order.
-        let mut by_index: HashMap<usize, (Result<SimOutcome, JobFailure>, Option<SimStats>)> =
-            exec_idx.into_iter().zip(executed).collect();
         let mut outcomes: Vec<Result<SimOutcome, JobFailure>> = Vec::with_capacity(batch.len());
         let mut fresh: Vec<(u64, IsolationProfile)> = Vec::new();
         for (i, entry) in plan.into_iter().enumerate() {
@@ -694,11 +896,10 @@ impl ExecEngine {
                 Plan::Cached(p) => Ok(SimOutcome::Isolation(p)),
                 Plan::Alias(j) => outcomes[j].clone(),
                 Plan::Execute => {
-                    let (r, stats) = by_index.remove(&i).unwrap_or_else(|| {
-                        (
-                            Err(JobFailure::Panic("planned job produced no result".into())),
-                            None,
-                        )
+                    let Ran {
+                        result: r, stats, ..
+                    } = by_index.remove(&i).unwrap_or_else(|| {
+                        Ran::failed(JobFailure::Panic("planned job produced no result".into()))
                     });
                     if let Some(t) = &self.telemetry {
                         match &r {
@@ -727,15 +928,70 @@ impl ExecEngine {
         outcomes
     }
 
-    fn execute_job(&self, job: &SimJob) -> (Result<SimOutcome, JobFailure>, Option<SimStats>) {
-        execute_job_with_stats(
-            job,
-            self.cycle_budget,
-            self.sim_engine,
-            self.block_memo,
-            self.attribution,
-            &self.platform,
-        )
+    /// Runs one job in `mode`.
+    fn execute(&self, job: &SimJob, mode: &Mode) -> Ran {
+        let config = || {
+            crate::runner::sim_config(
+                &self.platform,
+                self.cycle_budget,
+                self.sim_engine,
+                self.block_memo,
+                self.attribution,
+            )
+        };
+        match (mode, job) {
+            (Mode::Record | Mode::RecordOnly, SimJob::Isolation { spec, core }) => {
+                match crate::runner::isolation_profile_recording(spec, *core, config()) {
+                    Ok((profile, stats, timeline)) => Ran {
+                        result: Ok(SimOutcome::Isolation(profile)),
+                        stats: Some(stats),
+                        timeline: Some(timeline),
+                        spliced: false,
+                    },
+                    Err(e) => Ran::failed(e.into()),
+                }
+            }
+            (
+                Mode::Splice(timeline),
+                SimJob::Corun {
+                    app,
+                    app_core,
+                    load,
+                    load_core,
+                },
+            ) => match crate::runner::observed_corun_spliced(
+                app,
+                *app_core,
+                load,
+                *load_core,
+                config(),
+                timeline,
+            ) {
+                Ok(run) => Ran {
+                    result: Ok(SimOutcome::Corun(run.cycles)),
+                    stats: None,
+                    timeline: None,
+                    spliced: run.spliced,
+                },
+                Err(e) => Ran::failed(e.into()),
+            },
+            _ => {
+                let (result, stats) = execute_job_with_stats(
+                    job,
+                    self.cycle_budget,
+                    self.sim_engine,
+                    self.block_memo,
+                    self.attribution,
+                    &self.platform,
+                );
+                Ran {
+                    result,
+                    stats,
+                    timeline: None,
+                    spliced: false,
+                }
+            }
+        }
     }
 
     /// Memoized single isolation run. A cache hit hashes the borrowed
@@ -823,15 +1079,50 @@ impl ExecEngine {
         Ok(out.remove(0).into_observed())
     }
 
+    /// The observed app cycles of `app` co-run against `load`, both
+    /// built on this engine's platform. The answer depends on nothing
+    /// but the two recipes, so the engine keeps it: a repeat pair
+    /// builds, hashes and simulates nothing. A first pair runs like
+    /// [`Self::corun`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates link and simulation errors (as the failing job).
+    pub fn corun_by_recipe(&self, app: Recipe, load: Recipe) -> Result<u64, JobError> {
+        let known = self.timed(|| self.coruns_lock().get(&(app, load)).copied());
+        if let Some(observed) = known {
+            return Ok(observed);
+        }
+        let job = SimJob::Corun {
+            app: app.build(&self.platform),
+            app_core: app.core(),
+            load: load.build(&self.platform),
+            load_core: load.core(),
+        };
+        let observed = self
+            .run_batch(std::slice::from_ref(&job))?
+            .remove(0)
+            .into_observed();
+        self.coruns_lock().insert((app, load), observed);
+        Ok(observed)
+    }
+
     /// Number of isolation profiles currently memoized.
     pub fn cached_profiles(&self) -> usize {
         self.cache_lock().len()
     }
 
-    /// Drops every memoized profile and recipe alias (counters are
-    /// kept).
+    /// Number of apps whose solo timeline is kept for splicing.
+    pub fn cached_timelines(&self) -> usize {
+        self.timelines_lock().len()
+    }
+
+    /// Drops every memoized profile, recipe alias, recipe co-run answer
+    /// and solo timeline (counters are kept).
     pub fn clear_cache(&self) {
         self.recipes_lock().clear();
+        self.coruns_lock().clear();
+        self.timelines_lock().clear();
         self.cache_lock().clear();
     }
 
@@ -844,6 +1135,8 @@ impl ExecEngine {
             cache_misses: self.misses.load(Ordering::Relaxed),
             wall_seconds: self.wall_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             spec_hashes: self.spec_hashes.load(Ordering::Relaxed),
+            tail_recordings: self.tail_recordings.load(Ordering::Relaxed),
+            tail_splices: self.tail_splices.load(Ordering::Relaxed),
         }
     }
 
@@ -1551,6 +1844,209 @@ mod tests {
         // A cached single isolation keys the borrowed spec once.
         engine.isolation(&app(), CoreId(1)).unwrap();
         assert_eq!(engine.report().spec_hashes, 3);
+    }
+
+    /// A short app: 290 SRI posts, four solo checkpoints.
+    fn small_app() -> TaskSpec {
+        control_loop(DeploymentScenario::LowTraffic, CoreId(1), 42)
+    }
+
+    /// A contender that ends early in the app's run: `n` LMU loads from
+    /// non-cacheable flash code.
+    fn short_load(n: u32) -> TaskSpec {
+        let prog = tc27x_sim::Program::build(|b| {
+            b.repeat(n, |b| {
+                b.load("buf", tc27x_sim::Pattern::Sequential);
+                b.compute(2);
+            });
+        });
+        TaskSpec::new(
+            format!("short-{n}"),
+            prog,
+            tc27x_sim::Placement::new(tc27x_sim::Region::Pflash0, false),
+        )
+        .with_object(tc27x_sim::DataObject::new(
+            "buf",
+            4 << 10,
+            tc27x_sim::Placement::new(tc27x_sim::Region::Lmu, false),
+        ))
+    }
+
+    /// `[app isolation, contender isolation, co-run]` with an `n`-load
+    /// contender.
+    fn sweep_row(n: u32) -> Vec<SimJob> {
+        vec![
+            SimJob::Isolation {
+                spec: small_app(),
+                core: CoreId(1),
+            },
+            SimJob::Isolation {
+                spec: short_load(n),
+                core: CoreId(2),
+            },
+            SimJob::Corun {
+                app: small_app(),
+                app_core: CoreId(1),
+                load: short_load(n),
+                load_core: CoreId(2),
+            },
+        ]
+    }
+
+    #[test]
+    fn corun_tails_splice_from_the_apps_own_isolation_run() {
+        let full = ExecEngine::sequential().with_sim_engine(Engine::Tick);
+        let engine = ExecEngine::sequential();
+        for n in [8, 30, 60] {
+            let batch = sweep_row(n);
+            assert_eq!(
+                engine.run_batch(&batch).unwrap(),
+                full.run_batch(&batch).unwrap(),
+                "{n} loads"
+            );
+        }
+        let r = engine.report();
+        // The first batch executed the app's isolation and recorded
+        // during it; later batches reuse the timeline.
+        assert_eq!((r.tail_recordings, r.tail_splices), (1, 3));
+        assert_eq!(r.simulations_run, full.report().simulations_run);
+        assert_eq!(engine.cached_timelines(), 1, "the app only, no contender");
+        assert_eq!(full.report().tail_splices, 0, "the stepper runs in full");
+        assert_eq!(full.cached_timelines(), 0);
+    }
+
+    #[test]
+    fn a_cached_app_records_its_timeline_in_one_extra_run() {
+        let engine = ExecEngine::sequential();
+        engine.isolation(&small_app(), CoreId(1)).unwrap();
+        let batch = sweep_row(30);
+        let reference = ExecEngine::sequential()
+            .with_block_memo(false)
+            .with_telemetry(Arc::new(Telemetry::new("full")))
+            .run_batch(&batch)
+            .unwrap();
+        assert_eq!(engine.run_batch(&batch).unwrap(), reference);
+        let r = engine.report();
+        assert_eq!(r.simulations_run, 3, "the recording run is not counted");
+        assert_eq!((r.tail_recordings, r.tail_splices), (1, 1));
+        assert_eq!(engine.cached_timelines(), 1);
+
+        engine.clear_cache();
+        assert_eq!(engine.cached_timelines(), 0);
+        assert_eq!(engine.run_batch(&batch).unwrap(), reference);
+        assert_eq!(
+            engine.report().tail_recordings,
+            2,
+            "cleared, so recorded again"
+        );
+    }
+
+    #[test]
+    fn corun_without_its_app_in_the_batch_runs_in_full() {
+        let engine = ExecEngine::new(2);
+        let observed = engine
+            .corun(&app(), CoreId(1), &load(LoadLevel::High), CoreId(2))
+            .unwrap();
+        let r = engine.report();
+        assert_eq!((r.tail_recordings, r.tail_splices), (0, 0));
+        assert_eq!(engine.cached_timelines(), 0);
+        assert_eq!(
+            observed,
+            crate::runner::observed_corun(&app(), CoreId(1), &load(LoadLevel::High), CoreId(2))
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn observed_engines_never_splice() {
+        let batch = sweep_row(30);
+        let reference = ExecEngine::sequential().run_batch(&batch).unwrap();
+        for engine in [
+            ExecEngine::sequential().with_telemetry(Arc::new(Telemetry::new("t"))),
+            ExecEngine::sequential().with_attribution(true),
+        ] {
+            assert_eq!(engine.run_batch(&batch).unwrap(), reference);
+            let r = engine.report();
+            assert_eq!((r.tail_recordings, r.tail_splices), (0, 0));
+            assert_eq!(engine.cached_timelines(), 0);
+        }
+    }
+
+    #[test]
+    fn spliced_cycle_budgets_fail_exactly_where_full_runs_do() {
+        let batch = sweep_row(30);
+        let outcomes = ExecEngine::sequential().run_batch(&batch).unwrap();
+        let observed = outcomes[2].clone().into_observed();
+        let show = |results: Vec<Result<SimOutcome, JobFailure>>| -> Vec<String> {
+            results
+                .into_iter()
+                .map(|r| match r {
+                    Ok(o) => format!("{o:?}"),
+                    Err(e) => e.to_string(),
+                })
+                .collect()
+        };
+        for budget in [observed - 1, observed, observed + 1] {
+            let spliced = ExecEngine::sequential().with_cycle_budget(Some(budget));
+            let full = ExecEngine::sequential()
+                .with_cycle_budget(Some(budget))
+                .with_sim_engine(Engine::Tick);
+            let got = show(spliced.run_batch_detailed(&batch));
+            assert_eq!(
+                got,
+                show(full.run_batch_detailed(&batch)),
+                "budget {budget}"
+            );
+            assert_eq!(
+                got[2].contains("cycle limit"),
+                budget <= observed,
+                "budget {budget}"
+            );
+            assert_eq!(
+                spliced.report().tail_splices,
+                u64::from(budget > observed),
+                "budget {budget}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeat_recipe_coruns_simulate_nothing() {
+        let [app, load] = [
+            Recipe::ControlLoop {
+                scenario: DeploymentScenario::LowTraffic,
+                core: CoreId(1),
+                seed: 42,
+            },
+            Recipe::Contender {
+                scenario: DeploymentScenario::LowTraffic,
+                level: LoadLevel::Low,
+                core: CoreId(2),
+                seed: 7,
+            },
+        ];
+        let engine = ExecEngine::sequential();
+        let desc = ::platform::default_platform();
+        let expected = crate::runner::observed_corun(
+            &app.build(desc),
+            app.core(),
+            &load.build(desc),
+            load.core(),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            assert_eq!(engine.corun_by_recipe(app, load).unwrap(), expected);
+        }
+        assert_eq!(engine.report().simulations_run, 1);
+
+        // Clearing drops the answer: the next call simulates again.
+        engine.clear_cache();
+        assert_eq!(engine.corun_by_recipe(app, load).unwrap(), expected);
+        assert_eq!(engine.report().simulations_run, 2);
+        // Another platform never sees this platform's answers.
+        let tdma = ExecEngine::sequential().with_platform(::platform::PlatformDesc::tc27x_tdma());
+        tdma.corun_by_recipe(app, load).unwrap();
+        assert_eq!(tdma.report().simulations_run, 1);
     }
 
     #[test]

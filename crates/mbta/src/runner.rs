@@ -2,7 +2,7 @@
 //! measurement-based timing analysis.
 
 use contention::{AccessCounts, IsolationProfile};
-use tc27x_sim::{CoreId, SimError, System, TaskSpec};
+use tc27x_sim::{CoreId, SimError, SoloTimeline, System, TaskSpec};
 
 /// Converts simulator ground truth into model-side access counts.
 pub fn to_model_counts(g: tc27x_sim::GroundTruth) -> AccessCounts {
@@ -120,19 +120,49 @@ pub(crate) fn isolation_profile_stats(
     attribution: bool,
     desc: &::platform::PlatformDesc,
 ) -> Result<(IsolationProfile, tc27x_sim::SimStats), SimError> {
-    let mut config = tc27x_sim::SimConfig::from_platform(desc)
-        .with_engine(engine)
-        .with_block_memo(block_memo)
-        .with_attribution(attribution);
-    if let Some(limit) = max_cycles {
-        config = config.with_max_cycles(limit);
-    }
+    let config = sim_config(desc, max_cycles, engine, block_memo, attribution);
     let mut sys = System::with_config(config);
     sys.load(core, spec)?;
     let out = sys.run()?;
-    let profile = IsolationProfile::new(spec.name.clone(), out.counters(core))
-        .with_ptac(to_model_counts(out.ground_truth(core)));
-    Ok((profile, sys.stats()))
+    Ok((profile_of(spec, core, &out), sys.stats()))
+}
+
+/// The configuration one engine job runs under.
+pub(crate) fn sim_config(
+    desc: &::platform::PlatformDesc,
+    max_cycles: Option<u64>,
+    engine: tc27x_sim::Engine,
+    block_memo: bool,
+    attribution: bool,
+) -> tc27x_sim::SimConfig {
+    let config = tc27x_sim::SimConfig::from_platform(desc)
+        .with_engine(engine)
+        .with_block_memo(block_memo)
+        .with_attribution(attribution);
+    match max_cycles {
+        Some(limit) => config.with_max_cycles(limit),
+        None => config,
+    }
+}
+
+/// The isolation profile of `spec` from a run's outcome.
+fn profile_of(spec: &TaskSpec, core: CoreId, out: &tc27x_sim::RunOutcome) -> IsolationProfile {
+    IsolationProfile::new(spec.name.clone(), out.counters(core))
+        .with_ptac(to_model_counts(out.ground_truth(core)))
+}
+
+/// [`isolation_profile_stats`] under `config` that also records the
+/// task's solo timeline ([`System::run_solo`]), for co-runs of the same
+/// task to splice their contender-free tail from.
+pub(crate) fn isolation_profile_recording(
+    spec: &TaskSpec,
+    core: CoreId,
+    config: tc27x_sim::SimConfig,
+) -> Result<(IsolationProfile, tc27x_sim::SimStats, SoloTimeline), SimError> {
+    let mut sys = System::with_config(config);
+    sys.load(core, spec)?;
+    let (out, timeline) = sys.run_solo()?;
+    Ok((profile_of(spec, core, &out), sys.stats(), timeline))
 }
 
 /// A high-water-mark measurement campaign: the task is run `runs` times
@@ -332,18 +362,30 @@ pub(crate) fn observed_corun_stats(
     attribution: bool,
     desc: &::platform::PlatformDesc,
 ) -> Result<(u64, tc27x_sim::SimStats), SimError> {
-    let mut config = tc27x_sim::SimConfig::from_platform(desc)
-        .with_engine(engine)
-        .with_block_memo(block_memo)
-        .with_attribution(attribution);
-    if let Some(limit) = max_cycles {
-        config = config.with_max_cycles(limit);
-    }
+    let config = sim_config(desc, max_cycles, engine, block_memo, attribution);
     let mut sys = System::with_config(config);
     sys.load(app_core, app)?;
     sys.load(load_core, load)?;
     let out = sys.run_until(app_core)?;
     Ok((out.counters(app_core).ccnt, sys.stats()))
+}
+
+/// The observed app CCNT of a co-run under `config`, its
+/// contender-free tail spliced from the app's solo `timeline`
+/// ([`System::run_until_spliced`]): the value and any cycle-limit error
+/// are those of [`observed_corun_stats`], and no statistics exist.
+pub(crate) fn observed_corun_spliced(
+    app: &TaskSpec,
+    app_core: CoreId,
+    load: &TaskSpec,
+    load_core: CoreId,
+    config: tc27x_sim::SimConfig,
+    timeline: &SoloTimeline,
+) -> Result<tc27x_sim::SplicedRun, SimError> {
+    let mut sys = System::with_config(config);
+    sys.load(app_core, app)?;
+    sys.load(load_core, load)?;
+    sys.run_until_spliced(app_core, timeline)
 }
 
 #[cfg(test)]

@@ -307,8 +307,9 @@ impl Telemetry {
 
     /// Folds the engine report in: cache and simulation counts are
     /// deterministic; the spec-hash count depends on how concurrent
-    /// lookups interleave, and worker count and wall-clock go to the
-    /// profile record.
+    /// lookups interleave, the solo-tail counts on whether the engine
+    /// observes per-job statistics, and worker count and wall-clock go
+    /// to the profile record.
     pub fn record_engine(&self, report: &EngineReport) {
         let mut inner = lock(&self.inner);
         inner.det.add("exec.cache_hits", report.cache_hits);
@@ -317,6 +318,10 @@ impl Telemetry {
             .det
             .add("exec.simulations_run", report.simulations_run);
         inner.nondet.add("exec.spec_hashes", report.spec_hashes);
+        inner
+            .nondet
+            .add("exec.tail_recordings", report.tail_recordings);
+        inner.nondet.add("exec.tail_splices", report.tail_splices);
         inner
             .profile
             .push(("jobs".to_string(), Val::U64(report.jobs as u64)));
@@ -666,6 +671,8 @@ mod tests {
             cache_misses: 2,
             wall_seconds: 0.5,
             spec_hashes: 3,
+            tail_recordings: 1,
+            tail_splices: 2,
         });
         let jsonl = t.render(Format::Jsonl);
         for line in jsonl.lines().filter(|l| l.contains("\"det\":true")) {
@@ -678,9 +685,15 @@ mod tests {
                 !line.contains("spec_hashes"),
                 "det record leaks the hash count: {line}"
             );
+            assert!(
+                !line.contains("tail_"),
+                "det record leaks a tail count: {line}"
+            );
         }
         assert!(jsonl.contains("\"wall_seconds\":0.5"));
         assert_eq!(t.nondet_counter("exec.spec_hashes"), 3);
+        assert_eq!(t.nondet_counter("exec.tail_recordings"), 1);
+        assert_eq!(t.nondet_counter("exec.tail_splices"), 2);
     }
 
     #[test]

@@ -258,16 +258,10 @@ impl<'e> QueryEngine<'e> {
         let ftc = FtcModel::new(&self.platform)
             .wcet_estimate(&va, &[&vb])
             .map_err(|e| format!("fTC model failed: {e}"))?;
-        let desc = self.engine.platform();
         let [app_recipe, load_recipe] = self.recipes(scenario, level);
         let observed = self
             .engine
-            .corun(
-                &app_recipe.build(desc),
-                app_recipe.core(),
-                &load_recipe.build(desc),
-                load_recipe.core(),
-            )
+            .corun_by_recipe(app_recipe, load_recipe)
             .map_err(|e| format!("co-run failed: {e}"))?;
         let iso = app.counters().ccnt;
         let bound = iso + evaluated.bound.delta_cycles;
@@ -488,5 +482,45 @@ mod tests {
             .unwrap();
         assert!(a.body.contains("\"sound\":true"));
         assert!(a.body.contains("\"observed_ratio\":"));
+    }
+
+    #[test]
+    fn repeat_sweeps_simulate_nothing_and_answer_identically() {
+        let e = engine();
+        let qe = QueryEngine::new(&e, QueryOptions::default());
+        let sweep = |budget| {
+            req(
+                QueryKind::Sweep {
+                    scenario: DeploymentScenario::LowTraffic,
+                    level: LoadLevel::Low,
+                },
+                budget,
+            )
+        };
+        let first = qe.answer(&sweep(None)).unwrap();
+        let runs = e.report().simulations_run;
+        assert_eq!(runs, 3, "two isolations and the co-run");
+
+        // A fresh budget makes a fresh request, not a fresh co-run.
+        for budget in [None, Some(64), Some(4096)] {
+            let again = qe.answer(&sweep(budget)).unwrap();
+            assert_eq!(again.profiles, first.profiles);
+            if budget.is_none() {
+                assert_eq!(again.body, first.body);
+            }
+        }
+        assert_eq!(e.report().simulations_run, runs);
+
+        // The body is the one a fresh engine computes.
+        let fresh = engine();
+        let reference = QueryEngine::new(&fresh, QueryOptions::default())
+            .answer(&sweep(None))
+            .unwrap();
+        assert_eq!(reference.body, first.body);
+
+        // After clear_cache the co-run simulates again, same answer.
+        e.clear_cache();
+        assert_eq!(qe.answer(&sweep(None)).unwrap().body, first.body);
+        assert_eq!(e.report().simulations_run, 2 * runs);
     }
 }

@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 
 /// One SRI operation of a (possibly multi-part) memory transaction, e.g.
 /// a dirty miss = write-back followed by a line fill.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct ChainOp {
     target: Target,
     class: Operation,
@@ -77,6 +77,34 @@ pub(crate) enum State {
     },
     /// Task finished.
     Done,
+}
+
+/// A live core's [`State`] with every absolute cycle made relative to
+/// `now`: what the core's own timing future depends on, whatever cycle
+/// it is reached at (see [`crate::solo`]). A pending chain holds at most
+/// one further op (a write-back's line fill).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum RelState {
+    /// [`State::Ready`].
+    Ready,
+    /// [`State::Blocked`], `left` cycles before `until` (0 once expired:
+    /// an expired window processes at the next step like any other).
+    Blocked { left: u64 },
+    /// [`State::WaitGrant`], posted `age` cycles ago.
+    WaitGrant {
+        age: u64,
+        hide: u32,
+        class: Operation,
+        target: Target,
+        rest: Option<ChainOp>,
+        after: AfterChain,
+    },
+    /// [`State::PostNext`], `left` cycles before `at`.
+    PostNext {
+        left: u64,
+        next: ChainOp,
+        after: AfterChain,
+    },
 }
 
 /// A core with a loaded task.
@@ -305,6 +333,53 @@ impl CorePipeline {
     /// needing the trait in scope.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         crate::engine::EventSource::next_event(self, now)
+    }
+
+    /// SRI transactions this core has posted so far.
+    pub(crate) fn posts(&self) -> u64 {
+        self.truth.total()
+    }
+
+    /// Remaining SRI quota (`None` without enforcement).
+    pub(crate) fn quota_left(&self) -> Option<u64> {
+        self.quota_left
+    }
+
+    /// The core's state relative to `now` ([`RelState`]); `None` for a
+    /// finished core or a chain longer than one further op.
+    pub(crate) fn relative(&self, now: u64) -> Option<RelState> {
+        let single = |rest: &VecDeque<ChainOp>| match rest.len() {
+            0 => Some(None),
+            1 => Some(rest.front().copied()),
+            _ => None,
+        };
+        Some(match &self.state {
+            State::Done => return None,
+            State::Ready => RelState::Ready,
+            State::Blocked { until } => RelState::Blocked {
+                left: until.saturating_sub(now),
+            },
+            State::WaitGrant {
+                issued,
+                hide,
+                class,
+                target,
+                rest,
+                after,
+            } => RelState::WaitGrant {
+                age: now - issued,
+                hide: *hide,
+                class: *class,
+                target: *target,
+                rest: single(rest)?,
+                after: *after,
+            },
+            State::PostNext { at, rest, after } => RelState::PostNext {
+                left: at.saturating_sub(now),
+                next: single(rest)??,
+                after: *after,
+            },
+        })
     }
 
     fn post_chain_op(

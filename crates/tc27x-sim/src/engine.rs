@@ -105,6 +105,23 @@ pub trait EventSource {
     fn next_event(&self, now: u64) -> Option<u64>;
 }
 
+/// A hook the event kernel calls at the loop head after every executed
+/// cycle (never after a fast-forward or a memo warp, which post
+/// nothing). Returning `Some(cycles)` ends the run early with that
+/// answer ([`crate::solo`]'s splice). The `()` observer of ordinary runs
+/// compiles away.
+pub(crate) trait StepObserver {
+    /// Inspects `sys` right after an executed cycle.
+    fn after_step(&mut self, sys: &System) -> Option<u64>;
+}
+
+impl StepObserver for () {
+    #[inline(always)]
+    fn after_step(&mut self, _sys: &System) -> Option<u64> {
+        None
+    }
+}
+
 /// Number of claim slots: one per core, plus the SRI arbiter.
 const RANKS: usize = CoreId::COUNT + 1;
 
@@ -155,11 +172,13 @@ fn advance_idle(sys: &mut System, delta: u64) {
 
 /// Runs `sys` to the predicate on the event kernel. Mirrors
 /// [`crate::reference::run_tick`] decision for decision; see the module
-/// docs for why the two are bit-identical.
+/// docs for why the two are bit-identical. `Ok(Some(cycles))` means
+/// `observer` ended the run early with that answer.
 pub(crate) fn run_event(
     sys: &mut System,
     keep_going: impl Fn(&[Option<CorePipeline>]) -> bool,
-) -> Result<(), SimError> {
+    observer: &mut impl StepObserver,
+) -> Result<Option<u64>, SimError> {
     let limit = sys.config.max_cycles;
     let mut queue = EventQueue::new();
     // Per-core block-memo tables, private to this run. The reference
@@ -175,7 +194,7 @@ pub(crate) fn run_event(
     };
     loop {
         if !keep_going(&sys.cores) {
-            return Ok(());
+            return Ok(None);
         }
         if sys.now >= limit {
             return Err(SimError::CycleLimit { limit });
@@ -276,6 +295,9 @@ pub(crate) fn run_event(
             }
         }
         sys.now = now + 1; // tick-loop-ok: the one-cycle execute step
+        if let Some(cycles) = observer.after_step(sys) {
+            return Ok(Some(cycles));
+        }
     }
 }
 

@@ -69,6 +69,7 @@ pub mod memo;
 pub mod program;
 pub mod reference;
 pub mod rng;
+pub mod solo;
 pub mod sri;
 pub mod system;
 pub mod trace;
@@ -83,8 +84,9 @@ pub use layout::{CodeSegment, DataObject, DeploymentScenario, LayoutError, Place
 pub use linker::{Linker, TaskImage};
 pub use platform::{DebugCounters, Operation, Target};
 pub use program::{Op, Pattern, Program, ProgramBuilder};
+pub use solo::SoloTimeline;
 pub use sri::{Arbiter, FixedPriority, PriorityRoundRobin, Sri, SriRequest, Tdma};
-pub use system::{RunOutcome, SimError, System};
+pub use system::{RunOutcome, SimError, SplicedRun, System};
 pub use trace::{Trace, TraceKind, TraceRecord};
 
 #[cfg(test)]

@@ -245,6 +245,15 @@ impl SlaveArbiter {
         }
     }
 
+    /// The schedule period for TDMA (`slot_len × cores`): grants depend
+    /// on `now` modulo it. `None` for policies blind to absolute time.
+    fn period(&self) -> Option<u64> {
+        match self {
+            SlaveArbiter::Tdma(t) => Some(t.slot_len * t.cores),
+            SlaveArbiter::Prr(_) | SlaveArbiter::Fp(_) => None,
+        }
+    }
+
     fn as_arbiter(&self) -> &dyn Arbiter {
         match self {
             SlaveArbiter::Prr(a) => a,
@@ -268,6 +277,23 @@ struct Slave {
     queue_delay: u64,
     /// Distribution of per-grant queueing delays, for telemetry.
     delay_hist: obs::Hist,
+}
+
+/// The crossbar relative to `now`, as one core's timing future sees it
+/// when it is the only core still running (see [`crate::solo`]).
+///
+/// The round-robin pointers are left out on purpose: with one poster,
+/// every queue holds at most that core's request, and each policy
+/// grants it whichever core the pointer names.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct RelSri {
+    /// Cycles until each slave frees (0 once free: a slave that freed
+    /// earlier behaves exactly like one freeing now).
+    busy_in: [u32; Target::COUNT],
+    /// The one queued request: slave index, service, age, class.
+    pending: Option<(u8, u32, u32, Operation)>,
+    /// `now` modulo each TDMA slave's period (0 for other policies).
+    phase: [u32; Target::COUNT],
 }
 
 /// Completion notice the SRI hands back to a core.
@@ -465,6 +491,32 @@ impl Sri {
         self.slaves
             .iter()
             .any(|s| s.queue.iter().any(|p| p.core == core))
+    }
+
+    /// The crossbar relative to `now` ([`RelSri`]); `None` when a queue
+    /// holds a request of a core other than `core`, or a span does not
+    /// fit the compact form.
+    pub(crate) fn relative(&self, now: u64, core: CoreId) -> Option<RelSri> {
+        let mut rel = RelSri {
+            busy_in: [0; Target::COUNT],
+            pending: None,
+            phase: [0; Target::COUNT],
+        };
+        for (i, (slave, arbiter)) in self.slaves.iter().zip(&self.arbiters).enumerate() {
+            rel.busy_in[i] = u32::try_from(slave.busy_until.saturating_sub(now)).ok()?;
+            if let Some(period) = arbiter.period() {
+                rel.phase[i] = u32::try_from(now % period).ok()?;
+            }
+            for p in &slave.queue {
+                // A core has at most one transaction in flight.
+                if p.core != core || rel.pending.is_some() {
+                    return None;
+                }
+                let age = u32::try_from(now - p.posted_at).ok()?;
+                rel.pending = Some((i as u8, p.service, age, p.class));
+            }
+        }
+        Some(rel)
     }
 
     /// Returns `true` if no slave has queued or in-flight work at `now`.

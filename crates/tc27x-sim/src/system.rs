@@ -39,8 +39,10 @@ use crate::config::SimConfig;
 use crate::core_pipeline::CorePipeline;
 use crate::counters::{GroundTruth, KernelStats, SimStats};
 use crate::engine::Engine;
+use crate::engine::StepObserver;
 use crate::layout::{LayoutError, TaskSpec};
 use crate::linker::Linker;
+use crate::solo::{Recorder, SoloTimeline, Splicer};
 use crate::sri::Sri;
 use crate::DebugCounters;
 use std::error::Error;
@@ -120,6 +122,15 @@ impl RunOutcome {
     }
 }
 
+/// The observed CCNT of [`System::run_until_spliced`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SplicedRun {
+    /// CCNT of the observed core's task.
+    pub cycles: u64,
+    /// Whether the solo tail was computed rather than simulated.
+    pub spliced: bool,
+}
+
 /// Errors from driving the system.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -152,6 +163,11 @@ pub enum SimError {
     },
     /// `run` was called with no tasks loaded.
     NothingLoaded,
+    /// [`System::run_solo`] was called with several tasks loaded.
+    NotSolo {
+        /// Tasks loaded.
+        loaded: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -169,6 +185,9 @@ impl fmt::Display for SimError {
                 write!(f, "slave {target} does not exist on this platform")
             }
             SimError::NothingLoaded => write!(f, "no tasks loaded"),
+            SimError::NotSolo { loaded } => {
+                write!(f, "a solo run needs exactly one task ({loaded} loaded)")
+            }
         }
     }
 }
@@ -287,7 +306,7 @@ impl System {
     /// [`SimError::NothingLoaded`] with no tasks,
     /// [`SimError::CycleLimit`] if the run exceeds the configured cap.
     pub fn run(&mut self) -> Result<RunOutcome, SimError> {
-        self.run_while(|cores| cores.iter().flatten().any(|c| !c.is_done()))
+        self.run_while(any_unfinished)
     }
 
     /// Runs until the task on `observed` finishes; other cores keep
@@ -302,25 +321,102 @@ impl System {
         if self.cores[observed.index()].is_none() {
             return Err(SimError::NothingLoaded);
         }
-        self.run_while(move |cores| {
-            cores[observed.index()]
-                .as_ref()
-                .is_some_and(|c| !c.is_done())
-        })
+        self.run_while(unfinished(observed))
+    }
+
+    /// Runs the one loaded task to completion, exactly like
+    /// [`System::run`], and records its solo timeline for
+    /// [`System::run_until_spliced`]. The reference stepper records no
+    /// checkpoints, so its timeline never splices.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NotSolo`] unless exactly one task is loaded, plus
+    /// those of [`System::run`].
+    pub fn run_solo(&mut self) -> Result<(RunOutcome, SoloTimeline), SimError> {
+        let loaded: Vec<CoreId> = self.cores.iter().flatten().map(CorePipeline::id).collect();
+        let &[core] = loaded.as_slice() else {
+            return Err(match loaded.len() {
+                0 => SimError::NothingLoaded,
+                n => SimError::NotSolo { loaded: n },
+            });
+        };
+        let mut recorder = Recorder::new(core);
+        self.drive(any_unfinished, &mut recorder)?;
+        let outcome = self.outcome();
+        let timeline = recorder.finish(self.now, outcome.execution_time(core));
+        Ok((outcome, timeline))
+    }
+
+    /// Runs until the task on `observed` finishes, like
+    /// [`System::run_until`], and returns its CCNT. When `timeline` is
+    /// that task's solo timeline on this configuration, the run stops
+    /// at the first checkpoint where `observed` runs alone in its
+    /// recorded state and computes the rest ([`crate::solo`]); the
+    /// answer and any [`SimError::CycleLimit`] are exactly those of the
+    /// full run. The system is consumed because a spliced run leaves no
+    /// complete counters, statistics or trace behind. Traced or
+    /// attributed configurations and the reference stepper always run
+    /// in full.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`System::run_until`].
+    pub fn run_until_spliced(
+        mut self,
+        observed: CoreId,
+        timeline: &SoloTimeline,
+    ) -> Result<SplicedRun, SimError> {
+        let Some(core) = self.cores[observed.index()].as_ref() else {
+            return Err(SimError::NothingLoaded);
+        };
+        let keep_going = unfinished(observed);
+        let splice = self.config.engine == Engine::Event
+            && self.config.trace_capacity == 0
+            && !self.config.attribution
+            && timeline.core() == core.id();
+        let ended = if splice {
+            self.drive(keep_going, &mut Splicer::new(timeline))?
+        } else {
+            self.drive(keep_going, &mut ())?
+        };
+        match ended {
+            Some(end) if end > self.config.max_cycles => Err(SimError::CycleLimit {
+                limit: self.config.max_cycles,
+            }),
+            Some(end) => Ok(SplicedRun {
+                cycles: timeline.ccnt_at(end),
+                spliced: true,
+            }),
+            None => Ok(SplicedRun {
+                cycles: self.outcome().execution_time(observed),
+                spliced: false,
+            }),
+        }
     }
 
     fn run_while(
         &mut self,
         keep_going: impl Fn(&[Option<CorePipeline>]) -> bool,
     ) -> Result<RunOutcome, SimError> {
+        self.drive(keep_going, &mut ())?;
+        Ok(self.outcome())
+    }
+
+    /// Runs to the predicate on the configured kernel, `observer`
+    /// watching the event kernel; `Ok(Some(_))` is its early answer.
+    fn drive(
+        &mut self,
+        keep_going: impl Fn(&[Option<CorePipeline>]) -> bool,
+        observer: &mut impl StepObserver,
+    ) -> Result<Option<u64>, SimError> {
         if self.cores.iter().all(Option::is_none) {
             return Err(SimError::NothingLoaded);
         }
         match self.config.engine {
-            Engine::Tick => crate::reference::run_tick(self, &keep_going)?,
-            Engine::Event => crate::engine::run_event(self, &keep_going)?,
+            Engine::Tick => crate::reference::run_tick(self, &keep_going).map(|()| None),
+            Engine::Event => crate::engine::run_event(self, keep_going, observer),
         }
-        Ok(self.outcome())
     }
 
     /// Post-run statistics snapshot for the telemetry layer: per-slave
@@ -355,6 +451,21 @@ impl System {
                 })
                 .collect(),
         }
+    }
+}
+
+/// [`System::run`]'s predicate: some loaded task has not finished.
+fn any_unfinished(cores: &[Option<CorePipeline>]) -> bool {
+    cores.iter().flatten().any(|c| !c.is_done())
+}
+
+/// [`System::run_until`]'s predicate: the task on `observed` has not
+/// finished.
+fn unfinished(observed: CoreId) -> impl Fn(&[Option<CorePipeline>]) -> bool {
+    move |cores| {
+        cores[observed.index()]
+            .as_ref()
+            .is_some_and(|c| !c.is_done())
     }
 }
 
