@@ -148,6 +148,18 @@ stage_golden() {
     grep -q "torn trailing record truncated" "$SMOKE_DIR/resume.log" \
         || { echo "torn-record truncation was not reported"; cat "$SMOKE_DIR/resume.log"; exit 1; }
 
+    echo "==> legacy journal resume (committed torn mbta-journal v1 fixture)"
+    # A journal written before campaign outcomes became a record-log
+    # namespace, torn the same way: it must still resume to the golden
+    # capture. Resume truncates in place, so it runs on a scratch copy.
+    cp crates/mbta/tests/fixtures/sweep_sc2_v1_torn.journal "$SMOKE_DIR/legacy.journal"
+    "$SWEEP" --scenario sc2 --jobs 1 --resume "$SMOKE_DIR/legacy.journal" \
+        > "$SMOKE_DIR/legacy.csv" 2> "$SMOKE_DIR/legacy.log"
+    diff -u crates/bench/tests/golden/sweep_sc2.csv "$SMOKE_DIR/legacy.csv" \
+        || { echo "resumed legacy journal diverged from the golden capture"; exit 1; }
+    grep -q "torn trailing record truncated" "$SMOKE_DIR/legacy.log" \
+        || { echo "legacy torn-record truncation was not reported"; cat "$SMOKE_DIR/legacy.log"; exit 1; }
+
     echo "==> golden sweep under the tick stepper and with the memo disabled"
     # The golden CSV was captured under the default (event, memoized)
     # configuration; the reference stepper and the memo-free event

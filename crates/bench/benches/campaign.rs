@@ -4,7 +4,8 @@
 //! append throughput. Writes `BENCH_campaign.json` at the repo root.
 
 use contention_bench::harness::{Harness, MetaEnvelope};
-use mbta::{BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, Journal, SimJob, SimOutcome};
+use mbta::store::CAMPAIGN_NAMESPACE;
+use mbta::{BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, SimJob, Store};
 use std::hint::black_box;
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
@@ -92,14 +93,16 @@ fn main() {
         black_box(campaign.run_batch_detailed(&batch))
     });
 
-    // Raw journal throughput: 64 fsync'd co-run records per call.
+    // Raw journal throughput: 64 fsync'd co-run records per call, in
+    // the shape a campaign appends them.
     let append_path = tmp("append");
     h.throughput_elements(64)
         .bench("journal_append_64_records", || {
-            let journal = Journal::create(&append_path, 0xfeed).expect("create journal");
+            let journal =
+                Store::create(&append_path, CAMPAIGN_NAMESPACE, 0xfeed).expect("create journal");
             for key in 0..64u64 {
                 journal
-                    .append(key, 0, &Ok(SimOutcome::Corun(key * 1_000)))
+                    .put(key, &format!("0 ok corun {}", key * 1_000))
                     .expect("append record");
             }
             black_box(())

@@ -376,7 +376,8 @@ pub fn panel_fallback_report<R: BatchRunner + ?Sized>(
     let desc = engine.platform();
     let platform = Platform::from_desc(desc);
     let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app = engine.isolation(&workloads::control_loop(scenario, app_core, seed), app_core)?;
+    let app_spec = workloads::control_loop_on(desc, scenario, app_core, seed);
+    let app = engine.isolation(&app_spec, app_core)?;
 
     let mut options = EvalOptions::for_scenario(mbta::constraints_for(scenario));
     if let Some(budget) = node_budget {
@@ -386,8 +387,8 @@ pub fn panel_fallback_report<R: BatchRunner + ?Sized>(
 
     let mut report = FallbackReport::default();
     for level in LoadLevel::all() {
-        let spec =
-            workloads::contender(scenario, level, load_core, seed.wrapping_add(level as u64));
+        let load_seed = seed.wrapping_add(level as u64);
+        let spec = workloads::contender_on(desc, scenario, level, load_core, load_seed);
         let label = format!("solve:{}", spec.name);
         let load = engine.isolation(&spec, load_core)?;
         let evaluated = evaluator.bound(&app, &load)?;

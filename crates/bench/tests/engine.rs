@@ -8,7 +8,7 @@ use contention::Platform;
 use contention_bench::sweep_csv;
 use mbta::{figure4_panel_with, ExecEngine, Telemetry};
 use std::sync::Arc;
-use tc27x_sim::{DeploymentScenario, Engine, Target};
+use tc27x_sim::{DeploymentScenario, Engine};
 
 #[test]
 fn sweep_csv_is_byte_identical_across_worker_counts() {
@@ -59,7 +59,8 @@ const FIGURE4: DeploymentScenario = DeploymentScenario::Scenario2;
 
 /// The scenario each platform's sweep can run: the sweep builds the
 /// tc27x `control_loop`, whose Scenario 1 and 2 need a second flash
-/// bank `ahb2` lacks (so do figure4's contenders, in every scenario).
+/// bank `ahb2` lacks. figure4 builds its tasks for the engine's
+/// platform, so its panel runs everywhere.
 fn scenario_on(name: &str) -> DeploymentScenario {
     match name {
         "ahb2" => DeploymentScenario::LowTraffic,
@@ -78,16 +79,14 @@ fn spliced_runs_match_full_runs_on(name: &str) {
     for full in [&telemetry, &tick] {
         assert_eq!(sweep_csv(full, scenario).unwrap(), sweep, "{name}");
     }
-    if desc.slave(Target::Pf1.index()).present {
-        let observed = |engine: &ExecEngine| {
-            let panel = figure4_panel_with(engine, FIGURE4, &platform, 42).unwrap();
-            let cycles: Vec<u64> = panel.cells.iter().map(|c| c.observed_cycles).collect();
-            (*panel.app.counters(), cycles)
-        };
-        let want = observed(&spliced);
-        assert_eq!(observed(&telemetry), want, "{name}");
-        assert_eq!(observed(&tick), want, "{name}");
-    }
+    let observed = |engine: &ExecEngine| {
+        let panel = figure4_panel_with(engine, FIGURE4, &platform, 42).unwrap();
+        let cycles: Vec<u64> = panel.cells.iter().map(|c| c.observed_cycles).collect();
+        (*panel.app.counters(), cycles)
+    };
+    let want = observed(&spliced);
+    assert_eq!(observed(&telemetry), want, "{name}");
+    assert_eq!(observed(&tick), want, "{name}");
     // The Scenario 1 sweeps' eleven co-runs splice. The low-traffic
     // app ends before any contender, and figure4's contenders run
     // as long as the app, so those co-runs need not.

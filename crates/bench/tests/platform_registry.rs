@@ -39,7 +39,9 @@ fn every_builtin_platform_produces_strictly_valid_profiles() {
         // feasible on all of them.
         let core = CoreId(desc.app_core as u8);
         let app = workloads::control_loop(DeploymentScenario::LowTraffic, core, 7);
-        let profile = mbta::isolation_profile_for(&app, core, &desc)
+        let profile = mbta::ExecEngine::sequential()
+            .with_platform(desc.clone())
+            .isolation(&app, core)
             .unwrap_or_else(|e| panic!("{name}: isolation run failed: {e}"));
         let report = validator.check(&profile);
         assert!(

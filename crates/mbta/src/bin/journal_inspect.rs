@@ -1,5 +1,5 @@
-//! `journal-inspect` — lenient record-by-record dump of `mbta::journal`
-//! and `mbta::store` files for chaos triage.
+//! `journal-inspect` — lenient record-by-record dump of `mbta::store`
+//! record logs (campaign journals included) for chaos triage.
 //!
 //! ```text
 //! journal-inspect [--summary] FILE...
@@ -9,9 +9,10 @@
 //! torn-tail position or interior-corruption flag), then — with
 //! `--summary` — a counts line (data-record count, CRC-ok ratio in
 //! permille, torn-tail byte offset), otherwise one line per record
-//! with byte offset, length, CRC status, key and body. Unlike `Journal::resume`/`Store::open` this
-//! never modifies the file and never stops at the first problem, so a
-//! file the recovery path refuses can still be examined.
+//! with byte offset, length, CRC status, key and body. Unlike
+//! `Store::open`, which reads through the same scanner, this never
+//! modifies the file and never stops at the first problem, so a file
+//! the recovery path refuses can still be examined.
 //!
 //! Exit status: 0 when every file is clean, 1 when any file has a torn
 //! tail or interior corruption, 2 on usage or I/O errors.

@@ -5,9 +5,10 @@
 //! evaluation sweep needs to survive the real world:
 //!
 //! * **a write-ahead journal** ([`crate::journal`]): every completed
-//!   job — success or failure — is appended and fsync'd before the
-//!   campaign moves on, keyed by the job's stable FNV key
-//!   ([`crate::job_key`]) under a config fingerprint;
+//!   job — success or failure — is appended to a [`Store`] in the
+//!   campaign namespace and fsync'd before the campaign moves on, keyed
+//!   by the job's stable FNV key ([`crate::job_key`]) under a config
+//!   fingerprint;
 //! * **resume**: opening an existing journal replays completed jobs
 //!   from disk and re-executes only missing or failed ones. Because
 //!   every job is a pure function of its spec and results merge by
@@ -39,9 +40,10 @@ use crate::exec::{
     execute_job_budgeted, job_key_on, panic_message, BatchRunner, ExecEngine, JobFailure, SimJob,
     SimOutcome,
 };
-use crate::journal::{Journal, JournalEntry, JournalError, JournaledOutcome, RecoveryReport};
+use crate::journal::{failure_kind, parse_record, render_record, JournaledOutcome};
 use crate::pool;
 use crate::retry::{classify, fold_seed, FailureClass, RetryPolicy};
+use crate::store::{JournalError, Store, StoreRecovery, CAMPAIGN_NAMESPACE};
 use obs::Fnv;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
@@ -228,7 +230,7 @@ pub struct CampaignStats {
 pub struct CampaignRunner<'e> {
     engine: &'e ExecEngine,
     config: CampaignConfig,
-    journal: Option<Journal>,
+    journal: Option<Store>,
     /// Completed outcomes by job key — journal replays plus everything
     /// finished this run. This is what makes resume O(missing jobs).
     replay: Mutex<HashMap<u64, SimOutcome>>,
@@ -285,25 +287,26 @@ impl<'e> CampaignRunner<'e> {
         path: &Path,
     ) -> Result<Self, JournalError> {
         let fp = config.fingerprint(engine.cycle_budget(), engine.platform());
-        let journal = Journal::create(path, fp)?;
+        let journal = Store::create(path, CAMPAIGN_NAMESPACE, fp)?;
         let mut runner = CampaignRunner::new(engine, config);
         runner.journal = Some(journal);
         Ok(runner)
     }
 
-    /// A journaled campaign over an already constructed [`Journal`] —
-    /// pairs with [`Journal::with_sink`] so tests can drive the
-    /// journal's write/fsync error paths through a fallible sink. The
-    /// caller owns fingerprint consistency (a sink-backed journal was
-    /// never read back, so there is nothing to validate).
-    pub fn with_journal(engine: &'e ExecEngine, config: CampaignConfig, journal: Journal) -> Self {
+    /// A journaled campaign over an already constructed campaign-namespace
+    /// [`Store`] — pairs with [`Store::with_sink`] so tests can drive
+    /// the journal's write/fsync error paths through a fallible sink.
+    /// The caller owns namespace and fingerprint consistency (a
+    /// sink-backed journal was never read back, so there is nothing to
+    /// validate).
+    pub fn with_journal(engine: &'e ExecEngine, config: CampaignConfig, journal: Store) -> Self {
         let mut runner = CampaignRunner::new(engine, config);
         runner.journal = Some(journal);
         runner
     }
 
     /// The fingerprint a journal written under this campaign's
-    /// configuration carries — what [`Journal::with_sink`] callers pair
+    /// configuration carries — what [`Store::with_sink`] callers pair
     /// with [`Self::with_journal`].
     pub fn config_fingerprint(&self) -> u64 {
         self.config
@@ -312,7 +315,7 @@ impl<'e> CampaignRunner<'e> {
 
     /// Resumes a journaled campaign from `path`: recovers every intact
     /// record (truncating a torn trailing record with a warning in the
-    /// [`RecoveryReport`]), replays completed jobs into the runner and
+    /// [`StoreRecovery`]), replays completed jobs into the runner and
     /// primes the engine's memo cache as those jobs are re-requested.
     /// Journaled failures are *not* replayed — the jobs re-execute,
     /// deterministically reproducing the original outcome (or
@@ -322,26 +325,27 @@ impl<'e> CampaignRunner<'e> {
     ///
     /// [`JournalError::ConfigMismatch`] when the journal belongs to a
     /// differently configured campaign, plus all recovery errors of
-    /// [`Journal::resume`].
+    /// [`Store::open`]. Journals written under the legacy
+    /// `mbta-journal v1` header resume too.
     pub fn resumed(
         engine: &'e ExecEngine,
         config: CampaignConfig,
         path: &Path,
-    ) -> Result<(Self, RecoveryReport), JournalError> {
+    ) -> Result<(Self, StoreRecovery), JournalError> {
         let fp = config.fingerprint(engine.cycle_budget(), engine.platform());
-        let (journal, entries, report) = Journal::resume(path, fp)?;
+        let (journal, outcomes, report) =
+            Store::open_with(path, CAMPAIGN_NAMESPACE, fp, |value| parse_record(&value))?;
         let mut runner = CampaignRunner::new(engine, config);
         runner.journal = Some(journal);
-        {
-            let mut replay = lock(&runner.replay);
-            for JournalEntry { key, outcome, .. } in entries {
-                // Later records win: a retry that eventually succeeded
-                // leaves its success as the key's final word.
-                if let JournaledOutcome::Success(o) = outcome {
-                    replay.insert(key, o);
-                }
-            }
-        }
+        // The last record of each key wins: a retry that eventually
+        // succeeded leaves its success as the key's final word.
+        *lock(&runner.replay) = outcomes
+            .into_iter()
+            .filter_map(|(key, (_, outcome))| match outcome {
+                JournaledOutcome::Success(o) => Some((key, o)),
+                JournaledOutcome::Failure { .. } => None,
+            })
+            .collect();
         Ok((runner, report))
     }
 
@@ -382,7 +386,7 @@ impl<'e> CampaignRunner<'e> {
         result: &Result<SimOutcome, JobFailure>,
     ) -> Option<JobFailure> {
         let journal = self.journal.as_ref()?;
-        let Err(e) = journal.append(key, attempt, result) else {
+        let Err(e) = journal.put(key, &render_record(attempt, result)) else {
             return None;
         };
         self.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -493,7 +497,7 @@ impl<'e> CampaignRunner<'e> {
                             key,
                             label: describe(job),
                             attempts: attempt + 1,
-                            kind: crate::journal::failure_kind(&failure).to_string(),
+                            kind: failure_kind(&failure).to_string(),
                             failure: failure.to_string(),
                         },
                     );

@@ -9,7 +9,7 @@ use contention::{
 use std::error::Error;
 use std::fmt;
 use tc27x_sim::{CoreId, DeploymentScenario, SimError};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender, contender_on, control_loop, control_loop_on, LoadLevel};
 
 /// Errors from running an experiment.
 #[derive(Debug)]
@@ -153,14 +153,15 @@ pub fn figure4_panel_with<R: BatchRunner + ?Sized>(
 ) -> Result<Figure4Panel, ExperimentError> {
     let desc = engine.platform();
     let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app_spec = control_loop(scenario, app_core, seed);
+    let app_spec = control_loop_on(desc, scenario, app_core, seed);
 
     let mut batch = vec![SimJob::Isolation {
         spec: app_spec.clone(),
         core: app_core,
     }];
     for level in LoadLevel::all() {
-        let load_spec = contender(scenario, level, load_core, seed.wrapping_add(level as u64));
+        let load_seed = seed.wrapping_add(level as u64);
+        let load_spec = contender_on(desc, scenario, level, load_core, load_seed);
         batch.push(SimJob::Isolation {
             spec: load_spec.clone(),
             core: load_core,

@@ -1,26 +1,26 @@
 //! Record-by-record inspection of journal and store files — the chaos
 //! triage view.
 //!
-//! [`Journal::resume`](crate::Journal::resume) and
-//! [`Store::open`](crate::Store::open) are deliberately opinionated:
-//! they truncate torn tails and refuse interior corruption. When a
+//! [`Store::open`](crate::Store::open) is deliberately opinionated: it
+//! truncates torn tails and refuses interior corruption. When a
 //! chaos run (or a real incident) leaves a suspicious file behind,
 //! operators need the opposite — a **lenient, read-only dump** that
 //! shows every line's checksum verdict, byte offset and length, and
 //! where a torn tail starts, without modifying the file or stopping at
 //! the first problem. That is what [`inspect_path`] provides and the
-//! `journal-inspect` bin renders.
+//! `journal-inspect` bin renders. Both read files through the same
+//! scanner, so the verdicts here are the ones recovery acts on.
 
-use crate::journal::check_frame;
+use crate::store::{parse_header, scan, LineState, CAMPAIGN_NAMESPACE};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Which on-disk format the header announces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// `mbta-journal v1` — campaign outcome journal.
+    /// A record log in the campaign namespace (either header).
     Journal,
-    /// `mbta-store v1` — content-addressed key/value store.
+    /// A record log in any other namespace.
     Store,
     /// No recognisable header (foreign or damaged file).
     Unknown,
@@ -137,71 +137,42 @@ impl InspectReport {
 pub fn inspect_path(path: &Path) -> io::Result<InspectReport> {
     let raw = std::fs::read(path)?;
     let text = String::from_utf8_lossy(&raw);
-    let mut records = Vec::new();
+    let lines: Vec<_> = scan(&text).collect();
+    let kind = match lines.first().map(|l| l.frame.as_deref().map(parse_header)) {
+        Some(Ok(Ok((CAMPAIGN_NAMESPACE, _)))) => FileKind::Journal,
+        Some(Ok(Ok(_))) => FileKind::Store,
+        _ => FileKind::Unknown,
+    };
     let mut intact = 0usize;
     let mut interior_bad = 0usize;
     let mut torn_tail = None;
-    let mut kind = FileKind::Unknown;
-
-    // Mirror the recovery scan: split into (line, terminated) segments
-    // so a missing trailing newline stays visible.
-    let mut segments: Vec<(&str, bool)> = Vec::new();
-    let mut rest: &str = &text;
-    while let Some(pos) = rest.find('\n') {
-        segments.push((&rest[..pos], true));
-        rest = &rest[pos + 1..];
-    }
-    if !rest.is_empty() {
-        segments.push((rest, false));
-    }
-
-    let last = segments.len().saturating_sub(1);
-    let mut offset = 0u64;
-    for (i, (line, terminated)) in segments.iter().enumerate() {
-        let framed = check_frame(line);
-        let crc_ok = framed.is_ok();
-        let body = match framed {
-            Ok(b) => b.to_string(),
-            Err(_) => (*line).to_string(),
-        };
-        if i == 0 && crc_ok {
-            kind = if body.starts_with("mbta-journal v1") {
-                FileKind::Journal
-            } else if body.starts_with("mbta-store v1") {
-                FileKind::Store
-            } else {
-                FileKind::Unknown
-            };
+    let mut records = Vec::with_capacity(lines.len());
+    for line in &lines {
+        match line.state {
+            LineState::Intact => intact += 1,
+            LineState::Damaged => interior_bad += 1,
+            LineState::TornTail => {
+                torn_tail = Some(TornTail {
+                    offset: line.offset,
+                    bytes: raw.len() as u64 - line.offset,
+                })
+            }
         }
-        let damaged = !crc_ok || !terminated;
-        if !damaged {
-            intact += 1;
-        } else if i == last {
-            torn_tail = Some(TornTail {
-                offset,
-                bytes: raw.len() as u64 - offset,
-            });
-        } else {
-            interior_bad += 1;
-        }
-        let key = if i == 0 {
-            None
-        } else {
-            body.split(' ')
-                .next()
-                .filter(|f| f.len() == 16)
-                .and_then(|f| u64::from_str_radix(f, 16).ok())
-        };
+        let body = *line.frame.as_ref().unwrap_or(&line.text);
+        let key = (line.number > 1)
+            .then(|| body.split(' ').next())
+            .flatten()
+            .filter(|f| f.len() == 16)
+            .and_then(|f| u64::from_str_radix(f, 16).ok());
         records.push(RecordInfo {
-            line: i + 1,
-            offset,
-            length: line.len(),
-            terminated: *terminated,
-            crc_ok,
+            line: line.number,
+            offset: line.offset,
+            length: line.text.len(),
+            terminated: line.terminated,
+            crc_ok: line.frame.is_ok(),
             key,
-            body,
+            body: body.to_string(),
         });
-        offset += line.len() as u64 + u64::from(*terminated);
     }
 
     Ok(InspectReport {
@@ -250,7 +221,7 @@ pub fn render(report: &InspectReport, summary_only: bool) -> String {
 mod tests {
     use super::*;
     use crate::exec::SimOutcome;
-    use crate::journal::Journal;
+    use crate::journal::render_record;
     use crate::store::Store;
 
     fn tmp(name: &str) -> PathBuf {
@@ -260,13 +231,19 @@ mod tests {
         p
     }
 
+    /// A campaign journal at `path` with one co-run record per entry.
+    fn write_journal(path: &Path, config_fp: u64, records: &[(u64, u32, u64)]) {
+        let store = Store::create(path, CAMPAIGN_NAMESPACE, config_fp).unwrap();
+        for &(key, attempt, cycles) in records {
+            let value = render_record(attempt, &Ok(SimOutcome::Corun(cycles)));
+            store.put(key, &value).unwrap();
+        }
+    }
+
     #[test]
     fn clean_journal_reports_every_record_intact() {
         let path = tmp("clean");
-        let journal = Journal::create(&path, 0xc0ffee).unwrap();
-        journal.append(0x11, 0, &Ok(SimOutcome::Corun(10))).unwrap();
-        journal.append(0x22, 1, &Ok(SimOutcome::Corun(20))).unwrap();
-        drop(journal);
+        write_journal(&path, 0xc0ffee, &[(0x11, 0, 10), (0x22, 1, 20)]);
         let report = inspect_path(&path).unwrap();
         assert_eq!(report.kind, FileKind::Journal);
         assert_eq!(report.records.len(), 3);
@@ -284,18 +261,15 @@ mod tests {
     #[test]
     fn torn_tail_position_matches_recovery_truncation() {
         let path = tmp("torn");
-        let journal = Journal::create(&path, 7).unwrap();
-        journal.append(0x1, 0, &Ok(SimOutcome::Corun(10))).unwrap();
-        journal.append(0x2, 0, &Ok(SimOutcome::Corun(20))).unwrap();
-        drop(journal);
+        write_journal(&path, 7, &[(0x1, 0, 10), (0x2, 0, 20)]);
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 9]).unwrap();
 
         let report = inspect_path(&path).unwrap();
         let torn = report.torn_tail.expect("tail must be reported torn");
         assert_eq!(report.interior_bad, 0);
-        // The reported offset is exactly where Journal::resume truncates.
-        let (_, entries, recovery) = Journal::resume(&path, 7).unwrap();
+        // The reported offset is exactly where recovery truncates.
+        let (_, entries, recovery) = Store::open(&path, CAMPAIGN_NAMESPACE, 7).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(recovery.truncated_bytes, torn.bytes);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), torn.offset);
@@ -305,10 +279,7 @@ mod tests {
     #[test]
     fn interior_corruption_is_flagged_not_fatal() {
         let path = tmp("interior");
-        let journal = Journal::create(&path, 7).unwrap();
-        journal.append(0x1, 0, &Ok(SimOutcome::Corun(10))).unwrap();
-        journal.append(0x2, 0, &Ok(SimOutcome::Corun(20))).unwrap();
-        drop(journal);
+        write_journal(&path, 7, &[(0x1, 0, 10), (0x2, 0, 20)]);
         let mut bytes = std::fs::read(&path).unwrap();
         let off = bytes.iter().position(|&b| b == b'\n').unwrap() + 20;
         bytes[off] ^= 0x40;
@@ -324,10 +295,7 @@ mod tests {
     #[test]
     fn summary_mode_counts_records_crc_ratio_and_torn_offset() {
         let path = tmp("summary");
-        let journal = Journal::create(&path, 9).unwrap();
-        journal.append(0x1, 0, &Ok(SimOutcome::Corun(10))).unwrap();
-        journal.append(0x2, 0, &Ok(SimOutcome::Corun(20))).unwrap();
-        drop(journal);
+        write_journal(&path, 9, &[(0x1, 0, 10), (0x2, 0, 20)]);
 
         // Clean file: 2 data records, every line CRC-ok, no tail.
         let clean = render(&inspect_path(&path).unwrap(), true);

@@ -73,14 +73,11 @@ pub use experiment::{
     ExperimentError, Figure4Cell, Figure4Panel, Table6Block,
 };
 pub use faults::perturb_profile;
-pub use journal::{
-    Journal, JournalEntry, JournalError, JournaledOutcome, RecordSink, RecoveryReport,
-};
+pub use journal::JournaledOutcome;
 pub use retry::{Backoff, FailureClass, RetryPolicy};
 pub use runner::{
-    hwm_campaign, hwm_campaign_with, isolation_profile, isolation_profile_budgeted,
-    isolation_profile_for, observed_corun, observed_corun_budgeted, observed_corun_for,
-    to_model_counts, HwmMeasurement,
+    hwm_campaign, hwm_campaign_with, isolation_profile, observed_corun, to_model_counts,
+    HwmMeasurement,
 };
-pub use store::{Store, StoreRecovery};
+pub use store::{JournalError, RecordSink, Store, StoreRecovery};
 pub use telemetry::{Format, SinkSpec, Telemetry, Val};

@@ -32,68 +32,6 @@ pub fn to_model_counts(g: tc27x_sim::GroundTruth) -> AccessCounts {
 /// # }
 /// ```
 pub fn isolation_profile(spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, SimError> {
-    isolation_profile_budgeted(spec, core, None)
-}
-
-/// [`isolation_profile`] with an optional per-job cycle budget: when
-/// `max_cycles` is `Some`, the run aborts with
-/// [`SimError::CycleLimit`] at that many simulated cycles instead of
-/// the default half-billion cap. Campaign runners use this so a
-/// runaway synthetic program fails fast and deterministically.
-///
-/// A budget never changes a *successful* profile — the simulator is
-/// deterministic and the budget only decides how long a run may take —
-/// so budgeted and unbudgeted successes are interchangeable.
-///
-/// # Errors
-///
-/// Propagates link and simulation errors.
-pub fn isolation_profile_budgeted(
-    spec: &TaskSpec,
-    core: CoreId,
-    max_cycles: Option<u64>,
-) -> Result<IsolationProfile, SimError> {
-    isolation_profile_on(spec, core, max_cycles, tc27x_sim::Engine::default())
-}
-
-/// [`isolation_profile_budgeted`] on an explicit simulator timing
-/// kernel. The kernels are bit-identical, so the choice never changes
-/// the profile — only how fast it is produced.
-///
-/// # Errors
-///
-/// Propagates link and simulation errors.
-pub fn isolation_profile_on(
-    spec: &TaskSpec,
-    core: CoreId,
-    max_cycles: Option<u64>,
-    engine: tc27x_sim::Engine,
-) -> Result<IsolationProfile, SimError> {
-    isolation_profile_stats(
-        spec,
-        core,
-        max_cycles,
-        engine,
-        true,
-        false,
-        ::platform::default_platform(),
-    )
-    .map(|(p, _)| p)
-}
-
-/// [`isolation_profile`] on an explicit platform description: the run
-/// happens on the machine the description parameterizes — its cores,
-/// slave topology and arbitration — instead of the reference TC277.
-///
-/// # Errors
-///
-/// Propagates link and simulation errors (including placements on
-/// slaves the description does not provide).
-pub fn isolation_profile_for(
-    spec: &TaskSpec,
-    core: CoreId,
-    desc: &::platform::PlatformDesc,
-) -> Result<IsolationProfile, SimError> {
     isolation_profile_stats(
         spec,
         core,
@@ -101,15 +39,18 @@ pub fn isolation_profile_for(
         tc27x_sim::Engine::default(),
         true,
         false,
-        desc,
+        ::platform::default_platform(),
     )
     .map(|(p, _)| p)
 }
 
-/// [`isolation_profile_on`] that also snapshots the simulator's
-/// post-run statistics ([`tc27x_sim::SimStats`]) for the telemetry
-/// layer, with explicit control over the event kernel's block memo
-/// (a pure speed knob — both settings are bit-identical).
+/// [`isolation_profile`] under an optional per-job cycle budget
+/// (`max_cycles` aborts the run with [`SimError::CycleLimit`]; it never
+/// changes a successful profile), on an explicit timing kernel and
+/// platform, that also snapshots the simulator's post-run statistics
+/// ([`tc27x_sim::SimStats`]) for the telemetry layer, with explicit
+/// control over the event kernel's block memo (a pure speed knob —
+/// both settings are bit-identical).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn isolation_profile_stats(
     spec: &TaskSpec,
@@ -266,73 +207,6 @@ pub fn observed_corun(
     load: &TaskSpec,
     load_core: CoreId,
 ) -> Result<u64, SimError> {
-    observed_corun_budgeted(app, app_core, load, load_core, None)
-}
-
-/// [`observed_corun`] with an optional per-job cycle budget (see
-/// [`isolation_profile_budgeted`] for the budget semantics).
-///
-/// # Errors
-///
-/// Propagates link and simulation errors.
-pub fn observed_corun_budgeted(
-    app: &TaskSpec,
-    app_core: CoreId,
-    load: &TaskSpec,
-    load_core: CoreId,
-    max_cycles: Option<u64>,
-) -> Result<u64, SimError> {
-    observed_corun_on(
-        app,
-        app_core,
-        load,
-        load_core,
-        max_cycles,
-        tc27x_sim::Engine::default(),
-    )
-}
-
-/// [`observed_corun_budgeted`] on an explicit simulator timing kernel
-/// (see [`isolation_profile_on`] for the engine semantics).
-///
-/// # Errors
-///
-/// Propagates link and simulation errors.
-pub fn observed_corun_on(
-    app: &TaskSpec,
-    app_core: CoreId,
-    load: &TaskSpec,
-    load_core: CoreId,
-    max_cycles: Option<u64>,
-    engine: tc27x_sim::Engine,
-) -> Result<u64, SimError> {
-    observed_corun_stats(
-        app,
-        app_core,
-        load,
-        load_core,
-        max_cycles,
-        engine,
-        true,
-        false,
-        ::platform::default_platform(),
-    )
-    .map(|(c, _)| c)
-}
-
-/// [`observed_corun`] on an explicit platform description (see
-/// [`isolation_profile_for`]).
-///
-/// # Errors
-///
-/// Propagates link and simulation errors.
-pub fn observed_corun_for(
-    app: &TaskSpec,
-    app_core: CoreId,
-    load: &TaskSpec,
-    load_core: CoreId,
-    desc: &::platform::PlatformDesc,
-) -> Result<u64, SimError> {
     observed_corun_stats(
         app,
         app_core,
@@ -342,14 +216,15 @@ pub fn observed_corun_for(
         tc27x_sim::Engine::default(),
         true,
         false,
-        desc,
+        ::platform::default_platform(),
     )
     .map(|(c, _)| c)
 }
 
-/// [`observed_corun_on`] that also snapshots the simulator's post-run
-/// statistics ([`tc27x_sim::SimStats`]) for the telemetry layer, with
-/// explicit control over the event kernel's block memo.
+/// [`observed_corun`] under the settings of
+/// [`isolation_profile_stats`], that also snapshots the simulator's
+/// post-run statistics ([`tc27x_sim::SimStats`]) for the telemetry
+/// layer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn observed_corun_stats(
     app: &TaskSpec,
@@ -441,14 +316,19 @@ mod tests {
     fn cycle_budget_aborts_or_matches_the_unbudgeted_run() {
         let core = CoreId(1);
         let app = control_loop(DeploymentScenario::Scenario1, core, 42);
+        let budgeted = |max_cycles| {
+            let engine = tc27x_sim::Engine::default();
+            let desc = ::platform::default_platform();
+            isolation_profile_stats(&app, core, max_cycles, engine, true, false, desc)
+                .map(|(p, _)| p)
+        };
         // A starvation budget aborts deterministically…
-        let err = isolation_profile_budgeted(&app, core, Some(10)).unwrap_err();
+        let err = budgeted(Some(10)).unwrap_err();
         assert!(matches!(err, SimError::CycleLimit { limit: 10 }));
         // …while a sufficient budget reproduces the unbudgeted profile
         // bit for bit.
         let free = isolation_profile(&app, core).unwrap();
-        let budgeted =
-            isolation_profile_budgeted(&app, core, Some(free.counters().ccnt + 1)).unwrap();
+        let budgeted = budgeted(Some(free.counters().ccnt + 1)).unwrap();
         assert_eq!(budgeted.counters(), free.counters());
         assert_eq!(budgeted.ptac(), free.ptac());
     }
@@ -458,13 +338,20 @@ mod tests {
         let (a, b) = (CoreId(1), CoreId(2));
         let app = control_loop(DeploymentScenario::Scenario1, a, 42);
         let load = contender(DeploymentScenario::Scenario1, LoadLevel::High, b, 7);
-        let tick = isolation_profile_on(&app, a, None, tc27x_sim::Engine::Tick).unwrap();
-        let event = isolation_profile_on(&app, a, None, tc27x_sim::Engine::Event).unwrap();
+        let desc = ::platform::default_platform();
+        let iso = |engine| {
+            isolation_profile_stats(&app, a, None, engine, true, false, desc)
+                .map(|(p, _)| p)
+                .unwrap()
+        };
+        let (tick, event) = (iso(tc27x_sim::Engine::Tick), iso(tc27x_sim::Engine::Event));
         assert_eq!(tick.counters(), event.counters());
         assert_eq!(tick.ptac(), event.ptac());
-        let co_tick = observed_corun_on(&app, a, &load, b, None, tc27x_sim::Engine::Tick).unwrap();
-        let co_event =
-            observed_corun_on(&app, a, &load, b, None, tc27x_sim::Engine::Event).unwrap();
-        assert_eq!(co_tick, co_event);
+        let co = |engine| {
+            observed_corun_stats(&app, a, &load, b, None, engine, true, false, desc)
+                .map(|(c, _)| c)
+                .unwrap()
+        };
+        assert_eq!(co(tc27x_sim::Engine::Tick), co(tc27x_sim::Engine::Event));
     }
 }

@@ -1,14 +1,14 @@
-//! A content-addressed persistent record store — the journal's
-//! append/fsync/torn-tail discipline generalized to arbitrary
-//! single-line payloads.
+//! The durable record log: one append-only, fsync'd, line-checksummed
+//! file format for every piece of persisted state — campaign outcomes
+//! ([`crate::journal`]), serve responses and profiles, and dse shard
+//! verdicts.
 //!
-//! Where [`crate::journal`] persists *campaign job outcomes* under a
-//! fixed grammar, a [`Store`] persists opaque values keyed by a 64-bit
-//! FNV fingerprint (the same stable keys produced by [`crate::job_key`]
-//! and request fingerprints). The `contention-serve` daemon uses two of
-//! these — one for rendered query responses, one for isolation
-//! profiles — so a `kill -9` mid-batch restarts into replay and
-//! re-serves byte-identical results.
+//! A [`Store`] persists single-line values keyed by a 64-bit FNV
+//! fingerprint (the stable keys of [`crate::job_key`], request
+//! fingerprints, [`content_key`]). The format is deliberately
+//! human-greppable: certification-oriented interference methodologies
+//! ask for an auditable evidence trail for every measurement, and a
+//! hex blob would defeat that purpose.
 //!
 //! # Record format
 //!
@@ -16,43 +16,164 @@
 //! <crc16hex> <body>\n
 //! ```
 //!
-//! with the same FNV-1a line checksum as the journal. Bodies:
+//! where `crc` is the FNV-1a hash of `body` ([`obs::Fnv`], the same
+//! stable hasher that keys the engine's memo cache). Bodies:
 //!
 //! ```text
 //! mbta-store v1 ns=<namespace> cfg=<fp16hex>     header (first line)
-//! <key16hex> <sanitized value>                   one record
+//! <key16hex> <escaped value>                     one record
 //! ```
 //!
-//! The namespace keeps a store from being replayed into a consumer
-//! expecting different content (responses vs profiles); the config
-//! fingerprint plays the same role as the journal's campaign
-//! fingerprint. Values are newline-escaped on write and unescaped on
-//! recovery, so any single- or multi-line payload round-trips exactly.
+//! The namespace keeps a log from being replayed into a consumer
+//! expecting different content (campaign outcomes, responses,
+//! profiles); the config fingerprint keeps it from replaying into a
+//! differently configured consumer. Values are escaped here and only
+//! here (`\` → `\\`, newline → `\n`, CR → `\r`) and unescaped on
+//! recovery, so any payload round-trips exactly and no value can forge
+//! a record boundary.
+//!
+//! Campaign journals written before the namespaces merged carry the
+//! header `mbta-journal v1 cfg=<fp16hex>`; their records already have
+//! the `<key16hex> <value>` shape, so [`Store::open`] reads that header
+//! as the [`CAMPAIGN_NAMESPACE`]'s.
 //!
 //! # Recovery guarantees
 //!
-//! Identical to the journal's: a record is durable only once its full
-//! line is fsync'd; a torn trailing record is truncated with a report,
-//! never silently kept; interior corruption is a hard error. When the
-//! same key was appended more than once (a crash between compute and
-//! respond can legitimately duplicate work), the **last** intact record
-//! wins — appends are the write-ahead order of truth.
+//! * A record is durable only once its full line (newline included) is
+//!   on disk — appends are a single `write` followed by `fsync`.
+//! * One scanner sorts every line as intact, torn tail or interior
+//!   damage; [`Store::open`] and [`crate::inspect::inspect_path`] both
+//!   read files through it.
+//! * On [`Store::open`], a **torn trailing record** (no newline, or a
+//!   final line whose checksum or shape fails) is truncated away and
+//!   reported in [`StoreRecovery`] — never silently kept.
+//! * Damage anywhere *before* the final line is a hard
+//!   [`JournalError::Corrupt`] naming its line: an interior flipped bit
+//!   means the file is not an append-crash artefact and must not be
+//!   trusted.
+//! * When the same key was appended more than once (a crash between
+//!   compute and respond, or a retried job), the **last** intact record
+//!   wins — appends are the write-ahead order of truth.
 
 use crate::exec::SimOutcome;
-use crate::journal::{
-    check_frame, crc, frame, parse_record, render_record, sanitize, scan_lines, unsanitize,
-    JournalError, JournaledOutcome, RecordSink,
-};
+use crate::journal::{parse_record, render_record, JournaledOutcome};
 use contention::IsolationProfile;
+use obs::Fnv;
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Store format version tag (first-line magic).
+/// Header magic of every record log.
 const MAGIC: &str = "mbta-store v1";
+
+/// Header magic of campaign journals written before they became the
+/// [`CAMPAIGN_NAMESPACE`] of a store.
+const LEGACY_JOURNAL_MAGIC: &str = "mbta-journal v1";
+
+/// The namespace campaign outcomes are recorded under.
+pub const CAMPAIGN_NAMESPACE: &str = "campaign";
+
+/// Where framed records land: a single durable append.
+///
+/// Production sinks are files — [`RecordSink::write_record`] maps to
+/// `write_all` and [`RecordSink::sync`] to `sync_data`, which together
+/// form the write-ahead guarantee the recovery path relies on. Tests
+/// inject `write`/`fsync` failures through this seam
+/// ([`Store::with_sink`]) to exercise the error paths without a faulty
+/// disk.
+pub trait RecordSink: Send {
+    /// Appends `bytes` (one framed record, newline included).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying write failure.
+    fn write_record(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// Forces previously appended bytes to durable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying sync failure.
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+impl RecordSink for File {
+    fn write_record(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_all(bytes)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
+    }
+}
+
+/// Errors from opening or recovering a record log.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum JournalError {
+    /// An I/O operation failed.
+    Io(io::Error),
+    /// The file exists but does not start with a valid header for the
+    /// requested namespace.
+    NotAJournal {
+        /// What was wrong.
+        detail: String,
+    },
+    /// The log was written under a different configuration
+    /// fingerprint.
+    ConfigMismatch {
+        /// Fingerprint the consumer expects.
+        expected: u64,
+        /// Fingerprint found in the header.
+        found: u64,
+    },
+    /// A line *before* the final one failed its checksum or shape —
+    /// interior corruption, not an append crash.
+    Corrupt {
+        /// 1-based line number of the bad record.
+        line: usize,
+        /// What was wrong.
+        detail: String,
+    },
+}
+
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
+            JournalError::NotAJournal { detail } => {
+                write!(f, "not a campaign journal: {detail}")
+            }
+            JournalError::ConfigMismatch { expected, found } => write!(
+                f,
+                "journal was written by a different campaign configuration \
+                 (expected cfg={expected:016x}, found cfg={found:016x})"
+            ),
+            JournalError::Corrupt { line, detail } => {
+                write!(f, "journal corrupt at line {line}: {detail}")
+            }
+        }
+    }
+}
+
+impl Error for JournalError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            JournalError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for JournalError {
+    fn from(e: io::Error) -> Self {
+        JournalError::Io(e)
+    }
+}
 
 /// What [`Store::open`] found on disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,57 +182,176 @@ pub struct StoreRecovery {
     pub records: usize,
     /// Distinct keys after last-record-wins dedup.
     pub distinct: usize,
-    /// Bytes of a torn trailing record truncated away.
+    /// Bytes of a torn trailing record truncated away (0 for a cleanly
+    /// closed log).
     pub truncated_bytes: u64,
 }
 
-/// An append-only, fsync'd, checksummed key → value store.
-///
-/// Appends are serialised through an internal mutex; one store can be
-/// shared by every worker of a server.
-pub struct Store {
-    sink: Mutex<Box<dyn RecordSink>>,
-    path: PathBuf,
+pub(crate) fn crc(body: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.write(body.as_bytes());
+    h.finish()
 }
 
-impl fmt::Debug for Store {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Store").field("path", &self.path).finish()
+fn frame(body: &str) -> String {
+    format!("{:016x} {body}\n", crc(body))
+}
+
+/// Newlines never appear inside a record; escape them so a value (a
+/// panic message, say) cannot forge record boundaries.
+fn sanitize(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
+}
+
+/// Inverse of [`sanitize`]: unescapes `\\`, `\n` and `\r`. Unknown
+/// escapes pass through verbatim (lenient — a record that survived its
+/// checksum is trusted).
+fn unsanitize(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(other) => {
+                out.push('\\');
+                out.push(other);
+            }
+            None => out.push('\\'),
+        }
     }
+    out
+}
+
+/// Verifies one line's `<crc16hex> <body>` frame and returns the body.
+fn check_frame(line: &str) -> Result<&str, String> {
+    let (crc_hex, body) = line
+        .split_once(' ')
+        .ok_or_else(|| "missing checksum field".to_string())?;
+    let stated =
+        u64::from_str_radix(crc_hex, 16).map_err(|_| format!("bad checksum field `{crc_hex}`"))?;
+    if stated != crc(body) {
+        return Err("checksum mismatch".to_string());
+    }
+    Ok(body)
+}
+
+/// How [`scan`] sorts one line of a record log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LineState {
+    /// Newline-terminated, with a verified frame.
+    Intact,
+    /// The final line, unterminated or failing its frame: what an
+    /// interrupted append leaves behind, and what recovery truncates.
+    TornTail,
+    /// A line before the final one that fails its frame: not an append
+    /// crash, so recovery refuses the file.
+    Damaged,
+}
+
+/// One line of a record log as [`scan`] found it.
+#[derive(Clone, Debug)]
+pub(crate) struct ScannedLine<'a> {
+    /// 1-based line number (line 1 is the header).
+    pub number: usize,
+    /// Byte offset of the line start.
+    pub offset: u64,
+    /// The line, newline excluded.
+    pub text: &'a str,
+    /// Whether a newline ended the line (a missing one on the final
+    /// line is the signature of a torn append).
+    pub terminated: bool,
+    /// Whether this is the file's final line.
+    pub last: bool,
+    /// The checksummed body, or why the frame failed.
+    pub frame: Result<&'a str, String>,
+    /// The line's verdict.
+    pub state: LineState,
+}
+
+/// Splits a record log into framed lines and sorts each one as intact,
+/// torn tail or interior damage — the one scanner behind strict
+/// recovery ([`Store::open`]) and lenient inspection
+/// ([`crate::inspect::inspect_path`]). Lazy, so recovery checks and
+/// decodes each line in one pass while it is still in cache.
+pub(crate) fn scan(text: &str) -> impl Iterator<Item = ScannedLine<'_>> {
+    let mut offset = 0;
+    text.split_inclusive('\n')
+        .enumerate()
+        .map(move |(i, piece)| {
+            let (line, terminated) = match piece.strip_suffix('\n') {
+                Some(line) => (line, true),
+                None => (piece, false),
+            };
+            let start = offset;
+            offset += piece.len();
+            let last = offset == text.len();
+            let frame = check_frame(line);
+            let state = if frame.is_ok() && terminated {
+                LineState::Intact
+            } else if last {
+                LineState::TornTail
+            } else {
+                LineState::Damaged
+            };
+            ScannedLine {
+                number: i + 1,
+                offset: start as u64,
+                text: line,
+                terminated,
+                last,
+                frame,
+                state,
+            }
+        })
 }
 
 fn header_body(namespace: &str, config_fp: u64) -> String {
     format!("{MAGIC} ns={namespace} cfg={config_fp:016x}")
 }
 
-fn parse_header(body: &str, namespace: &str, config_fp: u64) -> Result<(), JournalError> {
-    let rest = body
-        .strip_prefix(MAGIC)
-        .ok_or_else(|| JournalError::NotAJournal {
-            detail: format!("header is `{body}`, expected `{MAGIC} …`"),
-        })?;
-    let rest = rest.trim();
-    let (ns_part, cfg_part) = rest
-        .split_once(' ')
-        .ok_or_else(|| JournalError::NotAJournal {
-            detail: "header carries no cfg fingerprint".into(),
-        })?;
-    let found_ns = ns_part
-        .strip_prefix("ns=")
-        .ok_or_else(|| JournalError::NotAJournal {
-            detail: "header carries no namespace".into(),
-        })?;
+/// The namespace and config fingerprint a header body announces; the
+/// legacy journal header announces the campaign namespace.
+pub(crate) fn parse_header(body: &str) -> Result<(&str, u64), String> {
+    let (namespace, cfg) = match body.strip_prefix(LEGACY_JOURNAL_MAGIC) {
+        Some(cfg) => (CAMPAIGN_NAMESPACE, cfg),
+        None => {
+            let rest = body
+                .strip_prefix(MAGIC)
+                .ok_or_else(|| format!("header is `{body}`, expected `{MAGIC} …`"))?;
+            let (ns, cfg) = rest
+                .trim()
+                .split_once(' ')
+                .ok_or("header carries no cfg fingerprint")?;
+            let ns = ns
+                .strip_prefix("ns=")
+                .ok_or("header carries no namespace")?;
+            (ns, cfg)
+        }
+    };
+    let fp = cfg
+        .trim()
+        .strip_prefix("cfg=")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or("header carries no cfg fingerprint")?;
+    Ok((namespace, fp))
+}
+
+fn check_header(body: &str, namespace: &str, config_fp: u64) -> Result<(), JournalError> {
+    let (found_ns, found) =
+        parse_header(body).map_err(|detail| JournalError::NotAJournal { detail })?;
     if found_ns != namespace {
         return Err(JournalError::NotAJournal {
             detail: format!("store namespace is `{found_ns}`, expected `{namespace}`"),
         });
     }
-    let found = cfg_part
-        .strip_prefix("cfg=")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| JournalError::NotAJournal {
-            detail: "header carries no cfg fingerprint".into(),
-        })?;
     if found != config_fp {
         return Err(JournalError::ConfigMismatch {
             expected: config_fp,
@@ -121,16 +361,27 @@ fn parse_header(body: &str, namespace: &str, config_fp: u64) -> Result<(), Journ
     Ok(())
 }
 
-fn parse_store_record(body: &str, line_no: usize) -> Result<(u64, String), JournalError> {
-    let (key_hex, value) = body.split_once(' ').ok_or_else(|| JournalError::Corrupt {
-        line: line_no,
-        detail: "record has no value field".into(),
-    })?;
-    let key = u64::from_str_radix(key_hex, 16).map_err(|_| JournalError::Corrupt {
-        line: line_no,
-        detail: format!("bad record key `{key_hex}`"),
-    })?;
+/// Splits a record body into its key and unescaped value.
+fn parse_store_record(body: &str) -> Result<(u64, String), String> {
+    let (key_hex, value) = body.split_once(' ').ok_or("record has no value field")?;
+    let key =
+        u64::from_str_radix(key_hex, 16).map_err(|_| format!("bad record key `{key_hex}`"))?;
     Ok((key, unsanitize(value)))
+}
+
+/// An append-only, fsync'd, checksummed key → value store.
+///
+/// Appends are serialised through an internal mutex; one store can be
+/// shared by every worker of a server or campaign.
+pub struct Store {
+    sink: Mutex<Box<dyn RecordSink>>,
+    path: PathBuf,
+}
+
+impl fmt::Debug for Store {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Store").field("path", &self.path).finish()
+    }
 }
 
 impl Store {
@@ -151,16 +402,37 @@ impl Store {
             !namespace.is_empty() && !namespace.contains(' '),
             "store namespace must be a non-empty, space-free token"
         );
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(frame(&header_body(namespace, config_fp)).as_bytes())?;
-        file.sync_data()?;
+        Ok(Store::with_sink(
+            path,
+            Box::new(file),
+            namespace,
+            config_fp,
+        )?)
+    }
+
+    /// Creates a store over an arbitrary [`RecordSink`] — the
+    /// fallible-writer seam. The header is written (and synced) through
+    /// the sink; `label` stands in for the file path in diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sink write/sync failures from the header append.
+    pub fn with_sink(
+        label: impl Into<PathBuf>,
+        mut sink: Box<dyn RecordSink>,
+        namespace: &str,
+        config_fp: u64,
+    ) -> io::Result<Store> {
+        sink.write_record(frame(&header_body(namespace, config_fp)).as_bytes())?;
+        sink.sync()?;
         Ok(Store {
-            sink: Mutex::new(Box::new(file)),
-            path: path.to_path_buf(),
+            sink: Mutex::new(sink),
+            path: label.into(),
         })
     }
 
@@ -180,6 +452,21 @@ impl Store {
         namespace: &str,
         config_fp: u64,
     ) -> Result<(Store, BTreeMap<u64, String>, StoreRecovery), JournalError> {
+        Store::open_with(path, namespace, config_fp, Ok)
+    }
+
+    /// [`Store::open`] that also decodes each value as it is
+    /// recovered. A value `decode` rejects is damage like a failed
+    /// checksum: torn on the final line, [`JournalError::Corrupt`]
+    /// before it.
+    pub(crate) fn open_with<T>(
+        path: &Path,
+        namespace: &str,
+        config_fp: u64,
+        decode: impl Fn(String) -> Result<T, String>,
+    ) -> Result<(Store, BTreeMap<u64, T>, StoreRecovery), JournalError> {
+        // `read_to_end` into an empty buffer, as the store always read:
+        // `fs::read`'s exact-size buffer measured slower serve restarts.
         let mut raw = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
@@ -188,78 +475,60 @@ impl Store {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        if raw.is_empty() {
-            let store = Store::create(path, namespace, config_fp)?;
-            return Ok((store, BTreeMap::new(), StoreRecovery::default()));
-        }
-
         let text = String::from_utf8_lossy(&raw);
-        let segments = scan_lines(&text);
         let mut entries = BTreeMap::new();
         let mut records = 0usize;
-        let mut good_len: u64 = 0;
-        let mut truncated = 0u64;
-        let mut header_seen = false;
+        let mut torn_at = None;
 
-        let last = segments.len().saturating_sub(1);
-        for (i, (line, terminated)) in segments.iter().enumerate() {
-            let line_no = i + 1;
-            let is_last = i == last;
-            let parsed = check_frame(line)
-                .map_err(|detail| JournalError::Corrupt {
-                    line: line_no,
-                    detail,
-                })
-                .and_then(|body| {
-                    if line_no == 1 {
-                        parse_header(body, namespace, config_fp).map(|()| None)
-                    } else {
-                        parse_store_record(body, line_no).map(Some)
-                    }
-                });
-            match parsed {
-                Ok(entry) if *terminated => {
-                    if line_no == 1 {
-                        header_seen = true;
-                    }
-                    good_len += line.len() as u64 + 1;
-                    if let Some((key, value)) = entry {
-                        records += 1;
-                        entries.insert(key, value);
-                    }
+        for line in scan(&text) {
+            let body = match (&line.frame, line.state) {
+                (Ok(body), LineState::Intact) => *body,
+                // A header whose newline never reached the disk is torn
+                // too: the log recorded nothing, so it starts fresh.
+                (_, LineState::TornTail) if line.number > 1 || !line.terminated => {
+                    torn_at = Some(line.offset);
+                    break;
                 }
-                // An unterminated line — even one whose checksum
-                // happens to hold — is torn under single-write appends.
-                Ok(_) => {
-                    truncated += line.len() as u64;
+                (frame, _) => {
+                    return Err(JournalError::Corrupt {
+                        line: line.number,
+                        detail: frame.clone().err().unwrap_or_default(),
+                    })
                 }
-                Err(e) if is_last && header_seen => {
-                    truncated += line.len() as u64 + u64::from(*terminated);
-                    let _ = e;
+            };
+            if line.number == 1 {
+                check_header(body, namespace, config_fp)?;
+                continue;
+            }
+            match parse_store_record(body).and_then(|(key, value)| Ok((key, decode(value)?))) {
+                Ok((key, value)) => {
+                    records += 1;
+                    entries.insert(key, value);
                 }
-                Err(_) if is_last && !*terminated && line_no == 1 => {
-                    truncated += line.len() as u64;
+                // A well-framed final record that does not parse cannot
+                // be trusted either; truncate it like a torn one.
+                Err(_) if line.last => torn_at = Some(line.offset),
+                Err(detail) => {
+                    return Err(JournalError::Corrupt {
+                        line: line.number,
+                        detail,
+                    })
                 }
-                Err(e) => return Err(e),
             }
         }
 
-        if !header_seen {
+        let truncated_bytes = torn_at.map_or(0, |at| raw.len() as u64 - at);
+        if text.is_empty() || torn_at == Some(0) {
             let store = Store::create(path, namespace, config_fp)?;
-            return Ok((
-                store,
-                BTreeMap::new(),
-                StoreRecovery {
-                    records: 0,
-                    distinct: 0,
-                    truncated_bytes: truncated,
-                },
-            ));
+            let report = StoreRecovery {
+                truncated_bytes,
+                ..StoreRecovery::default()
+            };
+            return Ok((store, BTreeMap::new(), report));
         }
-
-        if truncated > 0 {
+        if let Some(at) = torn_at {
             let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(good_len)?;
+            f.set_len(at)?;
             f.sync_data()?;
         }
 
@@ -267,7 +536,7 @@ impl Store {
         let report = StoreRecovery {
             records,
             distinct: entries.len(),
-            truncated_bytes: truncated,
+            truncated_bytes,
         };
         Ok((
             Store {
@@ -277,26 +546,6 @@ impl Store {
             entries,
             report,
         ))
-    }
-
-    /// Creates a store over an arbitrary [`RecordSink`] — the
-    /// fallible-writer seam, mirroring [`crate::Journal::with_sink`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink write/sync failures from the header append.
-    pub fn with_sink(
-        label: impl Into<PathBuf>,
-        mut sink: Box<dyn RecordSink>,
-        namespace: &str,
-        config_fp: u64,
-    ) -> io::Result<Store> {
-        sink.write_record(frame(&header_body(namespace, config_fp)).as_bytes())?;
-        sink.sync()?;
-        Ok(Store {
-            sink: Mutex::new(sink),
-            path: label.into(),
-        })
     }
 
     /// Appends one `key → value` record and fsyncs before returning —
@@ -323,11 +572,12 @@ impl Store {
     }
 }
 
-/// Encodes an isolation profile as a store value, reusing the journal's
-/// audited `ok iso …` record grammar (key and attempt 0 included, so
-/// the value is self-describing).
+/// Encodes an isolation profile as a store value: the key, then the
+/// campaign journal's audited `0 ok iso …` record (attempt 0), so the
+/// value is self-describing.
 pub fn encode_profile(key: u64, profile: &IsolationProfile) -> String {
-    render_record(key, 0, &Ok(SimOutcome::Isolation(profile.clone())))
+    let record = render_record(0, &Ok(SimOutcome::Isolation(profile.clone())));
+    format!("{key:016x} {record}")
 }
 
 /// Decodes a store value written by [`encode_profile`].
@@ -337,10 +587,11 @@ pub fn encode_profile(key: u64, profile: &IsolationProfile) -> String {
 /// Returns a human-readable description when the value does not parse
 /// as an isolation record.
 pub fn decode_profile(value: &str) -> Result<(u64, IsolationProfile), String> {
-    let entry = parse_record(value, 0).map_err(|e| e.to_string())?;
-    match entry.outcome {
-        JournaledOutcome::Success(SimOutcome::Isolation(p)) => Ok((entry.key, p)),
-        other => Err(format!("not an isolation record: {other:?}")),
+    let (key_hex, record) = value.split_once(' ').ok_or("missing job key")?;
+    let key = u64::from_str_radix(key_hex, 16).map_err(|_| "missing or invalid job key")?;
+    match parse_record(record)? {
+        (_, JournaledOutcome::Success(SimOutcome::Isolation(p))) => Ok((key, p)),
+        (_, other) => Err(format!("not an isolation record: {other:?}")),
     }
 }
 
@@ -450,6 +701,34 @@ mod tests {
     }
 
     #[test]
+    fn legacy_journal_header_opens_only_as_the_campaign_namespace() {
+        let path = tmp("legacy");
+        let header = "mbta-journal v1 cfg=0000000000000007";
+        let record = "00000000000000aa 0 ok corun 10";
+        std::fs::write(&path, format!("{}{}", frame(header), frame(record))).unwrap();
+        assert!(matches!(
+            Store::open(&path, "responses", 7),
+            Err(JournalError::NotAJournal { .. })
+        ));
+        assert!(matches!(
+            Store::open(&path, CAMPAIGN_NAMESPACE, 8),
+            Err(JournalError::ConfigMismatch {
+                expected: 8,
+                found: 7
+            })
+        ));
+        let (store, entries, report) = Store::open(&path, CAMPAIGN_NAMESPACE, 7).unwrap();
+        assert_eq!(report.records, 1);
+        assert_eq!(entries[&0xaa], "0 ok corun 10");
+        // Appends continue the legacy file under its own header.
+        store.put(0xbb, "0 ok corun 20").unwrap();
+        drop(store);
+        let (_s, entries, _r) = Store::open(&path, CAMPAIGN_NAMESPACE, 7).unwrap();
+        assert_eq!(entries.len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn missing_file_starts_fresh() {
         let path = tmp("fresh");
         let (store, entries, report) = Store::open(&path, "profiles", 1).unwrap();
@@ -460,6 +739,25 @@ mod tests {
         let (_s, entries, _r) = Store::open(&path, "profiles", 1).unwrap();
         assert_eq!(entries[&9], "value");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn scanner_sorts_intact_torn_and_damaged_lines() {
+        let good = frame("mbta-store v1 ns=x cfg=0000000000000001");
+        let text = format!("{good}garbage\n{good}{}", &good[..good.len() - 1]);
+        let states: Vec<(usize, u64, LineState)> =
+            scan(&text).map(|l| (l.number, l.offset, l.state)).collect();
+        let len = good.len() as u64;
+        assert_eq!(
+            states,
+            [
+                (1, 0, LineState::Intact),
+                (2, len, LineState::Damaged),
+                (3, len + 8, LineState::Intact),
+                (4, 2 * len + 8, LineState::TornTail),
+            ]
+        );
+        assert_eq!(scan("").count(), 0);
     }
 
     #[test]
@@ -480,6 +778,35 @@ mod tests {
         assert_eq!(key, 42);
         assert_eq!(decoded, profile);
         assert!(decode_profile("not a record").is_err());
+    }
+
+    /// Profile values carry the task name unescaped; the store escapes
+    /// once. That matches what older writers (which escaped the name
+    /// twice) produced only because no generator names a task with a
+    /// backslash or a line break.
+    #[test]
+    fn generator_task_names_need_no_escaping() {
+        use tc27x_sim::{CoreId, DeploymentScenario};
+        use workloads::LoadLevel;
+        let scenarios = [
+            DeploymentScenario::Scenario1,
+            DeploymentScenario::Scenario2,
+            DeploymentScenario::LowTraffic,
+        ];
+        let mut names = Vec::new();
+        for name in ::platform::PlatformDesc::names() {
+            let desc = ::platform::PlatformDesc::by_name(name).unwrap();
+            for scenario in scenarios {
+                names.push(workloads::control_loop_on(&desc, scenario, CoreId(1), 1).name);
+                for level in LoadLevel::all() {
+                    let load = workloads::contender_on(&desc, scenario, level, CoreId(2), 1);
+                    names.push(load.name);
+                }
+            }
+        }
+        for n in &names {
+            assert_eq!(&sanitize(n), n, "task name `{n}` needs escaping");
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! [`JobFailure::Transient`] (strict mode) — never a panic, and never
 //! a silently dropped record.
 
+use mbta::store::CAMPAIGN_NAMESPACE;
 use mbta::{
-    BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, JobFailure, Journal, RecordSink,
-    RetryPolicy, SimJob, Telemetry,
+    BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, JobFailure, RecordSink, RetryPolicy,
+    SimJob, Store, Telemetry,
 };
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,17 +88,18 @@ fn config(strict: bool) -> CampaignConfig {
 /// written before the budget applies — `with_sink` would fail
 /// otherwise, which is exactly the clean-surface behaviour we want on
 /// a dead-at-open handle).
-fn fallible_journal(budget: u64, writes: &Arc<AtomicU64>, fail_sync: bool) -> Journal {
+fn fallible_journal(budget: u64, writes: &Arc<AtomicU64>, fail_sync: bool) -> Store {
     // Budget +1: the header consumes the first write.
     let sink = Box::new(FallibleSink::new(budget + 1, Arc::clone(writes), fail_sync));
-    Journal::with_sink("fallible.journal", sink, 0xfeed).expect("header write within budget")
+    Store::with_sink("fallible.journal", sink, CAMPAIGN_NAMESPACE, 0xfeed)
+        .expect("header write within budget")
 }
 
 #[test]
 fn dead_handle_at_open_is_a_clean_error_not_a_panic() {
     let writes = Arc::new(AtomicU64::new(0));
     let sink = Box::new(FallibleSink::new(0, Arc::clone(&writes), false));
-    let result = Journal::with_sink("dead.journal", sink, 0xfeed);
+    let result = Store::with_sink("dead.journal", sink, CAMPAIGN_NAMESPACE, 0xfeed);
     assert!(result.is_err(), "header write must fail cleanly");
 }
 
@@ -163,7 +165,7 @@ fn fsync_failure_is_caught_like_a_write_failure() {
     // too, so construction itself must already surface it.
     let sink = Box::new(FallibleSink::new(u64::MAX, Arc::clone(&writes), true));
     assert!(
-        Journal::with_sink("nosync.journal", sink, 0xfeed).is_err(),
+        Store::with_sink("nosync.journal", sink, CAMPAIGN_NAMESPACE, 0xfeed).is_err(),
         "a failing fsync must not be swallowed at open"
     );
 }

@@ -227,7 +227,7 @@ fn interior_corruption_refuses_to_resume() {
     let engine = ExecEngine::new(1);
     let err = CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap_err();
     assert!(
-        matches!(err, mbta::JournalError::Corrupt { .. }),
+        matches!(err, mbta::JournalError::Corrupt { line: 2, .. }),
         "expected Corrupt, got {err}"
     );
     std::fs::remove_file(&path).ok();
