@@ -42,7 +42,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 SMOKE_DIR=""
-cleanup() { [ -n "$SMOKE_DIR" ] && rm -rf "$SMOKE_DIR"; }
+# An `if`, not `[ ... ] && rm`: the EXIT trap's last status becomes the
+# script's, and a false test with no smoke dir would turn a passing
+# stage into exit 1.
+cleanup() {
+    if [ -n "$SMOKE_DIR" ]; then
+        rm -rf "$SMOKE_DIR"
+    fi
+}
 trap cleanup EXIT
 
 stage_lint() {
@@ -114,6 +121,10 @@ stage_test() {
     echo "==> solo-tail splicing differential suite (spliced vs full co-runs, every platform)"
     cargo test -q --offline -p tc27x-sim --test solo_tail
     cargo test -q --offline --release -p tc27x-sim --test solo_tail -- --ignored
+
+    echo "==> loop-warp differential suite (warped vs stepped solo runs, every platform)"
+    cargo test -q --offline -p tc27x-sim --test loop_warp
+    cargo test -q --offline --release -p tc27x-sim --test loop_warp -- --ignored
 
     echo "==> journal recovery property suite (replay idempotence, torn records)"
     cargo test -q --offline -p mbta --test journal_recovery
@@ -224,7 +235,7 @@ stage_perf() {
 stage_serve() {
     # Re-point the smoke dir so `ci.sh all` does not accumulate the
     # golden stage's scratch files.
-    [ -n "$SMOKE_DIR" ] && rm -rf "$SMOKE_DIR"
+    cleanup
     SMOKE_DIR="$(mktemp -d)"
     SERVE=target/release/contention-serve
     CLIENT=target/release/serve-client
@@ -311,7 +322,7 @@ EOF
 }
 
 stage_dse() {
-    [ -n "$SMOKE_DIR" ] && rm -rf "$SMOKE_DIR"
+    cleanup
     SMOKE_DIR="$(mktemp -d)"
     SUP=target/release/dse-supervisor
     WORKER=target/release/dse-worker
@@ -379,7 +390,7 @@ stage_dse() {
 }
 
 stage_platform() {
-    [ -n "$SMOKE_DIR" ] && rm -rf "$SMOKE_DIR"
+    cleanup
     SMOKE_DIR="$(mktemp -d)"
     SWEEP=target/release/sweep
     SUP=target/release/dse-supervisor
@@ -437,7 +448,7 @@ stage_platform() {
 }
 
 stage_attr() {
-    [ -n "$SMOKE_DIR" ] && rm -rf "$SMOKE_DIR"
+    cleanup
     SMOKE_DIR="$(mktemp -d)"
     MAIN=target/release/aurix-contention
     LINT=target/release/telemetry_lint

@@ -21,6 +21,12 @@
 //! Both profiles are memoized, so the row is two spec hashes and the
 //! co-run, whose contender-free tail splices from the app's solo
 //! timeline; `perf_gate` caps it as well.
+//!
+//! `pairs_batch_fresh` is that row as a sweep or `pairs-sim` op meets
+//! it: the app is a clone of one spec (keyed by identity, memoized),
+//! the contender is new on every call (its isolation simulates, its
+//! steady loops warped). It is the row's two simulations and little
+//! else, and `perf_gate` caps it too.
 
 use contention::{
     ContentionModel, EvalOptions, Evaluator, FtcModel, IlpPtacModel, Platform, ScenarioConstraints,
@@ -142,6 +148,39 @@ fn main() {
     row_engine.run_batch(&row).unwrap();
     h.bench("sweep_row_sc1", || {
         black_box(row_engine.run_batch(&row).unwrap().len())
+    });
+
+    // The same row with a contender never seen before: 450-550 permille
+    // and a fresh seed each call, so its isolation always simulates
+    // while the app's is keyed by identity and memoized.
+    let app_spec = control_loop(DeploymentScenario::Scenario1, app_core, 42);
+    let fresh_engine = mbta::ExecEngine::new(1);
+    let mut call = 0u64;
+    let mut fresh_row = || {
+        call += 1;
+        let mut load_spec =
+            contention_bench::scaled_contender(load_core, 450 + (call % 101) as u32);
+        load_spec.seed = call;
+        [
+            SimJob::Isolation {
+                spec: app_spec.clone(),
+                core: app_core,
+            },
+            SimJob::Isolation {
+                spec: load_spec.clone(),
+                core: load_core,
+            },
+            SimJob::Corun {
+                app: app_spec.clone(),
+                app_core,
+                load: load_spec,
+                load_core,
+            },
+        ]
+    };
+    fresh_engine.run_batch(&fresh_row()).unwrap();
+    h.bench("pairs_batch_fresh", || {
+        black_box(fresh_engine.run_batch(&fresh_row()).unwrap().len())
     });
 
     h.finish();

@@ -118,7 +118,7 @@ fn sweep_batch(
     intensities: &[u32],
 ) -> Vec<SimJob> {
     let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app_spec = workloads::control_loop(scenario, app_core, 42);
+    let app_spec = workloads::control_loop_on(desc, scenario, app_core, 42);
     let mut batch = vec![SimJob::Isolation {
         spec: app_spec.clone(),
         core: app_core,
@@ -323,7 +323,10 @@ pub fn sweep_fallback_report<R: BatchRunner + ?Sized>(
     let desc = engine.platform();
     let platform = Platform::from_desc(desc);
     let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app = engine.isolation(&workloads::control_loop(scenario, app_core, 42), app_core)?;
+    let app = engine.isolation(
+        &workloads::control_loop_on(desc, scenario, app_core, 42),
+        app_core,
+    )?;
 
     let mut options = EvalOptions::for_scenario(mbta::constraints_for(scenario));
     if let Some(budget) = node_budget {

@@ -84,3 +84,28 @@ fn malformed_arguments_fail_before_running() {
         assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
     }
 }
+
+/// ahb2 has no second flash bank: every experiment must build its app
+/// and contender on the engine's platform (`control_loop_on`,
+/// `contender_on`), or the app's bank-2 code lands on an absent slave.
+#[test]
+fn ahb2_sweeps_and_table6_run() {
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    for scenario in ["sc1", "sc2"] {
+        let out = run(
+            sweep,
+            &["--platform", "ahb2", "--scenario", scenario, "--jobs", "2"],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "sweep ahb2 {scenario}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.lines().count(), 12, "header + 11 rows: {stdout}");
+    }
+    let out = run(
+        env!("CARGO_BIN_EXE_table6"),
+        &["--platform", "ahb2", "--jobs", "2"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "table6 ahb2: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("| Sc2 Core2 |"));
+}

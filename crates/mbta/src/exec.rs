@@ -17,6 +17,9 @@
 //!   call that builds the spec — gets a repeat answer without building
 //!   or hashing the spec again
 //!   ([`ExecEngine::isolation_by_recipe`]);
+//! * a spec that is a clone of one keyed before — the same program
+//!   bodies, equal small fields — is keyed by lookup in a small intern
+//!   table instead of by hashing its whole text again.
 //! * a co-run whose app has an isolation job in the same batch splices
 //!   its contender-free tail from the app's solo timeline instead of
 //!   simulating it ([`tc27x_sim::solo`]): the timeline is recorded once
@@ -40,6 +43,7 @@
 //! # }
 //! ```
 
+use crate::intern::KeyIntern;
 use crate::pool;
 use crate::telemetry::Telemetry;
 use contention::IsolationProfile;
@@ -304,6 +308,9 @@ pub struct ExecEngine {
     /// Recipe → job key of the spec it builds. It holds keys, never
     /// specs: a spec is about 0.4 MB, a key 8 bytes.
     recipes: Mutex<HashMap<Recipe, u64>>,
+    /// Spec identity → isolation key, for specs this engine has keyed
+    /// (bounded, most recently used first; it holds no program body).
+    interned: Mutex<KeyIntern>,
     /// App isolation key → the app's solo timeline. Only apps a batch
     /// co-runs get one; contenders never do.
     timelines: Mutex<HashMap<u64, Arc<SoloTimeline>>>,
@@ -461,6 +468,7 @@ impl ExecEngine {
             telemetry: None,
             cache: Mutex::new(HashMap::new()),
             recipes: Mutex::new(HashMap::new()),
+            interned: Mutex::new(KeyIntern::default()),
             timelines: Mutex::new(HashMap::new()),
             coruns: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -519,6 +527,7 @@ impl ExecEngine {
         // Recipes build their specs on the platform, so their keys and
         // co-run answers go with it; so do the timelines recorded on it.
         self.recipes = Mutex::new(HashMap::new());
+        self.interned = Mutex::new(KeyIntern::default());
         self.coruns = Mutex::new(HashMap::new());
         self.timelines = Mutex::new(HashMap::new());
         self
@@ -613,11 +622,16 @@ impl ExecEngine {
         h.finish()
     }
 
-    /// [`Self::fingerprint_on`] this engine's platform, counted in
-    /// [`EngineReport::spec_hashes`].
-    fn isolation_key(&self, spec: &TaskSpec, core: CoreId) -> u64 {
+    /// [`Self::fingerprint_on`] this engine's platform: looked up when
+    /// the spec's identity is interned, else hashed and counted in
+    /// [`EngineReport::spec_hashes`]. The second value says whether it
+    /// was hashed, i.e. whether the caller should intern the identity.
+    fn isolation_key(&self, spec: &TaskSpec, core: CoreId) -> (u64, bool) {
+        if let Some(key) = self.interned_lock().lookup(spec, core) {
+            return (key, false);
+        }
         self.spec_hashes.fetch_add(1, Ordering::Relaxed);
-        Self::fingerprint_on(spec, core, &self.platform)
+        (Self::fingerprint_on(spec, core, &self.platform), true)
     }
 
     /// [`job_key_on`] this engine's platform, counted in
@@ -650,6 +664,12 @@ impl ExecEngine {
     /// reason as [`Self::cache_lock`] (entries are inserted whole).
     fn recipes_lock(&self) -> MutexGuard<'_, HashMap<Recipe, u64>> {
         self.recipes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the key intern table; poisoning is recovered for the same
+    /// reason as [`Self::cache_lock`] (entries are inserted whole).
+    fn interned_lock(&self) -> MutexGuard<'_, KeyIntern> {
+        self.interned.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks the recipe-pair co-run answers; poisoning is recovered for
@@ -778,14 +798,24 @@ impl ExecEngine {
         self.timed(|| {
             // Each isolation job is keyed once, before the cache lock is
             // taken; the plan, the cache fill and the telemetry reuse it.
-            let keys: Vec<Option<u64>> = batch
+            // The identities the batch hashed are interned once it is
+            // done, so a batch keys its jobs only by hash or by earlier
+            // batches' identities.
+            let keys: Vec<Option<(u64, bool)>> = batch
                 .iter()
                 .map(|job| match job {
                     SimJob::Isolation { spec, core } => Some(self.isolation_key(spec, *core)),
                     SimJob::Corun { .. } | SimJob::Poison => None,
                 })
                 .collect();
-            self.run_batch_inner(batch, &keys)
+            let plain: Vec<Option<u64>> = keys.iter().map(|k| k.map(|(key, _)| key)).collect();
+            let outcomes = self.run_batch_inner(batch, &plain);
+            for (job, key) in batch.iter().zip(&keys) {
+                if let (SimJob::Isolation { spec, core }, Some((key, true))) = (job, key) {
+                    self.interned_lock().learn(spec, *core, *key);
+                }
+            }
+            outcomes
         })
     }
 
@@ -1002,8 +1032,12 @@ impl ExecEngine {
     /// Propagates link and simulation errors (as the failing job).
     pub fn isolation(&self, spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, JobError> {
         self.timed(|| {
-            let key = self.isolation_key(spec, core);
-            self.isolation_keyed(key, core, || spec.clone())
+            let (key, hashed) = self.isolation_key(spec, core);
+            let profile = self.isolation_keyed(key, core, || spec.clone());
+            if hashed {
+                self.interned_lock().learn(spec, core, key);
+            }
+            profile
         })
     }
 
@@ -1031,7 +1065,9 @@ impl ExecEngine {
             }
             let spec = recipe.build(&self.platform);
             let core = recipe.core();
-            let key = self.isolation_key(&spec, core);
+            // A freshly built spec has fresh bodies: it is always hashed,
+            // and the recipe alias, not the intern table, remembers it.
+            let (key, _) = self.isolation_key(&spec, core);
             let profile = self.isolation_keyed(key, core, move || spec)?;
             self.recipes_lock().insert(recipe, key);
             Ok((key, profile))
@@ -1117,10 +1153,11 @@ impl ExecEngine {
         self.timelines_lock().len()
     }
 
-    /// Drops every memoized profile, recipe alias, recipe co-run answer
-    /// and solo timeline (counters are kept).
+    /// Drops every memoized profile, recipe alias, interned spec key,
+    /// recipe co-run answer and solo timeline (counters are kept).
     pub fn clear_cache(&self) {
         self.recipes_lock().clear();
+        self.interned_lock().clear();
         self.coruns_lock().clear();
         self.timelines_lock().clear();
         self.cache_lock().clear();
@@ -1149,7 +1186,7 @@ impl ExecEngine {
     /// are never memoized).
     pub fn prime(&self, job: &SimJob, profile: IsolationProfile) {
         if let SimJob::Isolation { spec, core } = job {
-            let key = self.isolation_key(spec, *core);
+            let (key, _) = self.isolation_key(spec, *core);
             self.cache_lock().insert(key, profile);
         }
     }
@@ -1579,6 +1616,27 @@ mod tests {
         assert_eq!(job_key(&iso), 0x6ead_d9ba_fccc_1903);
     }
 
+    /// More pins next to the isolation key above: a co-run key and a
+    /// non-default platform's isolation key. Program bodies are shared
+    /// behind an `Arc`; these prove the hashed bytes did not move.
+    #[test]
+    fn corun_and_ahb2_keys_are_pinned() {
+        let co = SimJob::Corun {
+            app: app(),
+            app_core: CoreId(1),
+            load: load(LoadLevel::High),
+            load_core: CoreId(2),
+        };
+        assert_eq!(job_key(&co), 0xc728_3841_1b75_4543);
+        let ahb = ::platform::PlatformDesc::ahb2();
+        let core = CoreId(ahb.app_core as u8);
+        let iso = SimJob::Isolation {
+            spec: workloads::control_loop_on(&ahb, DeploymentScenario::Scenario1, core, 42),
+            core,
+        };
+        assert_eq!(job_key_on(&iso, &ahb), 0x7229_8e94_e9d9_2a2d);
+    }
+
     #[test]
     fn default_platform_keys_are_unchanged_and_non_default_keys_are_distinct() {
         let iso = SimJob::Isolation {
@@ -1844,6 +1902,61 @@ mod tests {
         // A cached single isolation keys the borrowed spec once.
         engine.isolation(&app(), CoreId(1)).unwrap();
         assert_eq!(engine.report().spec_hashes, 3);
+    }
+
+    /// A sweep row over `app`: its isolation, a fresh contender's
+    /// isolation and their co-run, as `sweep_batch` builds it.
+    fn warm_row(app: &TaskSpec, intensity: u32) -> Vec<SimJob> {
+        let contender = short_load(intensity);
+        vec![
+            SimJob::Isolation {
+                spec: app.clone(),
+                core: CoreId(1),
+            },
+            SimJob::Isolation {
+                spec: contender.clone(),
+                core: CoreId(2),
+            },
+            SimJob::Corun {
+                app: app.clone(),
+                app_core: CoreId(1),
+                load: contender,
+                load_core: CoreId(2),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_warm_row_hashes_only_its_fresh_contender() {
+        let engine = ExecEngine::sequential();
+        let spec = small_app();
+        engine.run_batch(&warm_row(&spec, 8)).unwrap();
+        assert_eq!(engine.report().spec_hashes, 2, "a cold row keys both");
+        for (i, n) in [9, 10, 11].into_iter().enumerate() {
+            let got = engine.run_batch(&warm_row(&spec, n)).unwrap();
+            let full = ExecEngine::sequential()
+                .run_batch(&warm_row(&spec, n))
+                .unwrap();
+            assert_eq!(got, full);
+            assert_eq!(engine.report().spec_hashes, 3 + i as u64, "{n} loads");
+        }
+        // A spec rebuilt by value has new bodies: it is hashed again,
+        // to the same key.
+        let rebuilt = small_app();
+        assert_eq!(rebuilt, spec);
+        let before = engine.report();
+        engine.isolation(&rebuilt, CoreId(1)).unwrap();
+        let after = engine.report();
+        assert_eq!(after.spec_hashes, before.spec_hashes + 1);
+        assert_eq!(after.cache_hits, before.cache_hits + 1, "same key, cached");
+        engine.isolation(&rebuilt, CoreId(1)).unwrap();
+        assert_eq!(engine.report().spec_hashes, after.spec_hashes);
+        // Clearing the cache forgets the identities: keyed by hash again.
+        engine.clear_cache();
+        engine.isolation(&spec, CoreId(1)).unwrap();
+        let cleared = engine.report();
+        assert_eq!(cleared.spec_hashes, after.spec_hashes + 1);
+        assert_eq!(cleared.cache_misses, after.cache_misses + 1);
     }
 
     /// A short app: 290 SRI posts, four solo checkpoints.

@@ -9,7 +9,7 @@ use contention::{
 use std::error::Error;
 use std::fmt;
 use tc27x_sim::{CoreId, DeploymentScenario, SimError};
-use workloads::{contender, contender_on, control_loop, control_loop_on, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 /// Errors from running an experiment.
 #[derive(Debug)]
@@ -243,11 +243,11 @@ pub fn table6_block_with<R: BatchRunner + ?Sized>(
     let (c1, c2) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
     let batch = [
         SimJob::Isolation {
-            spec: control_loop(scenario, c1, seed),
+            spec: control_loop_on(desc, scenario, c1, seed),
             core: c1,
         },
         SimJob::Isolation {
-            spec: contender(scenario, LoadLevel::High, c2, seed ^ 0xbeef),
+            spec: contender_on(desc, scenario, LoadLevel::High, c2, seed ^ 0xbeef),
             core: c2,
         },
     ];

@@ -52,6 +52,7 @@ mod exec;
 mod experiment;
 mod faults;
 pub mod inspect;
+mod intern;
 mod journal;
 mod pool;
 pub mod report;

@@ -260,6 +260,10 @@ impl Telemetry {
             inner
                 .nondet
                 .add("kernel.memo_warp_cycles", s.kernel.memo_warp_cycles);
+            inner.nondet.add("kernel.loop_warps", s.kernel.loop_warps);
+            inner
+                .nondet
+                .add("kernel.loop_warp_cycles", s.kernel.loop_warp_cycles);
         }
     }
 
@@ -568,6 +572,7 @@ mod tests {
         stats.kernel.memo_hits = 7;
         stats.kernel.memo_records = 3;
         stats.kernel.memo_warp_cycles = 90;
+        stats.kernel.loop_warp_cycles = 70;
         let t = Telemetry::new("test");
         t.record_job(1, &iso_job(1), 100, Some(&stats));
         let stream = t.to_stream();
@@ -581,6 +586,7 @@ mod tests {
         assert_eq!(stream.nondet.counter("kernel.memo_hits"), Some(7));
         assert_eq!(stream.nondet.counter("kernel.memo_records"), Some(3));
         assert_eq!(stream.nondet.counter("kernel.memo_warp_cycles"), Some(90));
+        assert_eq!(stream.nondet.counter("kernel.loop_warp_cycles"), Some(70));
         assert!(
             stream.det.counter("kernel.memo_hits").is_none(),
             "memo stats are kernel-dependent, never part of the det subset"

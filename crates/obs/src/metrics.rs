@@ -77,6 +77,20 @@ impl Hist {
         }
     }
 
+    /// Records `k` more copies of every observation made since
+    /// `earlier`, a past snapshot of this histogram: exactly what
+    /// repeating that stretch of observations `k` times would record.
+    /// Minimum and maximum already cover the repeated values.
+    pub fn repeat_since(&mut self, earlier: &Hist, k: u64) {
+        self.count += k * (self.count - earlier.count);
+        self.sum = self
+            .sum
+            .saturating_add(k.saturating_mul(self.sum - earlier.sum));
+        for (b, e) in self.buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *b += k * (*b - e);
+        }
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -183,6 +183,33 @@ impl Cache {
         debug_assert_eq!(looked_up, Lookup::Hit, "memo replayed a non-resident line");
     }
 
+    /// Appends the state that decides every future lookup: per set, the
+    /// valid ways (tag and dirty bit) from most to least recently used,
+    /// then one zero per invalid way. Two caches with equal encodings
+    /// hit, miss and evict identically on any access sequence, whatever
+    /// their absolute LRU stamps and way positions.
+    pub(crate) fn canonical_into(&self, out: &mut Vec<u64>) {
+        let w = self.geometry.ways as usize;
+        let mut set: Vec<Way> = Vec::with_capacity(w);
+        for ways in self.ways.chunks(w) {
+            set.clear();
+            set.extend(ways.iter().filter(|w| w.valid));
+            set.sort_unstable_by_key(|w| std::cmp::Reverse(w.lru));
+            out.extend(
+                set.iter()
+                    .map(|w| (u64::from(w.tag) << 2) | (u64::from(w.dirty) << 1) | 1),
+            );
+            out.extend(std::iter::repeat_n(0, w - set.len()));
+        }
+    }
+
+    /// Adds `k` times the hits and misses counted since a past
+    /// `(hits, misses)` reading.
+    pub(crate) fn repeat_stats_since(&mut self, earlier: (u64, u64), k: u64) {
+        self.hits += k * (self.hits - earlier.0);
+        self.misses += k * (self.misses - earlier.1);
+    }
+
     /// Returns `true` if the line is currently resident (no LRU update).
     pub fn probe(&self, line: u32) -> bool {
         let sets = self.geometry.sets();

@@ -127,15 +127,15 @@ pub struct CorePipeline {
     /// buffer is one per flash bank and serves code fetches and data
     /// reads alike, so interleaved streams disrupt each other's
     /// sequentiality.
-    last_sri_line: [Option<u32>; Target::COUNT],
+    pub(crate) last_sri_line: [Option<u32>; Target::COUNT],
     pub(crate) state: State,
-    counters: DebugCounters,
-    truth: GroundTruth,
+    pub(crate) counters: DebugCounters,
+    pub(crate) truth: GroundTruth,
     finish_cycle: Option<u64>,
     trace: Trace,
     /// Remaining SRI transaction quota (capacity enforcement); `None`
     /// disables enforcement.
-    quota_left: Option<u64>,
+    pub(crate) quota_left: Option<u64>,
     /// Set once the quota ran out and the core was suspended.
     suspended: bool,
 }

@@ -43,6 +43,12 @@ pub struct KernelStats {
     pub memo_evictions: u64,
     /// Cycles skipped by block-memo replays (sum of replayed deltas).
     pub memo_warp_cycles: u64,
+    /// Loop warps: a solo core's loop iterations repeated their
+    /// predecessors exactly and were applied in one delta (see
+    /// [`crate::warp`]).
+    pub loop_warps: u64,
+    /// Cycles skipped by loop warps.
+    pub loop_warp_cycles: u64,
 }
 
 /// Per-slave SRI statistics for the telemetry layer. Unlike
@@ -111,6 +117,20 @@ impl GroundTruth {
     pub fn note_latency(&mut self, target: Target, latency: u64) {
         let m = &mut self.max_latency[target.index()];
         *m = (*m).max(latency);
+    }
+
+    /// Records `k` more copies of every transaction recorded since
+    /// `earlier`, a past snapshot of this ground truth. The latency
+    /// maxima already cover the repeated transactions.
+    pub(crate) fn repeat_since(&mut self, earlier: &GroundTruth, k: u64) {
+        for (t, e) in self.counts.iter_mut().zip(&earlier.counts) {
+            for (c, ec) in t.iter_mut().zip(e) {
+                *c += k * (*c - ec);
+            }
+        }
+        for (w, e) in self.writes.iter_mut().zip(&earlier.writes) {
+            *w += k * (*w - e);
+        }
     }
 
     /// Access count for a (target, class) pair — the paper's `n_x^{t,o}`.

@@ -24,6 +24,7 @@ use crate::addr::CoreId;
 use crate::core_pipeline::{CorePipeline, State};
 use crate::memo::BlockMemo;
 use crate::system::{SimError, System};
+use crate::warp::LoopWarp;
 use std::fmt;
 use std::str::FromStr;
 
@@ -111,11 +112,18 @@ pub trait EventSource {
 /// answer ([`crate::solo`]'s splice). The `()` observer of ordinary runs
 /// compiles away.
 pub(crate) trait StepObserver {
+    /// Whether the observer watches the run at all. Only an unwatched
+    /// run may warp loop iterations ([`crate::warp`]): a warp skips the
+    /// cycles, and the posts, an observer would inspect.
+    const WATCHES: bool = true;
+
     /// Inspects `sys` right after an executed cycle.
     fn after_step(&mut self, sys: &System) -> Option<u64>;
 }
 
 impl StepObserver for () {
+    const WATCHES: bool = false;
+
     #[inline(always)]
     fn after_step(&mut self, _sys: &System) -> Option<u64> {
         None
@@ -174,10 +182,10 @@ fn advance_idle(sys: &mut System, delta: u64) {
 /// [`crate::reference::run_tick`] decision for decision; see the module
 /// docs for why the two are bit-identical. `Ok(Some(cycles))` means
 /// `observer` ended the run early with that answer.
-pub(crate) fn run_event(
+pub(crate) fn run_event<O: StepObserver>(
     sys: &mut System,
     keep_going: impl Fn(&[Option<CorePipeline>]) -> bool,
-    observer: &mut impl StepObserver,
+    observer: &mut O,
 ) -> Result<Option<u64>, SimError> {
     let limit = sys.config.max_cycles;
     let mut queue = EventQueue::new();
@@ -191,6 +199,18 @@ pub(crate) fn run_event(
             .collect()
     } else {
         Vec::new()
+    };
+    // The loop warp of a lone, unwatched core: its slot and loops.
+    let loaded: Vec<usize> = (0..sys.cores.len())
+        .filter(|&i| sys.cores[i].is_some())
+        .collect();
+    let c = &sys.config;
+    let mut warp: Option<(usize, LoopWarp)> = match loaded.as_slice() {
+        &[i] if !O::WATCHES && c.trace_capacity == 0 && !c.attribution => sys.cores[i]
+            .as_ref()
+            .and_then(|core| LoopWarp::new(core, c))
+            .map(|w| (i, w)),
+        _ => None,
     };
     loop {
         if !keep_going(&sys.cores) {
@@ -246,6 +266,21 @@ pub(crate) fn run_event(
             }
         }
 
+        // A lone core about to start a loop iteration is offered to the
+        // loop warp first: if the iteration repeats an earlier one, the
+        // warp applies whole periods of them and leaves the core
+        // `Blocked` until they end; the loop re-plans from the head.
+        if let Some((i, w)) = warp.as_mut() {
+            let now = sys.now;
+            if let Some(core) = sys.cores[*i].as_mut() {
+                let about_to_process = matches!(core.state, State::Ready)
+                    || matches!(core.state, State::Blocked { until } if until <= now);
+                if about_to_process && w.attempt(core, &mut sys.sri, now, limit, &mut sys.kernel) {
+                    continue;
+                }
+            }
+        }
+
         // Before paying for a full cycle, offer every core that is
         // about to process an instruction to the block memo: a core at
         // the head of a stall-free block is warped across the whole
@@ -268,7 +303,10 @@ pub(crate) fn run_event(
                         !sys.sri.has_pending(core.id()),
                         "a core with an in-flight SRI request is never Ready/expired-Blocked"
                     );
-                    if memos[i].attempt(core, now, &mut sys.kernel) {
+                    // A warped core's blocks end where its iterations
+                    // start, so the warp sees every iteration start.
+                    let cut = warp.as_ref().filter(|(w, _)| *w == i).map(|(_, w)| w);
+                    if memos[i].attempt(core, now, &mut sys.kernel, cut) {
                         warped = true;
                     }
                 }

@@ -73,6 +73,7 @@ pub mod solo;
 pub mod sri;
 pub mod system;
 pub mod trace;
+pub mod warp;
 
 pub use addr::{Addr, CoreId, MemMap, Region};
 pub use attribution::AttributionMatrix;

@@ -60,6 +60,7 @@ use crate::counters::KernelStats;
 use crate::linker::{InstrKind, ObjRt};
 use crate::program::Pattern;
 use crate::rng::SplitMix64;
+use crate::warp::LoopWarp;
 
 /// Hard cap on instructions interpreted per block: bounds the work done
 /// in one warp and keeps entries small. Purely a performance knob — any
@@ -232,6 +233,7 @@ impl BlockMemo {
         core: &mut CorePipeline,
         now: u64,
         kernel: &mut KernelStats,
+        cut: Option<&LoopWarp>,
     ) -> bool {
         if self.slots.is_empty() {
             return false;
@@ -269,7 +271,7 @@ impl BlockMemo {
             }
         }
         // Miss (or stale entry): interpret the block live, recording it.
-        let Some(entry) = interpret(core, now) else {
+        let Some(entry) = interpret(core, now, cut) else {
             return self.decline(head);
         };
         kernel.memo_records += 1;
@@ -426,8 +428,10 @@ fn accumulate_delta(deltas: &mut Vec<CursorDelta>, idx: u32, step: u32, modulus:
 /// nothing was executed.
 ///
 /// On return the core sits in `Blocked { until: now + dt }`; `CCNT` is
-/// not charged (see [`BlockMemo::attempt`]).
-fn interpret(core: &mut CorePipeline, now: u64) -> Option<BlockEntry> {
+/// not charged (see [`BlockMemo::attempt`]). With a loop warp `cut`,
+/// the block also ends before the start of any iteration the warp could
+/// apply, so the kernel sees every such start at a loop head.
+fn interpret(core: &mut CorePipeline, now: u64, cut: Option<&LoopWarp>) -> Option<BlockEntry> {
     let entry_pc = core.pc;
     let entry_fetched = core.fetched_line;
     let rng_at_entry = core.rng.clone();
@@ -442,6 +446,9 @@ fn interpret(core: &mut CorePipeline, now: u64) -> Option<BlockEntry> {
     let mut accesses: Vec<HitAccess> = Vec::new();
 
     while executed < MAX_BLOCK {
+        if executed > 0 && cut.is_some_and(|w| w.is_iteration_start(core)) {
+            break;
+        }
         // Activation wrap (free within the same processing cycle). A
         // wrap that would *finish* the task runs live: completion
         // writes a trace record and adjusts CCNT.
@@ -662,7 +669,7 @@ mod tests {
         let (mut pipeline, _sys) = fresh_core(c, &spec);
         // The whole task is scratchpad-resident: one block covers it up
         // to (not including) the finishing wrap.
-        let entry = interpret(&mut pipeline, 0).unwrap();
+        let entry = interpret(&mut pipeline, 0, None).unwrap();
         assert!(entry.dt > 0);
         assert_eq!(entry.wraps, 0);
         assert!(!pipeline.is_done(), "completion must run live");
@@ -680,7 +687,7 @@ mod tests {
         );
         let (mut pipeline, _sys) = fresh_core(c, &spec);
         assert!(
-            interpret(&mut pipeline, 0).is_none(),
+            interpret(&mut pipeline, 0, None).is_none(),
             "a leading SRI access cannot be memoized"
         );
         assert_eq!(pipeline.pc, 0, "the core must be left untouched");
@@ -696,11 +703,11 @@ mod tests {
 
         let mut memo = BlockMemo::new(64);
         let mut kernel = KernelStats::default();
-        assert!(memo.attempt(&mut recorded, 5, &mut kernel));
+        assert!(memo.attempt(&mut recorded, 5, &mut kernel, None));
         assert_eq!(kernel.memo_records, 1);
         assert_eq!(kernel.memo_hits, 0);
 
-        assert!(memo.attempt(&mut replayed, 5, &mut kernel));
+        assert!(memo.attempt(&mut replayed, 5, &mut kernel, None));
         assert_eq!(kernel.memo_hits, 1);
         assert_eq!(recorded.pc, replayed.pc);
         assert_eq!(recorded.cursors, replayed.cursors);
@@ -721,7 +728,7 @@ mod tests {
         let (mut a, _sys) = fresh_core(c, &spec);
         let mut memo = BlockMemo::new(64);
         let mut kernel = KernelStats::default();
-        assert!(memo.attempt(&mut a, 0, &mut kernel));
+        assert!(memo.attempt(&mut a, 0, &mut kernel, None));
 
         // Same entry point, perturbed cursor state: Sequential cursor
         // deltas are guard-free, so force a loop-counter mismatch
@@ -734,7 +741,7 @@ mod tests {
             .position(|i| matches!(i.kind, InstrKind::LoopEnd { .. }))
             .unwrap();
         b.loop_counters[loop_idx] = 3;
-        assert!(memo.attempt(&mut b, 0, &mut kernel));
+        assert!(memo.attempt(&mut b, 0, &mut kernel, None));
         assert_eq!(kernel.memo_invalidations, 1);
         assert_eq!(kernel.memo_records, 2, "guard failure re-records");
     }
@@ -746,7 +753,7 @@ mod tests {
         let (mut pipeline, _sys) = fresh_core(c, &spec);
         let mut memo = BlockMemo::new(0);
         let mut kernel = KernelStats::default();
-        assert!(!memo.attempt(&mut pipeline, 0, &mut kernel));
+        assert!(!memo.attempt(&mut pipeline, 0, &mut kernel, None));
         assert_eq!(kernel.memo_records, 0);
         assert_eq!(pipeline.pc, 0);
     }

@@ -25,6 +25,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytes of code occupied by every operation (fixed-width encoding).
 pub const OP_BYTES: u32 = 4;
@@ -108,9 +109,21 @@ impl Op {
 }
 
 /// A complete task program (top-level op sequence).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// The ops live behind an [`Arc`]: cloning a program (and so a
+/// [`crate::TaskSpec`]) shares the body instead of copying it, and two
+/// programs sharing one body compare equal without a walk. The derived
+/// `Debug` prints the body exactly as a plain `Vec` would, so the bytes
+/// that job keys hash do not depend on the sharing.
+#[derive(Clone, Eq, Debug, Default)]
 pub struct Program {
-    ops: Vec<Op>,
+    ops: Arc<Vec<Op>>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.ops, &other.ops) || self.ops == other.ops
+    }
 }
 
 impl Program {
@@ -128,6 +141,12 @@ impl Program {
 
     /// The top-level operations.
     pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
+    /// The shared body, for identity checks: two programs with the same
+    /// body pointer are clones of one build.
+    pub fn body(&self) -> &Arc<Vec<Op>> {
         &self.ops
     }
 
@@ -170,14 +189,14 @@ impl Program {
 impl FromIterator<Op> for Program {
     fn from_iter<I: IntoIterator<Item = Op>>(iter: I) -> Self {
         Program {
-            ops: iter.into_iter().collect(),
+            ops: Arc::new(iter.into_iter().collect()),
         }
     }
 }
 
 impl Extend<Op> for Program {
     fn extend<I: IntoIterator<Item = Op>>(&mut self, iter: I) {
-        self.ops.extend(iter);
+        Arc::make_mut(&mut self.ops).extend(iter);
     }
 }
 
@@ -249,7 +268,9 @@ impl ProgramBuilder {
 
     /// Finalises the program.
     pub fn finish(self) -> Program {
-        Program { ops: self.ops }
+        Program {
+            ops: Arc::new(self.ops),
+        }
     }
 }
 
@@ -313,6 +334,43 @@ mod tests {
         let mut p: Program = vec![Op::Compute(1)].into_iter().collect();
         p.extend([Op::Compute(2)]);
         assert_eq!(p.ops().len(), 2);
+    }
+
+    #[test]
+    fn clones_share_the_body_and_print_like_a_plain_vec() {
+        let p = Program::build(|b| {
+            b.repeat(2, |b| {
+                b.load("x", Pattern::Random);
+            });
+        });
+        let q = p.clone();
+        assert!(Arc::ptr_eq(p.body(), q.body()));
+        assert_eq!(p, q);
+        let rebuilt: Program = p.ops().iter().cloned().collect();
+        assert!(!Arc::ptr_eq(p.body(), rebuilt.body()));
+        assert_eq!(p, rebuilt, "equal bodies compare equal by value");
+        let plain = plain::Program {
+            ops: p.ops().to_vec(),
+        };
+        assert_eq!(format!("{p:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{p:#?}"), format!("{plain:#?}"));
+        assert_eq!(plain.ops.len(), 1);
+        let mut extended = q.clone();
+        extended.extend([Op::Compute(1)]);
+        assert_eq!(
+            q.ops().len(),
+            1,
+            "extending a clone leaves the shared body alone"
+        );
+        assert_eq!(extended.ops().len(), 2);
+    }
+
+    /// The pre-sharing layout, for the Debug byte-identity check.
+    mod plain {
+        #[derive(Debug)]
+        pub(super) struct Program {
+            pub(super) ops: Vec<super::Op>,
+        }
     }
 
     #[test]

@@ -89,6 +89,14 @@ impl SplitMix64 {
             .state
             .wrapping_add(draws.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     }
+
+    /// Jumps the stream forward by `k` times the draws made since
+    /// `earlier`, a past state of this generator, without knowing how
+    /// many they were: the state moves by one fixed step per draw.
+    pub(crate) fn repeat_since(&mut self, earlier: &SplitMix64, k: u64) {
+        let moved = self.state.wrapping_sub(earlier.state);
+        self.state = self.state.wrapping_add(moved.wrapping_mul(k));
+    }
 }
 
 #[cfg(test)]

@@ -296,6 +296,20 @@ pub(crate) struct RelSri {
     phase: [u32; Target::COUNT],
 }
 
+impl RelSri {
+    /// The state of the slaves in `mask` only: the others read as free,
+    /// with phase 0.
+    pub(crate) fn masked(mut self, mask: &[bool; Target::COUNT]) -> RelSri {
+        for (i, &keep) in mask.iter().enumerate() {
+            if !keep {
+                self.busy_in[i] = 0;
+                self.phase[i] = 0;
+            }
+        }
+        self
+    }
+}
+
 /// Completion notice the SRI hands back to a core.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Grant {
@@ -479,6 +493,38 @@ impl Sri {
             served: s.served,
             queue_delay: s.queue_delay,
             delay_hist: s.delay_hist.clone(),
+        }
+    }
+
+    /// Every slave's statistics, indexed like [`Target::all`].
+    pub(crate) fn all_slave_stats(&self) -> [crate::counters::SlaveStats; Target::COUNT] {
+        std::array::from_fn(|i| self.slave_stats(Target::all()[i]))
+    }
+
+    /// Moves the crossbar `shift` cycles into the future as `k` repeats
+    /// of the grants made since `earlier` (a past [`Sri::all_slave_stats`])
+    /// would: the slaves in `used` that are still busy at `now` stay
+    /// busy for as long as before, relative to `now + shift`, and every
+    /// served count, delay sum and delay histogram grows by `k` times
+    /// its growth since `earlier`. The caller guarantees that no request
+    /// is queued, that only the slaves in `used` grant anything, and
+    /// that the round-robin pointers already name the only poster.
+    pub(crate) fn repeat_since(
+        &mut self,
+        earlier: &[crate::counters::SlaveStats; Target::COUNT],
+        k: u64,
+        used: &[bool; Target::COUNT],
+        now: u64,
+        shift: u64,
+    ) {
+        debug_assert!(self.slaves.iter().all(|s| s.queue.is_empty()));
+        for ((slave, e), &used) in self.slaves.iter_mut().zip(earlier).zip(used) {
+            if used && slave.busy_until > now {
+                slave.busy_until += shift;
+            }
+            slave.served += k * (slave.served - e.served);
+            slave.queue_delay += k * (slave.queue_delay - e.queue_delay);
+            slave.delay_hist.repeat_since(&e.delay_hist, k);
         }
     }
 
