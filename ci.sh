@@ -159,6 +159,16 @@ stage_golden() {
     grep -q "torn trailing record truncated" "$SMOKE_DIR/resume.log" \
         || { echo "torn-record truncation was not reported"; cat "$SMOKE_DIR/resume.log"; exit 1; }
 
+    echo "==> journal records are worker-count invariant (--jobs 1 vs --jobs 4)"
+    # Records are appended inside the engine's pool as jobs complete, so
+    # their order follows the schedule; their set must not. The same
+    # sweep journaled at --jobs 1 holds exactly the --jobs 4 records.
+    "$SWEEP" --scenario sc2 --jobs 1 --engine event --journal "$SMOKE_DIR/sweep1.journal" \
+        > /dev/null 2> /dev/null
+    diff -u <(tail -n +2 "$SMOKE_DIR/sweep.journal" | sort) \
+        <(tail -n +2 "$SMOKE_DIR/sweep1.journal" | sort) \
+        || { echo "journal records differ between --jobs 1 and --jobs 4"; exit 1; }
+
     echo "==> legacy journal resume (committed torn mbta-journal v1 fixture)"
     # A journal written before campaign outcomes became a record-log
     # namespace, torn the same way: it must still resume to the golden

@@ -1,11 +1,12 @@
-//! Benches for the crash-safe campaign layer: what the write-ahead
-//! journal costs on top of a plain engine batch, how fast a finished
-//! journal resumes (replay, zero simulation), and the raw fsync'd
-//! append throughput. Writes `BENCH_campaign.json` at the repo root.
+//! Benches for crash-safe campaigns: what the write-ahead journal
+//! costs on top of a plain engine batch, how fast a finished journal
+//! resumes (replay, zero simulation), and the raw fsync'd append
+//! throughput. Writes `BENCH_campaign.json` at the repo root.
 
 use contention_bench::harness::{Harness, MetaEnvelope};
+use contention_bench::sweep_batch;
 use mbta::store::CAMPAIGN_NAMESPACE;
-use mbta::{BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, SimJob, Store};
+use mbta::{ExecEngine, SimJob, Store};
 use std::hint::black_box;
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
@@ -67,30 +68,40 @@ fn main() {
     // The tentpole overhead number: identical work, but every outcome
     // is framed, checksummed, written and fsync'd to the journal.
     let journaled_path = tmp("overhead");
-    h.bench("panel_batch_journaled", || {
+    let journaled = |batch: &[SimJob]| {
         let engine = ExecEngine::new(2);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &journaled_path)
-                .expect("create journal");
-        black_box(campaign.run_batch_detailed(&batch))
+        engine.journal(&journaled_path).expect("create journal");
+        black_box(engine.run_batch_detailed(batch))
+    };
+    h.bench("panel_batch_journaled", || journaled(&batch));
+
+    // The same pair over a full Scenario 1 sweep batch (one app, eleven
+    // contender intensities). Its contenders end early in the app's
+    // run, so its co-runs splice their tails — journaled or not; the
+    // panel's contenders outlive the app and never splice.
+    let sweep = sweep_batch(
+        platform::default_platform(),
+        DeploymentScenario::Scenario1,
+        &(0..=1_000).step_by(100).collect::<Vec<u32>>(),
+    );
+    h.bench("sweep_batch_no_journal", || {
+        let engine = ExecEngine::new(2);
+        black_box(engine.run_batch_detailed(&sweep))
     });
+    h.bench("sweep_batch_journaled", || journaled(&sweep));
 
     // Resume wall-time: recover a finished journal and replay the whole
     // batch without a single simulation.
     let finished_path = tmp("finished");
     {
         let engine = ExecEngine::new(2);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &finished_path)
-                .expect("create journal");
-        campaign.run_batch_detailed(&batch);
+        engine.journal(&finished_path).expect("create journal");
+        engine.run_batch_detailed(&batch);
     }
     h.bench("panel_batch_resume_replay", || {
         let engine = ExecEngine::new(2);
-        let (campaign, _) =
-            CampaignRunner::resumed(&engine, CampaignConfig::default(), &finished_path)
-                .expect("resume journal");
-        black_box(campaign.run_batch_detailed(&batch))
+        engine.resume(&finished_path).expect("resume journal");
+        black_box(engine.run_batch_detailed(&batch))
     });
 
     // Raw journal throughput: 64 fsync'd co-run records per call, in

@@ -28,7 +28,6 @@ use contention::{
 use contention_bench::write_engine_report;
 use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
-use mbta::BatchRunner;
 use tc27x_sim::{CoreId, DeploymentScenario};
 use workloads::{contender_on, control_loop_on, LoadLevel};
 
@@ -37,11 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("ablation");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
-    let runner: &dyn BatchRunner = match campaign.as_ref() {
-        Some(c) => c,
-        None => &engine,
-    };
+    common.campaign(&engine, telemetry.as_deref())?;
     let budgeted = |mut opts: IlpPtacOptions| {
         if let Some(budget) = common.ilp_budget {
             opts.node_budget = budget;
@@ -53,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::from_desc(desc);
     let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
     let scenario = DeploymentScenario::Scenario1;
-    let app = runner.isolation(&control_loop_on(desc, scenario, app_core, 42), app_core)?;
+    let app = engine.isolation(&control_loop_on(desc, scenario, app_core, 42), app_core)?;
     let load = |level: LoadLevel| {
-        runner.isolation(
+        engine.isolation(
             &contender_on(desc, scenario, level, load_core, 7),
             load_core,
         )
@@ -156,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nthe per-slave (cross-bar) models dominate their single-bus");
     println!("reductions in every column — §4.3's subsumption claim, measured.");
 
-    let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
+    let complete = report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     common.flush_telemetry(telemetry.as_deref())?;
     if !complete {

@@ -23,7 +23,6 @@ use contention::Platform;
 use contention_bench::{fig4_cell, panel_fallback_report, write_engine_report};
 use mbta::args::{report_campaign, take_parsed, CommonArgs};
 use mbta::report::{ratio, Table};
-use mbta::BatchRunner;
 use tc27x_sim::DeploymentScenario;
 
 /// The panel heading of a scenario.
@@ -58,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
-    let runner: &dyn BatchRunner = match campaign.as_ref() {
-        Some(c) => c,
-        None => &engine,
-    };
+    common.campaign(&engine, telemetry.as_deref())?;
     let platform = Platform::from_desc(engine.platform());
 
     println!("Figure 4: model predictions w.r.t. execution in isolation");
@@ -70,10 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for scenario in scenarios {
         let label = label(scenario);
-        let panel = mbta::figure4_panel_with(runner, scenario, &platform, 42)?;
+        let panel = mbta::figure4_panel_with(&engine, scenario, &platform, 42)?;
         eprintln!(
             "{label}: {}",
-            panel_fallback_report(runner, scenario, 42, budget, telemetry.as_deref())?
+            panel_fallback_report(&engine, scenario, 42, budget, telemetry.as_deref())?
         );
         println!(
             "{label}  —  isolation CCNT = {} cycles",
@@ -114,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("bounds (~10%) than the 30-40% of the stressing benchmarks.");
     }
 
-    let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
+    let complete = report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         // The reproducibility footer goes under the figure: how the

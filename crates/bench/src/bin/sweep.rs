@@ -22,8 +22,9 @@
 //! With `--journal <file>` every completed simulation is appended to a
 //! crash-safe journal; after an interruption, `--resume <file>` replays
 //! the completed jobs and re-executes only the missing ones — the CSV
-//! is byte-identical to an uninterrupted run at any `--jobs N`. Under a
-//! campaign the sweep also degrades gracefully: a row whose simulation
+//! is byte-identical to an uninterrupted run at any `--jobs N`. A
+//! journaled sweep plans, keys, splices and replays exactly as a plain
+//! one. The sweep also degrades gracefully: a row whose simulation
 //! stays unrecovered is skipped (and named on stderr) instead of
 //! aborting the whole sweep.
 //!
@@ -33,7 +34,7 @@
 //! report. The CSV itself always uses the exact models, so stdout stays
 //! byte-identical regardless of the budget.
 
-use contention_bench::{sweep_csv, sweep_csv_partial, sweep_fallback_report, write_engine_report};
+use contention_bench::{sweep_csv_partial, sweep_fallback_report, write_engine_report};
 use mbta::args::{report_campaign, take_parsed, CommonArgs};
 use tc27x_sim::DeploymentScenario;
 
@@ -48,38 +49,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.meta("scenario", mbta::Val::str(scenario_label));
     }
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
+    common.campaign(&engine, telemetry.as_deref())?;
 
-    let mut sweep_complete = true;
-    match campaign.as_ref() {
-        // Under a campaign, degrade gracefully: keep every computable
-        // row and name the skipped ones instead of aborting.
-        Some(runner) => {
-            let partial = sweep_csv_partial(runner, scenario)?;
-            print!("{}", partial.csv);
-            if !partial.is_complete() {
-                sweep_complete = false;
-                eprintln!(
-                    "sweep: {} row(s) skipped (intensities {:?} permille) — resume to recover",
-                    partial.skipped.len(),
-                    partial.skipped
-                );
-            }
-            eprintln!(
-                "{}",
-                sweep_fallback_report(runner, scenario, common.ilp_budget, telemetry.as_deref())?
-            );
-        }
-        None => {
-            print!("{}", sweep_csv(&engine, scenario)?);
-            eprintln!(
-                "{}",
-                sweep_fallback_report(&engine, scenario, common.ilp_budget, telemetry.as_deref())?
-            );
-        }
+    // Degrade gracefully: keep every computable row and name the
+    // skipped ones instead of aborting.
+    let partial = sweep_csv_partial(&engine, scenario)?;
+    print!("{}", partial.csv);
+    let sweep_complete = partial.is_complete();
+    if !sweep_complete {
+        eprintln!(
+            "sweep: {} row(s) skipped (intensities {:?} permille) — resume to recover",
+            partial.skipped.len(),
+            partial.skipped
+        );
     }
+    eprintln!(
+        "{}",
+        sweep_fallback_report(&engine, scenario, common.ilp_budget, telemetry.as_deref())?
+    );
 
-    let campaign_complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
+    let campaign_complete = report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         eprint!("{}", mbta::report::reproducibility_footer(t));

@@ -15,19 +15,14 @@ use contention::{Operation, Platform, Target};
 use contention_bench::{paper_vs, write_engine_report};
 use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
-use mbta::BatchRunner;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table2");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
-    let runner: &dyn BatchRunner = match campaign.as_ref() {
-        Some(c) => c,
-        None => &engine,
-    };
-    let cal = mbta::calibrate_with(runner)?;
+    common.campaign(&engine, telemetry.as_deref())?;
+    let cal = mbta::calibrate_with(&engine)?;
     let paper = Platform::tc277_reference();
 
     println!("Table 2: maximum latency and minimum stall cycles per SRI target");
@@ -75,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cal.into_platform().cs_data_min()
     );
 
-    let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
+    let complete = report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     common.flush_telemetry(telemetry.as_deref())?;
     if !complete {

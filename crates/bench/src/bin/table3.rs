@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table3");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
+    common.campaign(&engine, telemetry.as_deref())?;
 
     println!("Table 3: constraints on code/data placement w.r.t. SRI slaves");
     println!("('ok' = admissible, 'x' = forbidden; matches the paper cell for cell)\n");
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  Code $ : ok ok x ok     Code n$: ok ok x ok");
     println!("  Data $ : ok ok x ok     Data n$: x  x  ok ok");
 
-    report_campaign(campaign.as_ref(), telemetry.as_deref());
+    report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     common.flush_telemetry(telemetry.as_deref())?;
     Ok(())

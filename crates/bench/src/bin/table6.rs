@@ -1,6 +1,7 @@
 //! Regenerates **Table 6** of the paper: debug-counter readings for
-//! Scenarios 1 and 2, with the application under analysis on core 1 and
-//! the H-Load contender on core 2.
+//! Scenarios 1 and 2, with the application under analysis on the
+//! platform's app core (core 1 on the TC27x) and the H-Load contender
+//! on its load core (core 2).
 //!
 //! Absolute magnitudes differ from the paper (our workloads are scaled
 //! down ~50x to keep simulation fast); the *structure* — which counters
@@ -17,7 +18,6 @@ use contention::IsolationProfile;
 use contention_bench::write_engine_report;
 use mbta::args::{report_campaign, CommonArgs};
 use mbta::report::Table;
-use mbta::BatchRunner;
 use tc27x_sim::DeploymentScenario;
 
 fn row(label: &str, p: &IsolationProfile) -> Vec<String> {
@@ -37,21 +37,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let common = CommonArgs::parse(args.clone())?;
     let telemetry = common.recorder("table6");
     let engine = common.engine_with(telemetry.as_ref());
-    let campaign = common.campaign(&engine, telemetry.as_deref())?;
-    let runner: &dyn BatchRunner = match campaign.as_ref() {
-        Some(c) => c,
-        None => &engine,
-    };
+    common.campaign(&engine, telemetry.as_deref())?;
 
+    let desc = engine.platform();
     println!("Table 6: counter readings for Scenarios 1 and 2");
-    println!("(application on core 1, H-Load contender on core 2)\n");
+    println!(
+        "(application on core {}, H-Load contender on core {})\n",
+        desc.app_core, desc.load_core
+    );
 
     let mut t = Table::new(vec!["", "PM", "DMC", "DMD", "PS", "DS"]);
     for (label, scenario) in [
         ("Sc1", DeploymentScenario::Scenario1),
         ("Sc2", DeploymentScenario::Scenario2),
     ] {
-        let block = mbta::table6_block_with(runner, scenario, 42)?;
+        let block = mbta::table6_block_with(&engine, scenario, 42)?;
         t.row(row(&format!("{label} Core1"), &block.core1));
         t.row(row(&format!("{label} Core2"), &block.core2));
     }
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cacheable data misses; Sc2 data stalls are a small fraction of");
     println!("code stalls; contender traffic is roughly half the app's.");
 
-    let complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
+    let complete = report_campaign(&engine, telemetry.as_deref());
     write_engine_report(&engine, &args);
     if let Some(t) = &telemetry {
         // The reproducibility footer goes under the table: how the

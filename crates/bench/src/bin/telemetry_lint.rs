@@ -289,6 +289,7 @@ mod tests {
             spec_hashes: 1,
             tail_recordings: 0,
             tail_splices: 0,
+            ..mbta::EngineReport::default()
         });
         let jsonl = t.render(mbta::Format::Jsonl);
         lint_jsonl(&jsonl, true).unwrap();

@@ -28,7 +28,7 @@ use contention::{
     ContentionModel, EvalOptions, Evaluator, FsbModel, FtcModel, IdealModel, IlpPtacModel,
     Platform, WcetEstimate,
 };
-use mbta::{BatchRunner, ExecEngine, SimJob, Telemetry};
+use mbta::{ExecEngine, SimJob, Telemetry};
 use tc27x_sim::{
     CoreId, DataObject, DeploymentScenario, Pattern, Placement, Program, Region, TaskSpec,
 };
@@ -112,7 +112,7 @@ pub fn scaled_contender(core: CoreId, intensity_permille: u32) -> TaskSpec {
 /// The sweep's job list, in the fixed order the CSV assembly consumes:
 /// one app isolation, then per intensity a contender isolation and a
 /// co-run. Core placement follows the platform description.
-fn sweep_batch(
+pub fn sweep_batch(
     desc: &::platform::PlatformDesc,
     scenario: DeploymentScenario,
     intensities: &[u32],
@@ -140,20 +140,20 @@ fn sweep_batch(
 }
 
 /// Builds the full sweep CSV (header plus one row per intensity step)
-/// on the given runner: all isolation runs and co-runs go out as one
+/// on the given engine: all isolation runs and co-runs go out as one
 /// batch, and the CSV is assembled from the index-ordered results — so
 /// the returned string is byte-identical for any worker count (and for
-/// a [`mbta::CampaignRunner`] replaying a journal).
+/// an engine replaying a journal).
 ///
 /// # Errors
 ///
 /// Propagates simulation and model errors; the first failing job aborts
 /// the sweep. Use [`sweep_csv_partial`] to degrade gracefully instead.
-pub fn sweep_csv<R: BatchRunner + ?Sized>(
-    runner: &R,
+pub fn sweep_csv(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
 ) -> Result<String, mbta::ExperimentError> {
-    let partial = sweep_csv_partial(runner, scenario)?;
+    let partial = sweep_csv_partial(engine, scenario)?;
     match partial.skipped.first() {
         None => Ok(partial.csv),
         Some(&intensity) => {
@@ -202,14 +202,14 @@ impl PartialSweep {
 /// # Errors
 ///
 /// Propagates an app-isolation failure and model errors.
-pub fn sweep_csv_partial<R: BatchRunner + ?Sized>(
-    runner: &R,
+pub fn sweep_csv_partial(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
 ) -> Result<PartialSweep, mbta::ExperimentError> {
-    let desc = runner.platform();
+    let desc = engine.platform();
     let platform = Platform::from_desc(desc);
     let intensities: Vec<u32> = (0..=1_000).step_by(100).collect();
-    let mut results = runner
+    let mut results = engine
         .run_batch_detailed(&sweep_batch(desc, scenario, &intensities))
         .into_iter();
     let mut next = move |index: usize| -> Result<mbta::SimOutcome, mbta::JobError> {
@@ -314,8 +314,8 @@ impl std::fmt::Display for FallbackReport {
 /// # Errors
 ///
 /// Propagates engine and model errors.
-pub fn sweep_fallback_report<R: BatchRunner + ?Sized>(
-    engine: &R,
+pub fn sweep_fallback_report(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
     node_budget: Option<u64>,
     telemetry: Option<&Telemetry>,
@@ -369,8 +369,8 @@ pub fn sweep_fallback_report<R: BatchRunner + ?Sized>(
 /// # Errors
 ///
 /// Propagates engine and model errors.
-pub fn panel_fallback_report<R: BatchRunner + ?Sized>(
-    engine: &R,
+pub fn panel_fallback_report(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
     seed: u64,
     node_budget: Option<u64>,
@@ -419,7 +419,7 @@ pub fn panel_fallback_report<R: BatchRunner + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbta::{CampaignConfig, CampaignRunner};
+    use mbta::{FaultPlan, RetryPolicy};
 
     #[test]
     fn helpers_format() {
@@ -461,7 +461,11 @@ mod tests {
         assert!(partial.is_complete());
         assert_eq!(partial.csv, full);
 
-        let campaign = CampaignRunner::new(&engine, CampaignConfig::default());
+        // A never-firing fault plan keys every job, as a campaign does.
+        let campaign = ExecEngine::new(2).with_fault_plan(Some(FaultPlan {
+            rate_permille: 0,
+            seed: 1,
+        }));
         let campaigned = sweep_csv_partial(&campaign, DeploymentScenario::Scenario1).unwrap();
         assert!(campaigned.is_complete());
         assert_eq!(campaigned.csv, full);
@@ -472,19 +476,12 @@ mod tests {
     /// and the strict `sweep_csv` surfaces the underlying job failure.
     #[test]
     fn partial_sweep_degrades_and_strict_sweep_fails() {
-        use mbta::{FaultPlan, RetryPolicy};
-        let engine = ExecEngine::new(2);
-        let config = CampaignConfig {
-            retry: RetryPolicy { max_attempts: 1 },
-            fault: Some(FaultPlan {
+        let campaign = ExecEngine::new(2)
+            .with_retry(RetryPolicy { max_attempts: 1 })
+            .with_fault_plan(Some(FaultPlan {
                 rate_permille: 1_000,
                 seed: 3,
-            }),
-            watchdog_millis: None,
-            journal_strict: false,
-            timeout_fault: None,
-        };
-        let campaign = CampaignRunner::new(&engine, config);
+            }));
         // The app isolation itself fails → the whole sweep is an error.
         assert!(sweep_csv_partial(&campaign, DeploymentScenario::Scenario1).is_err());
         assert!(sweep_csv(&campaign, DeploymentScenario::Scenario1).is_err());
@@ -495,23 +492,16 @@ mod tests {
     /// skipped intensities, and the strict `sweep_csv` still errors.
     #[test]
     fn partial_sweep_skips_only_failed_rows() {
-        use mbta::{FaultPlan, RetryPolicy};
         // The fault plan is a pure function of (seed, job key, attempt),
         // so this scan is deterministic: find a plan that spares the app
         // but permanently kills at least one row job.
         for seed in 0..64 {
-            let engine = ExecEngine::new(2);
-            let config = CampaignConfig {
-                retry: RetryPolicy { max_attempts: 1 },
-                fault: Some(FaultPlan {
+            let campaign = ExecEngine::new(2)
+                .with_retry(RetryPolicy { max_attempts: 1 })
+                .with_fault_plan(Some(FaultPlan {
                     rate_permille: 300,
                     seed,
-                }),
-                watchdog_millis: None,
-                journal_strict: false,
-                timeout_fault: None,
-            };
-            let campaign = CampaignRunner::new(&engine, config);
+                }));
             let Ok(partial) = sweep_csv_partial(&campaign, DeploymentScenario::Scenario1) else {
                 continue;
             };

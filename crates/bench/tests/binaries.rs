@@ -107,5 +107,19 @@ fn ahb2_sweeps_and_table6_run() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "table6 ahb2: {stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("| Sc2 Core2 |"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("| Sc2 Core2 |"));
+    // ahb2 runs the app on core 0 and the contender on core 1.
+    assert!(
+        stdout.contains("(application on core 0, H-Load contender on core 1)"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn table6_names_the_tc27x_cores() {
+    let out = run(env!("CARGO_BIN_EXE_table6"), &["--jobs", "2"]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout)
+        .contains("(application on core 1, H-Load contender on core 2)"));
 }

@@ -161,3 +161,63 @@ fn every_golden_sc1_sweep_corun_splices_from_one_app_timeline() {
     engine.clear_cache();
     assert_eq!(engine.cached_timelines(), 0);
 }
+
+/// A journaled sweep plans, keys, splices and replays exactly as a plain
+/// one: the golden CSV, the plain engine's simulations (23) and tail
+/// splices (11), and a resume of its journal simulates nothing. A
+/// journaled figure4 panel runs the plain panel's simulations.
+#[test]
+fn journaled_sweeps_splice_like_plain_ones_and_resume_without_simulating() {
+    let goldens = [
+        (
+            DeploymentScenario::Scenario1,
+            include_str!("golden/sweep_sc1.csv"),
+        ),
+        (
+            DeploymentScenario::Scenario2,
+            include_str!("golden/sweep_sc2.csv"),
+        ),
+    ];
+    for (scenario, golden) in goldens {
+        for jobs in [1, 4] {
+            let at = format!("{scenario:?} at --jobs {jobs}");
+            let path = std::env::temp_dir().join(format!(
+                "bench-engine-journal-{}-{scenario:?}-{jobs}",
+                std::process::id()
+            ));
+            let plain = ExecEngine::new(jobs);
+            assert_eq!(sweep_csv(&plain, scenario).unwrap(), golden, "{at}");
+            let journaled = ExecEngine::new(jobs);
+            journaled.journal(&path).unwrap();
+            assert_eq!(sweep_csv(&journaled, scenario).unwrap(), golden, "{at}");
+            let (p, j) = (plain.report(), journaled.report());
+            assert_eq!((j.simulations_run, j.tail_splices), (23, 11), "{at}");
+            assert_eq!(
+                (j.simulations_run, j.tail_splices),
+                (p.simulations_run, p.tail_splices),
+                "{at}"
+            );
+            drop(journaled);
+
+            let resumed = ExecEngine::new(jobs);
+            resumed.resume(&path).unwrap();
+            assert_eq!(sweep_csv(&resumed, scenario).unwrap(), golden, "{at}");
+            assert_eq!(resumed.report().simulations_run, 0, "{at}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    let path = std::env::temp_dir().join(format!("bench-engine-panel-{}", std::process::id()));
+    let plain = ExecEngine::new(2);
+    let journaled = ExecEngine::new(2);
+    journaled.journal(&path).unwrap();
+    let platform = Platform::from_desc(plain.platform());
+    let a = figure4_panel_with(&plain, FIGURE4, &platform, 42).unwrap();
+    let b = figure4_panel_with(&journaled, FIGURE4, &platform, 42).unwrap();
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(
+        journaled.report().simulations_run,
+        plain.report().simulations_run
+    );
+    std::fs::remove_file(&path).ok();
+}

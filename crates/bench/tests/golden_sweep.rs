@@ -5,7 +5,7 @@
 //! hardening changed a single emitted digit.
 
 use contention_bench::{sweep_csv, sweep_fallback_report};
-use mbta::{CampaignConfig, CampaignRunner, ExecEngine};
+use mbta::ExecEngine;
 use tc27x_sim::DeploymentScenario;
 
 const GOLDEN: &str = include_str!("golden/sweep_sc1.csv");
@@ -75,17 +75,15 @@ fn journaled_and_resumed_sweeps_match_the_golden_capture() {
     let mut path = std::env::temp_dir();
     path.push(format!("bench-golden-journal-{}", std::process::id()));
     {
-        let engine = ExecEngine::new(4);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &path).unwrap();
+        let campaign = ExecEngine::new(4);
+        campaign.journal(&path).unwrap();
         let csv = sweep_csv(&campaign, DeploymentScenario::Scenario2).unwrap();
         assert_eq!(csv, GOLDEN_SC2, "journaled sweep diverged from golden");
     }
     let engine = ExecEngine::new(1);
-    let (campaign, report) =
-        CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap();
+    let report = engine.resume(&path).unwrap();
     assert_eq!(report.truncated_bytes, 0);
-    let csv = sweep_csv(&campaign, DeploymentScenario::Scenario2).unwrap();
+    let csv = sweep_csv(&engine, DeploymentScenario::Scenario2).unwrap();
     assert_eq!(csv, GOLDEN_SC2, "resumed sweep diverged from golden");
     assert_eq!(
         engine.report().simulations_run,

@@ -11,7 +11,7 @@
 
 use contention_bench::sweep_csv;
 use mbta::store::{decode_profile, encode_profile, CAMPAIGN_NAMESPACE};
-use mbta::{CampaignConfig, CampaignRunner, ExecEngine, Store};
+use mbta::{ExecEngine, Store};
 use std::path::{Path, PathBuf};
 use tc27x_sim::DeploymentScenario;
 
@@ -39,14 +39,17 @@ fn records(bytes: &[u8]) -> &[u8] {
 #[test]
 fn torn_v1_journal_resumes_to_the_golden_sweep() {
     let path = scratch_copy("sweep_sc2_v1_torn.journal");
-    let engine = ExecEngine::new(1);
-    let (campaign, report) =
-        CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap();
+    let campaign = ExecEngine::new(1);
+    let report = campaign.resume(&path).unwrap();
     // The older reader recovered the same: 22 records, 49 torn bytes.
     assert_eq!((report.records, report.truncated_bytes), (22, 49));
     let csv = sweep_csv(&campaign, DeploymentScenario::Scenario2).unwrap();
     assert_eq!(csv, GOLDEN_SC2, "resumed v1 journal diverged from golden");
-    assert_eq!(campaign.stats().executed, 1, "only the torn job reruns");
+    assert_eq!(
+        campaign.report().simulations_run,
+        1,
+        "only the torn job reruns"
+    );
     drop(campaign);
     // The resumed file keeps its legacy header and now replays fully.
     let (_, _, report) = Store::open(&path, CAMPAIGN_NAMESPACE, 0x1c34_5311_f44f_80b0).unwrap();
@@ -94,9 +97,8 @@ fn new_journal_records_are_byte_identical_to_v1() {
     let fixture = std::fs::read(fixture("sweep_sc2_v1_torn.journal")).unwrap();
     let path = std::env::temp_dir().join(format!("legacy-{}-fresh.journal", std::process::id()));
     {
-        let engine = ExecEngine::new(1);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &path).unwrap();
+        let campaign = ExecEngine::new(1);
+        campaign.journal(&path).unwrap();
         assert_eq!(
             sweep_csv(&campaign, DeploymentScenario::Scenario2).unwrap(),
             GOLDEN_SC2

@@ -11,10 +11,10 @@
 //! The shared flags are listed, with their help, in [`FLAGS_HELP`].
 //!
 //! From the parsed flags, [`CommonArgs::engine_with`] builds the
-//! experiment engine and [`CommonArgs::campaign`] the crash-safe
-//! campaign runner.
+//! experiment engine and [`CommonArgs::campaign`] attaches its
+//! crash-safe campaign journal.
 
-use crate::{CampaignConfig, CampaignRunner, ExecEngine, SinkSpec, Telemetry};
+use crate::{ExecEngine, SinkSpec, Telemetry};
 use platform::PlatformDesc;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -241,48 +241,50 @@ impl CommonArgs {
     }
 
     /// Builds the experiment engine these flags describe, with the
-    /// telemetry recorder attached when one is given.
+    /// telemetry recorder attached when one is given. The engine keeps
+    /// the default retry policy, injects no faults and honours
+    /// `--watchdog-ms`.
     pub fn engine_with(&self, telemetry: Option<&Arc<Telemetry>>) -> ExecEngine {
         let engine = ExecEngine::new(self.jobs)
             .with_sim_engine(self.sim_engine)
             .with_block_memo(self.block_memo)
             .with_attribution(self.attribution.is_some())
-            .with_platform(self.platform.clone());
+            .with_platform(self.platform.clone())
+            .with_watchdog(self.watchdog_millis);
         match telemetry {
             Some(t) => engine.with_telemetry(Arc::clone(t)),
             None => engine,
         }
     }
 
-    /// Builds the crash-safe campaign runner the flags ask for: `Some`
-    /// for `--journal` (fresh) or `--resume` (recover and replay),
-    /// `None` for a plain in-memory run. The campaign keeps the default
-    /// retry policy, injects no faults and honours `--watchdog-ms`. Resume recovery is narrated on
-    /// stderr; a torn trailing record is always reported, through the
-    /// recorder's deduplicated warning channel when there is one.
+    /// Attaches the campaign journal the flags ask for to `engine`:
+    /// a fresh one for `--journal`, a recovered one for `--resume`
+    /// (its records prime the engine's memo). Returns whether a journal
+    /// was attached; a plain in-memory run attaches none. Resume
+    /// recovery is narrated on stderr; a torn trailing record is always
+    /// reported, through the recorder's deduplicated warning channel
+    /// when there is one.
     ///
     /// # Errors
     ///
     /// Journal creation and recovery errors, as readable messages.
-    pub fn campaign<'e>(
+    pub fn campaign(
         &self,
-        engine: &'e ExecEngine,
+        engine: &ExecEngine,
         telemetry: Option<&Telemetry>,
-    ) -> Result<Option<CampaignRunner<'e>>, String> {
-        let config = CampaignConfig {
-            watchdog_millis: self.watchdog_millis,
-            ..CampaignConfig::default()
-        };
+    ) -> Result<bool, String> {
         if let Some(path) = &self.journal {
-            let runner = CampaignRunner::journaled(engine, config, path)
+            engine
+                .journal(path)
                 .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
             eprintln!("journal: recording to {}", path.display());
-            return Ok(Some(runner));
+            return Ok(true);
         }
         let Some(path) = &self.resume else {
-            return Ok(None);
+            return Ok(false);
         };
-        let (runner, report) = CampaignRunner::resumed(engine, config, path)
+        let report = engine
+            .resume(path)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         eprintln!(
             "resume: {} record(s) recovered from {}",
@@ -300,7 +302,7 @@ impl CommonArgs {
                 None => eprintln!("warning: {message}"),
             }
         }
-        Ok(Some(runner))
+        Ok(true)
     }
 
     /// Renders the recorder to the `--telemetry` sink. A no-op when the
@@ -347,27 +349,28 @@ pub fn take_platform(args: &mut Vec<String>) -> Result<PlatformDesc, String> {
     }
 }
 
-/// Prints the campaign's stats and, when jobs stayed unrecovered, its
-/// partial-result manifest to stderr, folding the stats into the
-/// recorder when one is given. Returns `false` when the campaign
-/// finished degraded: the caller should exit non-zero without
-/// discarding the completed results. A plain run (`None`) is complete.
-pub fn report_campaign(
-    campaign: Option<&CampaignRunner<'_>>,
-    telemetry: Option<&Telemetry>,
-) -> bool {
-    let Some(campaign) = campaign else {
-        return true;
-    };
-    let stats = campaign.stats();
-    if let Some(t) = telemetry {
-        t.record_campaign(&stats);
+/// Prints a journaled engine's campaign stats and, when jobs stayed
+/// unrecovered, its partial-result manifest to stderr, folding the
+/// stats into the recorder when one is given. Returns `false` when the
+/// campaign finished degraded: the caller should exit non-zero without
+/// discarding the completed results. A plain run with every job
+/// completed prints nothing.
+pub fn report_campaign(engine: &ExecEngine, telemetry: Option<&Telemetry>) -> bool {
+    let manifest = engine.manifest();
+    if engine.has_store() {
+        let stats = engine.report();
+        if let Some(t) = telemetry {
+            t.record_campaign(&stats);
+        }
+        eprintln!(
+            "campaign: {} replayed, {} executed, {} retried, {} fault(s) injected, {} timeout(s)",
+            stats.cache_hits,
+            stats.simulations_run,
+            stats.retried,
+            stats.injected_faults,
+            stats.timed_out
+        );
     }
-    eprintln!(
-        "campaign: {} replayed, {} executed, {} retried, {} fault(s) injected, {} timeout(s)",
-        stats.replayed, stats.executed, stats.retried, stats.injected_faults, stats.timed_out
-    );
-    let manifest = campaign.manifest();
     if !manifest.is_complete() {
         eprint!("{}", manifest.render());
     }
@@ -503,8 +506,8 @@ mod tests {
         assert!(c.flush_attribution(None).is_ok());
         let engine = c.engine_with(None);
         assert!(engine.block_memo() && !engine.attribution());
-        assert!(c.campaign(&engine, None).unwrap().is_none());
-        assert!(report_campaign(None, None));
+        assert!(!c.campaign(&engine, None).unwrap());
+        assert!(report_campaign(&engine, None));
     }
 
     #[test]
@@ -512,18 +515,15 @@ mod tests {
         let path = std::env::temp_dir().join(format!("mbta-args-{}", std::process::id()));
         let journaled = common(&format!("--jobs 1 --journal {}", path.display())).unwrap();
         let engine = journaled.engine_with(None);
-        let campaign = journaled.campaign(&engine, None).unwrap().unwrap();
-        assert!(
-            report_campaign(Some(&campaign), None),
-            "empty campaign complete"
-        );
-        drop(campaign);
+        assert!(journaled.campaign(&engine, None).unwrap());
+        assert!(report_campaign(&engine, None), "empty campaign complete");
+        drop(engine);
 
         let resumed = common(&format!("--jobs 1 --resume {}", path.display())).unwrap();
         let engine = resumed.engine_with(None);
         let telemetry = Telemetry::new("roundtrip");
-        let campaign = resumed.campaign(&engine, Some(&telemetry)).unwrap();
-        assert!(report_campaign(campaign.as_ref(), Some(&telemetry)));
+        assert!(resumed.campaign(&engine, Some(&telemetry)).unwrap());
+        assert!(report_campaign(&engine, Some(&telemetry)));
         assert_eq!(telemetry.det_counter("campaign.executed"), 0);
         std::fs::remove_file(&path).ok();
     }

@@ -18,7 +18,7 @@
 //! iteration minus the sequential stall isolates the non-sequential
 //! fetch latency.
 
-use crate::exec::{BatchRunner, ExecEngine, JobError, SimJob};
+use crate::exec::{ExecEngine, JobError, SimJob};
 use contention::{DebugCounters, LatencyTable, Operation, Platform, StallTable, Target};
 use tc27x_sim::{CoreId, DataObject, Pattern, Placement, Program, Region, TaskSpec};
 use workloads::micro;
@@ -134,15 +134,15 @@ pub fn calibrate() -> Result<Calibration, JobError> {
     calibrate_with(&ExecEngine::sequential())
 }
 
-/// [`calibrate`] on a caller-supplied runner: the whole campaign (28
+/// [`calibrate`] on a caller-supplied engine: the whole campaign (28
 /// probe runs) goes out as one batch, and the repeated LMU/DFLASH word
-/// probes are deduplicated by the engine's memo cache. Generic over
-/// [`BatchRunner`], so a crash-safe [`crate::CampaignRunner`] drops in.
+/// probes are deduplicated by the engine's memo cache. A journaled
+/// engine makes the campaign crash-safe.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors from the probe runs.
-pub fn calibrate_with<R: BatchRunner + ?Sized>(engine: &R) -> Result<Calibration, JobError> {
+pub fn calibrate_with(engine: &ExecEngine) -> Result<Calibration, JobError> {
     let core = CoreId(1);
     let mut stall = StallTable::new();
     let mut latency = LatencyTable::new();

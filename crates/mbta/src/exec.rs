@@ -23,7 +23,13 @@
 //! * a co-run whose app has an isolation job in the same batch splices
 //!   its contender-free tail from the app's solo timeline instead of
 //!   simulating it ([`tc27x_sim::solo`]): the timeline is recorded once
-//!   per app and kept next to the profile memo.
+//!   per app and kept next to the profile memo;
+//! * with a durable store attached, the memo outlives the process:
+//!   every executed job is recorded as it completes, co-runs are keyed
+//!   and memoized too, and a restarted engine primes its memo from the
+//!   records ([`crate::campaign`]). This engine is the only batch
+//!   planner: a journaled campaign plans, keys, splices and replays
+//!   exactly as a plain run.
 //!
 //! # Examples
 //!
@@ -43,6 +49,7 @@
 //! # }
 //! ```
 
+use crate::campaign::Campaign;
 use crate::intern::KeyIntern;
 use crate::pool;
 use crate::telemetry::Telemetry;
@@ -70,7 +77,7 @@ pub enum JobFailure {
     Panic(String),
     /// A campaign watchdog gave up on the job after `millis` of
     /// wall-clock time. The job is recorded and the campaign degrades
-    /// gracefully instead of aborting (see [`crate::CampaignRunner`]).
+    /// gracefully instead of aborting (see [`ExecEngine::with_watchdog`]).
     TimedOut {
         /// The watchdog limit that expired, in milliseconds.
         millis: u64,
@@ -221,21 +228,25 @@ impl SimOutcome {
 
 /// Counters and wall-clock of an engine's lifetime, for
 /// `BENCH_engine.json`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineReport {
     /// Configured worker threads.
     pub jobs: usize,
-    /// Simulations actually executed (cache misses + co-runs).
+    /// Simulation attempts actually executed (memo misses, unkeyed
+    /// co-runs, and retries).
     pub simulations_run: u64,
-    /// Isolation requests served from the memo cache.
+    /// Memo lookups served without simulating: isolation requests and,
+    /// on an engine that keys co-runs, co-runs — including outcomes
+    /// primed from an attached store.
     pub cache_hits: u64,
-    /// Isolation requests that had to simulate.
+    /// Memo lookups that had to simulate.
     pub cache_misses: u64,
     /// Wall-clock seconds spent inside `run_batch` and the isolation
     /// lookups.
     pub wall_seconds: f64,
     /// Task specs hashed into job keys (one per isolation key, two per
-    /// co-run key). A recipe answered from the alias table hashes none.
+    /// co-run key, except that a batch hashes each co-run app once). A
+    /// recipe answered from the alias table hashes none.
     pub spec_hashes: u64,
     /// Solo runs that recorded an app's timeline for its co-runs: the
     /// app's own isolation job when the batch executes it, else one
@@ -244,6 +255,14 @@ pub struct EngineReport {
     /// Co-runs whose contender-free tail was spliced from their app's
     /// solo timeline instead of simulated.
     pub tail_splices: u64,
+    /// Retries after transient failures and watchdog expiries.
+    pub retried: u64,
+    /// Transient faults injected by the fault plan.
+    pub injected_faults: u64,
+    /// Watchdog expiries (real or injected).
+    pub timed_out: u64,
+    /// Store append errors (durability lost, campaign continued).
+    pub journal_errors: u64,
 }
 
 impl EngineReport {
@@ -266,19 +285,30 @@ impl EngineReport {
         }
     }
 
-    /// Renders the report as a small JSON object.
+    /// Renders the report as a small JSON object. Every counter is
+    /// included; only `wall_seconds` and `runs_per_sec` depend on the
+    /// host's speed.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"jobs\": {},\n  \"simulations_run\": {},\n  \"cache_hits\": {},\n  \
              \"cache_misses\": {},\n  \"cache_hit_rate\": {:.4},\n  \"wall_seconds\": {:.6},\n  \
-             \"runs_per_sec\": {:.2}\n}}\n",
+             \"runs_per_sec\": {:.2},\n  \"spec_hashes\": {},\n  \"tail_recordings\": {},\n  \
+             \"tail_splices\": {},\n  \"retried\": {},\n  \"injected_faults\": {},\n  \
+             \"timed_out\": {},\n  \"journal_errors\": {}\n}}\n",
             self.jobs,
             self.simulations_run,
             self.cache_hits,
             self.cache_misses,
             self.hit_rate(),
             self.wall_seconds,
-            self.runs_per_sec()
+            self.runs_per_sec(),
+            self.spec_hashes,
+            self.tail_recordings,
+            self.tail_splices,
+            self.retried,
+            self.injected_faults,
+            self.timed_out,
+            self.journal_errors
         )
     }
 
@@ -304,7 +334,10 @@ pub struct ExecEngine {
     attribution: bool,
     platform: Arc<::platform::PlatformDesc>,
     telemetry: Option<Arc<Telemetry>>,
-    cache: Mutex<HashMap<u64, IsolationProfile>>,
+    /// The memo: job key → outcome. Isolation profiles always; co-run
+    /// outcomes only on an engine that keys co-runs (a store or a fault
+    /// plan attached), since a plain engine never hashes them.
+    cache: Mutex<HashMap<u64, SimOutcome>>,
     /// Recipe → job key of the spec it builds. It holds keys, never
     /// specs: a spec is about 0.4 MB, a key 8 bytes.
     recipes: Mutex<HashMap<Recipe, u64>>,
@@ -324,6 +357,9 @@ pub struct ExecEngine {
     spec_hashes: AtomicU64,
     tail_recordings: AtomicU64,
     tail_splices: AtomicU64,
+    /// Campaign options, the durable memo and campaign counters
+    /// ([`crate::campaign`]).
+    pub(crate) campaign: Campaign,
 }
 
 /// The generator call that builds an isolation task spec on the
@@ -382,7 +418,7 @@ impl Recipe {
 
 /// How one scheduled run executes.
 #[derive(Clone)]
-enum Mode {
+pub(crate) enum Mode {
     /// As its job says.
     Plain,
     /// An isolation job that also records its task's solo timeline.
@@ -395,17 +431,22 @@ enum Mode {
 }
 
 /// What one run produced.
-struct Ran {
-    result: Result<SimOutcome, JobFailure>,
+pub(crate) struct Ran {
+    pub(crate) result: Result<SimOutcome, JobFailure>,
     stats: Option<SimStats>,
     timeline: Option<SoloTimeline>,
     spliced: bool,
 }
 
 impl Ran {
-    fn failed(cause: JobFailure) -> Self {
+    pub(crate) fn failed(cause: JobFailure) -> Self {
+        Ran::full(Err(cause))
+    }
+
+    /// A result that carries no statistics, timeline or splice.
+    pub(crate) fn full(result: Result<SimOutcome, JobFailure>) -> Self {
         Ran {
-            result: Err(cause),
+            result,
             stats: None,
             timeline: None,
             spliced: false,
@@ -419,7 +460,7 @@ struct Tails {
     modes: Vec<Mode>,
     /// Co-runs (batch index) waiting for the timeline of the app key
     /// this batch records.
-    waiting: Vec<(usize, u64)>,
+    waiting: HashMap<usize, u64>,
     /// Isolation jobs (batch index) whose cached app gets a record-only
     /// run.
     record_only: Vec<usize>,
@@ -448,7 +489,7 @@ fn app_isolation(
 /// Execution plan for one batch entry.
 enum Plan {
     /// Already in the memo cache.
-    Cached(IsolationProfile),
+    Cached(SimOutcome),
     /// Must simulate.
     Execute,
     /// Duplicate of an earlier entry in the same batch.
@@ -478,6 +519,7 @@ impl ExecEngine {
             spec_hashes: AtomicU64::new(0),
             tail_recordings: AtomicU64::new(0),
             tail_splices: AtomicU64::new(0),
+            campaign: Campaign::default(),
         }
     }
 
@@ -636,7 +678,7 @@ impl ExecEngine {
 
     /// [`job_key_on`] this engine's platform, counted in
     /// [`EngineReport::spec_hashes`].
-    fn job_key(&self, job: &SimJob) -> u64 {
+    pub(crate) fn job_key(&self, job: &SimJob) -> u64 {
         let specs = match job {
             SimJob::Isolation { .. } => 1,
             SimJob::Corun { .. } => 2,
@@ -656,7 +698,7 @@ impl ExecEngine {
     /// ever holds fully-constructed profiles (inserts happen after a
     /// job's result exists), so a panic while the lock was held cannot
     /// have left a torn entry behind.
-    fn cache_lock(&self) -> MutexGuard<'_, HashMap<u64, IsolationProfile>> {
+    fn cache_lock(&self) -> MutexGuard<'_, HashMap<u64, SimOutcome>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -690,27 +732,33 @@ impl ExecEngine {
     /// kernel, and only when no per-job statistics are observed.
     /// Telemetry and attribution read each co-run's complete
     /// [`SimStats`], and a spliced run has none; the reference stepper
-    /// stays the full-run oracle.
+    /// stays the full-run oracle. A watchdogged job runs on its helper
+    /// thread outside the engine, so it neither records nor splices.
     fn splices(&self) -> bool {
-        self.sim_engine == Engine::Event && self.telemetry.is_none() && !self.attribution
+        self.sim_engine == Engine::Event
+            && self.telemetry.is_none()
+            && !self.attribution
+            && self.campaign.watchdog_millis.is_none()
     }
 
-    /// Decides which co-runs of a batch splice, and which runs record
-    /// the timelines they need. A co-run's app is keyed by an isolation
-    /// job of the same batch on the same core with an equal spec (an
-    /// equality test is far cheaper than hashing the app again). A
-    /// known timeline is used at once; otherwise the batch's own run of
-    /// that isolation job records it, or — when the profile is cached —
-    /// one record-only run does, and the co-run waits for it.
+    /// Decides which executing co-runs of a batch splice, and which
+    /// runs record the timelines they need. A co-run's app is keyed by
+    /// an isolation job of the same batch on the same core with an
+    /// equal spec (an equality test is far cheaper than hashing the app
+    /// again). A known timeline is used at once; otherwise the batch's
+    /// own run of that isolation job records it, or — when the profile
+    /// is cached — one record-only run does, and the co-run waits for
+    /// it.
     fn plan_tails(
         &self,
         batch: &[SimJob],
         keys: &[Option<u64>],
+        plan: &[Plan],
         executes: &HashMap<u64, usize>,
     ) -> Tails {
         let mut tails = Tails {
             modes: vec![Mode::Plain; batch.len()],
-            waiting: Vec::new(),
+            waiting: HashMap::new(),
             record_only: Vec::new(),
         };
         if !self.splices() {
@@ -718,8 +766,8 @@ impl ExecEngine {
         }
         let timelines = self.timelines_lock();
         let mut recording: Vec<u64> = Vec::new();
-        for (i, job) in batch.iter().enumerate() {
-            let SimJob::Corun { app, app_core, .. } = job else {
+        for (i, (job, entry)) in batch.iter().zip(plan).enumerate() {
+            let (SimJob::Corun { app, app_core, .. }, Plan::Execute) = (job, entry) else {
                 continue;
             };
             let Some((j, key)) = app_isolation(batch, keys, app, *app_core) else {
@@ -729,7 +777,7 @@ impl ExecEngine {
                 tails.modes[i] = Mode::Splice(Arc::clone(timeline));
                 continue;
             }
-            tails.waiting.push((i, key));
+            tails.waiting.insert(i, key);
             if recording.contains(&key) {
                 continue;
             }
@@ -755,7 +803,10 @@ impl ExecEngine {
 
     /// The memoized profile under `key`, counted as a hit when present.
     fn cached(&self, key: u64) -> Option<IsolationProfile> {
-        let profile = self.cache_lock().get(&key).cloned();
+        let profile = match self.cache_lock().get(&key) {
+            Some(SimOutcome::Isolation(p)) => Some(p.clone()),
+            _ => None,
+        };
         if profile.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -796,18 +847,14 @@ impl ExecEngine {
     /// normally.
     pub fn run_batch_detailed(&self, batch: &[SimJob]) -> Vec<Result<SimOutcome, JobFailure>> {
         self.timed(|| {
-            // Each isolation job is keyed once, before the cache lock is
-            // taken; the plan, the cache fill and the telemetry reuse it.
-            // The identities the batch hashed are interned once it is
-            // done, so a batch keys its jobs only by hash or by earlier
+            // Each job is keyed once, before the cache lock is taken; the
+            // plan, the cache fill, the store and the telemetry reuse it.
+            // Co-runs are keyed only on an engine that needs their key
+            // (a store address or a fault-plan seed). The isolation
+            // identities the batch hashed are interned once it is done,
+            // so a batch keys its jobs only by hash or by earlier
             // batches' identities.
-            let keys: Vec<Option<(u64, bool)>> = batch
-                .iter()
-                .map(|job| match job {
-                    SimJob::Isolation { spec, core } => Some(self.isolation_key(spec, *core)),
-                    SimJob::Corun { .. } | SimJob::Poison => None,
-                })
-                .collect();
+            let keys = self.batch_keys(batch);
             let plain: Vec<Option<u64>> = keys.iter().map(|k| k.map(|(key, _)| key)).collect();
             let outcomes = self.run_batch_inner(batch, &plain);
             for (job, key) in batch.iter().zip(&keys) {
@@ -819,14 +866,51 @@ impl ExecEngine {
         })
     }
 
-    /// The batch body; `keys[i]` is the job key of `batch[i]` when it is
-    /// an isolation job, `None` otherwise.
+    /// The key of each job of `batch`, and whether it was hashed (so
+    /// its identity should be interned). Co-runs are keyed only on an
+    /// engine that needs their key, and each co-run app is hashed once
+    /// per batch.
+    fn batch_keys(&self, batch: &[SimJob]) -> Vec<Option<(u64, bool)>> {
+        let keys_jobs = self.campaign.keys_jobs();
+        let mut apps: Vec<(&TaskSpec, CoreId, Fnv)> = Vec::new();
+        let mut keys = Vec::with_capacity(batch.len());
+        for job in batch {
+            keys.push(match job {
+                SimJob::Isolation { spec, core } => Some(self.isolation_key(spec, *core)),
+                SimJob::Corun {
+                    app,
+                    app_core,
+                    load,
+                    load_core,
+                } if keys_jobs => {
+                    let known = apps.iter().find(|(a, c, _)| c == app_core && *a == app);
+                    let prefix = match known {
+                        Some((_, _, h)) => h.clone(),
+                        None => {
+                            let h = corun_prefix(app, *app_core, &self.platform);
+                            self.spec_hashes.fetch_add(1, Ordering::Relaxed);
+                            apps.push((app, *app_core, h.clone()));
+                            h
+                        }
+                    };
+                    self.spec_hashes.fetch_add(1, Ordering::Relaxed);
+                    Some((corun_key(prefix, load, *load_core), false))
+                }
+                SimJob::Poison if keys_jobs => Some((self.job_key(job), false)),
+                SimJob::Corun { .. } | SimJob::Poison => None,
+            });
+        }
+        keys
+    }
+
+    /// The batch body; `keys[i]` is the job key of `batch[i]` when the
+    /// batch keyed it (always for isolation jobs).
     fn run_batch_inner(
         &self,
         batch: &[SimJob],
         keys: &[Option<u64>],
     ) -> Vec<Result<SimOutcome, JobFailure>> {
-        // Phase 1: plan — consult the cache, dedupe within the batch.
+        // Phase 1: plan — consult the memo, dedupe within the batch.
         let mut plan = Vec::with_capacity(batch.len());
         let mut first_by_fp: HashMap<u64, usize> = HashMap::new();
         {
@@ -834,9 +918,9 @@ impl ExecEngine {
             for (i, key) in keys.iter().enumerate() {
                 match *key {
                     Some(fp) => {
-                        if let Some(p) = cache.get(&fp) {
+                        if let Some(o) = cache.get(&fp) {
                             self.hits.fetch_add(1, Ordering::Relaxed);
-                            plan.push(Plan::Cached(p.clone()));
+                            plan.push(Plan::Cached(o.clone()));
                         } else if let Some(&j) = first_by_fp.get(&fp) {
                             self.hits.fetch_add(1, Ordering::Relaxed);
                             plan.push(Plan::Alias(j));
@@ -851,34 +935,30 @@ impl ExecEngine {
             }
         }
 
-        // Phase 2: simulate the remainder on the pool. Each job runs
-        // under `catch_unwind`, so a panicking job poisons neither the
-        // pool nor the batch — it becomes a `JobFailure::Panic` at its
-        // own index. `AssertUnwindSafe` is sound here: the closure only
-        // captures `&batch`, which the unwinding job cannot have
-        // mutated. Co-runs that wait for a timeline this batch records
-        // run in a second wave, after the runs that record it.
-        let exec_idx: Vec<usize> = plan
+        // Phase 2: simulate the remainder on the pool, each job through
+        // its campaign options ([`Self::run_job`]: attempts, retries and
+        // one store record per attempt). The isolation runs that record
+        // a timeline go first, with the record-only runs; then every
+        // other job in batch order, so co-runs find the timelines they
+        // wait for, and a single worker appends records in batch order
+        // whenever the batch lists its apps first.
+        let tails = self.plan_tails(batch, keys, &plan, &first_by_fp);
+        let store = self.campaign.store();
+        let (recording, rest): (Vec<usize>, Vec<usize>) = plan
             .iter()
             .enumerate()
             .filter(|(_, p)| matches!(p, Plan::Execute))
             .map(|(i, _)| i)
-            .collect();
-        self.runs
-            .fetch_add(exec_idx.len() as u64, Ordering::Relaxed);
-        let tails = self.plan_tails(batch, keys, &first_by_fp);
-        let first_wave: Vec<(usize, Mode)> = exec_idx
+            .partition(|&i| matches!(tails.modes[i], Mode::Record));
+        let first_wave: Vec<(usize, Mode)> = recording
             .iter()
-            .filter(|i| !tails.waiting.iter().any(|(w, _)| w == *i))
-            .map(|&i| (i, tails.modes[i].clone()))
+            .map(|&i| (i, Mode::Record))
             .chain(tails.record_only.iter().map(|&j| (j, Mode::RecordOnly)))
             .collect();
         let run_wave = |wave: &[(usize, Mode)]| {
-            pool::run_indexed(wave, self.jobs, |_, (i, mode)| {
-                panic::catch_unwind(AssertUnwindSafe(|| self.execute(&batch[*i], mode)))
-                    .unwrap_or_else(|payload| {
-                        Ran::failed(JobFailure::Panic(panic_message(payload)))
-                    })
+            pool::run_indexed(wave, self.jobs, |_, (i, mode)| match mode {
+                Mode::RecordOnly => self.execute_caught(&batch[*i], mode),
+                _ => self.run_job(&batch[*i], keys[*i], mode, store.as_deref()),
             })
         };
         let mut by_index: HashMap<usize, Ran> = HashMap::new();
@@ -891,39 +971,41 @@ impl ExecEngine {
                 by_index.insert(*i, ran);
             }
         }
-        if !tails.waiting.is_empty() {
+        if !recorded.is_empty() {
             self.timelines_lock()
                 .extend(recorded.iter().map(|(k, t)| (*k, Arc::clone(t))));
-            let second_wave: Vec<(usize, Mode)> = tails
-                .waiting
-                .iter()
-                .map(|(i, key)| {
-                    let mode = recorded
-                        .get(key)
-                        .map_or(Mode::Plain, |t| Mode::Splice(Arc::clone(t)));
-                    (*i, mode)
-                })
-                .collect();
-            by_index.extend(
-                second_wave
-                    .iter()
-                    .map(|(i, _)| *i)
-                    .zip(run_wave(&second_wave)),
-            );
         }
+        let second_wave: Vec<(usize, Mode)> = rest
+            .into_iter()
+            .map(|i| {
+                let mode = match tails.waiting.get(&i) {
+                    Some(key) => recorded
+                        .get(key)
+                        .map_or(Mode::Plain, |t| Mode::Splice(Arc::clone(t))),
+                    None => tails.modes[i].clone(),
+                };
+                (i, mode)
+            })
+            .collect();
+        by_index.extend(
+            second_wave
+                .iter()
+                .map(|(i, _)| *i)
+                .zip(run_wave(&second_wave)),
+        );
         let splices = by_index.values().filter(|r| r.spliced).count();
         self.tail_splices
             .fetch_add(splices as u64, Ordering::Relaxed);
 
-        // Phase 3: merge in batch order; fill the cache from the jobs
-        // that succeeded and record executed jobs into the telemetry.
-        // Recording happens here — not on the workers — so span and
-        // metric updates follow the deterministic plan order.
+        // Phase 3: merge in batch order; fill the memo from the keyed
+        // jobs that succeeded and record executed jobs into the
+        // telemetry. Recording happens here — not on the workers — so
+        // span and metric updates follow the deterministic plan order.
         let mut outcomes: Vec<Result<SimOutcome, JobFailure>> = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<(u64, IsolationProfile)> = Vec::new();
+        let mut fresh: Vec<(u64, SimOutcome)> = Vec::new();
         for (i, entry) in plan.into_iter().enumerate() {
             let outcome = match entry {
-                Plan::Cached(p) => Ok(SimOutcome::Isolation(p)),
+                Plan::Cached(o) => Ok(o),
                 Plan::Alias(j) => outcomes[j].clone(),
                 Plan::Execute => {
                     let Ran {
@@ -944,8 +1026,8 @@ impl ExecEngine {
                             Err(_) => t.record_job_failure(),
                         }
                     }
-                    if let (Ok(SimOutcome::Isolation(p)), Some(key)) = (&r, keys[i]) {
-                        fresh.push((key, p.clone()));
+                    if let (Ok(o), Some(key)) = (&r, keys[i]) {
+                        fresh.push((key, o.clone()));
                     }
                     r
                 }
@@ -958,6 +1040,19 @@ impl ExecEngine {
         outcomes
     }
 
+    /// [`Self::execute`] with a panicking job contained to its result:
+    /// it poisons neither the pool nor the batch. `AssertUnwindSafe` is
+    /// sound here: the job is borrowed, and the unwinding run cannot
+    /// have mutated it.
+    pub(crate) fn execute_caught(&self, job: &SimJob, mode: &Mode) -> Ran {
+        panic::catch_unwind(AssertUnwindSafe(|| self.execute(job, mode)))
+            .unwrap_or_else(|payload| Ran::failed(JobFailure::Panic(panic_message(payload))))
+    }
+
+    /// Counts one executed simulation attempt.
+    pub(crate) fn count_run(&self) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+    }
     /// Runs one job in `mode`.
     fn execute(&self, job: &SimJob, mode: &Mode) -> Ran {
         let config = || {
@@ -1145,6 +1240,15 @@ impl ExecEngine {
 
     /// Number of isolation profiles currently memoized.
     pub fn cached_profiles(&self) -> usize {
+        self.cache_lock()
+            .values()
+            .filter(|o| matches!(o, SimOutcome::Isolation(_)))
+            .count()
+    }
+
+    /// Number of outcomes currently memoized (profiles and keyed
+    /// co-runs).
+    pub(crate) fn memoized(&self) -> usize {
         self.cache_lock().len()
     }
 
@@ -1174,47 +1278,38 @@ impl ExecEngine {
             spec_hashes: self.spec_hashes.load(Ordering::Relaxed),
             tail_recordings: self.tail_recordings.load(Ordering::Relaxed),
             tail_splices: self.tail_splices.load(Ordering::Relaxed),
+            retried: self.campaign.retried.load(Ordering::Relaxed),
+            injected_faults: self.campaign.injected.load(Ordering::Relaxed),
+            timed_out: self.campaign.timed_out.load(Ordering::Relaxed),
+            journal_errors: self.campaign.journal_errors.load(Ordering::Relaxed),
         }
     }
 
     /// Inserts an externally obtained isolation profile into the memo
-    /// cache under its job's fingerprint. The campaign runner uses this
-    /// to feed journal-replayed profiles back into the cache, and the
-    /// serve daemon to warm a restarted engine from its persistent
-    /// profile store, so recovery serves follow-up model evaluations
-    /// without re-simulating. Non-isolation jobs are ignored (co-runs
-    /// are never memoized).
+    /// cache under its job's fingerprint, so follow-up lookups are
+    /// served without re-simulating. Non-isolation jobs are ignored.
     pub fn prime(&self, job: &SimJob, profile: IsolationProfile) {
         if let SimJob::Isolation { spec, core } = job {
             let (key, _) = self.isolation_key(spec, *core);
-            self.cache_lock().insert(key, profile);
+            self.prime_keyed(key, profile);
         }
     }
 
     /// [`ExecEngine::prime`] by raw job key (see [`job_key`]): the form
-    /// a persistent store can use after a restart, when the profile's
+    /// a persistent record can use after a restart, when the profile's
     /// originating `TaskSpec` is no longer in memory.
     pub fn prime_keyed(&self, key: u64, profile: IsolationProfile) {
-        self.cache_lock().insert(key, profile);
+        self.prime_all([(key, SimOutcome::Isolation(profile))]);
+    }
+
+    /// Memoizes outcomes under their job keys.
+    pub(crate) fn prime_all(&self, outcomes: impl IntoIterator<Item = (u64, SimOutcome)>) {
+        self.cache_lock().extend(outcomes);
     }
 }
 
 /// Executes one job inline with an optional simulated-cycle budget on
-/// an explicit timing kernel — the uncached execution path shared by
-/// the engine's workers and the campaign runner's watchdogged threads.
-pub(crate) fn execute_job_budgeted(
-    job: &SimJob,
-    cycle_budget: Option<u64>,
-    engine: Engine,
-    block_memo: bool,
-    desc: &::platform::PlatformDesc,
-) -> Result<SimOutcome, JobFailure> {
-    // The watchdog path discards the statistics snapshot, so it never
-    // pays for attribution recording.
-    execute_job_with_stats(job, cycle_budget, engine, block_memo, false, desc).0
-}
-
-/// [`execute_job_budgeted`] that also returns the simulator's post-run
+/// an explicit timing kernel, and returns the simulator's post-run
 /// statistics snapshot for the telemetry layer (`None` on failure).
 /// `attribution` switches on the simulator's per-grant contention
 /// attribution recorder, whose matrices ride back on the snapshot.
@@ -1289,19 +1384,7 @@ pub fn job_key_on(job: &SimJob, desc: &::platform::PlatformDesc) -> u64 {
             app_core,
             load,
             load_core,
-        } => {
-            let mut h = Fnv::new();
-            h.write_str_delimited("tc277/corun/v1");
-            if !desc.is_default() {
-                h.write_str_delimited("platform");
-                h.write_u64(desc.fingerprint());
-            }
-            h.write_u8(app_core.0);
-            h.write_debug_delimited(app);
-            h.write_u8(load_core.0);
-            h.write_debug_delimited(load);
-            h.finish()
-        }
+        } => corun_key(corun_prefix(app, *app_core, desc), load, *load_core),
         SimJob::Poison => {
             let mut h = Fnv::new();
             h.write_str_delimited("tc277/poison/v1");
@@ -1310,98 +1393,25 @@ pub fn job_key_on(job: &SimJob, desc: &::platform::PlatformDesc) -> u64 {
     }
 }
 
-/// Anything that can run a batch of simulation jobs and return their
-/// outcomes in batch order.
-///
-/// Two implementations exist: [`ExecEngine`] (the in-memory parallel
-/// engine) and [`crate::CampaignRunner`] (the crash-safe layer that
-/// journals every outcome, replays completed jobs on resume, retries
-/// transient faults and watchdogs each job). Experiment drivers —
-/// [`crate::figure4_panel_with`], [`crate::table6_block_with`],
-/// [`crate::calibrate_with`], the bench sweep — are generic over this
-/// trait, so any campaign can be made durable by swapping the runner.
-pub trait BatchRunner: Sync {
-    /// Runs a batch and returns one result per job, in batch order. A
-    /// failing job must not abort the batch: its slot carries the
-    /// [`JobFailure`] and every other job completes.
-    fn run_batch_detailed(&self, batch: &[SimJob]) -> Vec<Result<SimOutcome, JobFailure>>;
-
-    /// The platform description this runner executes jobs on. The
-    /// experiment drivers derive core placement and model tables from
-    /// it, so a sweep follows the runner's machine automatically. The
-    /// default implementation reports the default TC27x description.
-    fn platform(&self) -> &::platform::PlatformDesc {
-        ::platform::default_platform()
+/// The co-run key's hasher after its app half. It is the same for
+/// every co-run of one app on one core, so a batch hashes each app once.
+fn corun_prefix(app: &TaskSpec, app_core: CoreId, desc: &::platform::PlatformDesc) -> Fnv {
+    let mut h = Fnv::new();
+    h.write_str_delimited("tc277/corun/v1");
+    if !desc.is_default() {
+        h.write_str_delimited("platform");
+        h.write_u64(desc.fingerprint());
     }
-
-    /// Runs a batch of jobs and returns their outcomes in batch order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by batch index) failing job.
-    fn run_batch(&self, batch: &[SimJob]) -> Result<Vec<SimOutcome>, JobError> {
-        let detailed = self.run_batch_detailed(batch);
-        let mut outcomes = Vec::with_capacity(detailed.len());
-        for (index, result) in detailed.into_iter().enumerate() {
-            match result {
-                Ok(o) => outcomes.push(o),
-                Err(cause) => return Err(JobError { index, cause }),
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// Single isolation run through the runner.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failing job.
-    fn isolation(&self, spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, JobError> {
-        let mut out = self.run_batch(std::slice::from_ref(&SimJob::Isolation {
-            spec: spec.clone(),
-            core,
-        }))?;
-        Ok(out.remove(0).into_profile())
-    }
-
-    /// Single co-run observation through the runner.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failing job.
-    fn corun(
-        &self,
-        app: &TaskSpec,
-        app_core: CoreId,
-        load: &TaskSpec,
-        load_core: CoreId,
-    ) -> Result<u64, JobError> {
-        let mut out = self.run_batch(std::slice::from_ref(&SimJob::Corun {
-            app: app.clone(),
-            app_core,
-            load: load.clone(),
-            load_core,
-        }))?;
-        Ok(out.remove(0).into_observed())
-    }
+    h.write_u8(app_core.0);
+    h.write_debug_delimited(app);
+    h
 }
 
-impl BatchRunner for ExecEngine {
-    fn run_batch_detailed(&self, batch: &[SimJob]) -> Vec<Result<SimOutcome, JobFailure>> {
-        ExecEngine::run_batch_detailed(self, batch)
-    }
-
-    fn platform(&self) -> &::platform::PlatformDesc {
-        ExecEngine::platform(self)
-    }
-
-    fn run_batch(&self, batch: &[SimJob]) -> Result<Vec<SimOutcome>, JobError> {
-        ExecEngine::run_batch(self, batch)
-    }
-
-    fn isolation(&self, spec: &TaskSpec, core: CoreId) -> Result<IsolationProfile, JobError> {
-        ExecEngine::isolation(self, spec, core)
-    }
+/// Finishes a co-run key from [`corun_prefix`] with the contender half.
+fn corun_key(mut prefix: Fnv, load: &TaskSpec, load_core: CoreId) -> u64 {
+    prefix.write_u8(load_core.0);
+    prefix.write_debug_delimited(load);
+    prefix.finish()
 }
 
 #[cfg(test)]
@@ -2174,5 +2184,22 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"jobs\": 2"));
         assert!(json.contains("\"cache_hit_rate\": 0.5000"));
+        // The noise-free work counters are in the file too.
+        for (name, value) in [
+            ("spec_hashes", r.spec_hashes),
+            ("tail_recordings", r.tail_recordings),
+            ("tail_splices", r.tail_splices),
+            ("retried", r.retried),
+            ("injected_faults", r.injected_faults),
+            ("timed_out", r.timed_out),
+            ("journal_errors", r.journal_errors),
+        ] {
+            assert!(
+                json.contains(&format!("\"{name}\": {value}")),
+                "{name}: {json}"
+            );
+        }
+        assert_eq!(r.spec_hashes, 2, "one key per isolation lookup");
+        assert!(json.trim_end().ends_with('}'));
     }
 }

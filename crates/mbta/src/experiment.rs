@@ -1,7 +1,7 @@
 //! The paper's evaluation protocol (§4.2): profile in isolation, feed
 //! the models, validate against co-run observations.
 
-use crate::exec::{BatchRunner, ExecEngine, JobError, SimJob};
+use crate::exec::{ExecEngine, JobError, SimJob};
 use contention::{
     ContentionModel, FtcModel, IdealModel, IlpPtacModel, IsolationProfile, ModelError, Platform,
     ScenarioConstraints, WcetEstimate,
@@ -135,18 +135,18 @@ pub fn figure4_panel(
     figure4_panel_with(&ExecEngine::sequential(), scenario, platform, seed)
 }
 
-/// [`figure4_panel`] on a caller-supplied runner: all seven simulations
+/// [`figure4_panel`] on a caller-supplied engine: all seven simulations
 /// of a panel (one app isolation, three contender isolations, three
 /// co-runs) are submitted as one batch, so they spread across the
-/// engine's workers and repeated profiles come from the memo cache.
-/// Generic over [`BatchRunner`], so the same protocol runs on a plain
-/// [`ExecEngine`] or a crash-safe [`crate::CampaignRunner`].
+/// engine's workers and repeated profiles come from the memo cache. A
+/// journaled engine ([`ExecEngine::journal`]) makes the panel a
+/// crash-safe campaign.
 ///
 /// # Errors
 ///
 /// Propagates simulation and model errors.
-pub fn figure4_panel_with<R: BatchRunner + ?Sized>(
-    engine: &R,
+pub fn figure4_panel_with(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
     platform: &Platform,
     seed: u64,
@@ -228,14 +228,14 @@ pub fn table6_block(
     table6_block_with(&ExecEngine::sequential(), scenario, seed)
 }
 
-/// [`table6_block`] on a caller-supplied runner: both isolation runs go
-/// out as one batch. Generic over [`BatchRunner`].
+/// [`table6_block`] on a caller-supplied engine: both isolation runs go
+/// out as one batch.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn table6_block_with<R: BatchRunner + ?Sized>(
-    engine: &R,
+pub fn table6_block_with(
+    engine: &ExecEngine,
     scenario: DeploymentScenario,
     seed: u64,
 ) -> Result<Table6Block, ExperimentError> {

@@ -115,6 +115,21 @@ pub(crate) fn parse_record(value: &str) -> Result<(u32, JournaledOutcome), Strin
     Ok((attempt, outcome))
 }
 
+/// Parses a value of an engine's durable memo: the outcome a
+/// successful record replays, `None` for a failure record. Values in
+/// the older profile-store form — `<key16hex> ` before the record,
+/// see [`crate::store::decode_profile`] — parse too.
+pub(crate) fn parse_memo_value(value: &str) -> Result<Option<SimOutcome>, String> {
+    match parse_record(value) {
+        Ok((_, JournaledOutcome::Success(outcome))) => Ok(Some(outcome)),
+        Ok((_, JournaledOutcome::Failure { .. })) => Ok(None),
+        Err(e) => match crate::store::decode_profile(value) {
+            Ok((_, profile)) => Ok(Some(SimOutcome::Isolation(profile))),
+            Err(_) => Err(e),
+        },
+    }
+}
+
 fn parse_success(rest: &str) -> Result<SimOutcome, String> {
     if let Some(cycles) = rest.strip_prefix("corun ") {
         let cycles: u64 = cycles

@@ -16,7 +16,7 @@
 //! * [`report`] — plain-text tables for the experiment binaries;
 //! * [`args`] — the flag layer every binary shares: `--jobs`,
 //!   `--engine`, `--platform`, the campaign and telemetry sinks, and
-//!   the engine and campaign runner they describe;
+//!   the engine they describe;
 //! * [`telemetry`] — the deterministic telemetry recorder: per-job
 //!   spans, metric registries and the deduplicated warning channel
 //!   behind the `--telemetry` sinks.
@@ -62,12 +62,9 @@ pub mod store;
 pub mod telemetry;
 
 pub use calibration::{calibrate, calibrate_with, Calibration};
-pub use campaign::{
-    CampaignConfig, CampaignManifest, CampaignRunner, CampaignStats, FaultPlan, ManifestEntry,
-};
+pub use campaign::{CampaignManifest, FaultPlan, ManifestEntry};
 pub use exec::{
-    job_key, job_key_on, BatchRunner, EngineReport, ExecEngine, JobError, JobFailure, Recipe,
-    SimJob, SimOutcome,
+    job_key, job_key_on, EngineReport, ExecEngine, JobError, JobFailure, Recipe, SimJob, SimOutcome,
 };
 pub use experiment::{
     constraints_for, figure4_panel, figure4_panel_with, table6_block, table6_block_with,

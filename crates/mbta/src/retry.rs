@@ -1,5 +1,5 @@
 //! Deterministic bounded-retry/backoff policy, shared between the
-//! in-process [`crate::CampaignRunner`] and any process-level
+//! in-process campaign engine ([`crate::ExecEngine::with_retry`]) and any process-level
 //! supervisor built on it (the `dse` shard supervisor).
 //!
 //! Three pieces, all pure functions of their inputs so retry schedules

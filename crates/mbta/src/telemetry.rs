@@ -29,7 +29,6 @@
 //! engine.
 
 use crate::exec::{EngineReport, SimJob};
-use crate::CampaignStats;
 use obs::{span_id, MatrixRec, SpanRec, Stream, Warning};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -291,14 +290,14 @@ impl Telemetry {
         });
     }
 
-    /// Folds the campaign counters in: replay/execute/retry counts are
-    /// deterministic for a given journal state; watchdog expiries and
-    /// journal I/O errors are host-dependent and recorded as
-    /// non-deterministic.
-    pub fn record_campaign(&self, stats: &CampaignStats) {
+    /// Folds a campaign engine's counters in: memo hits (`replayed`),
+    /// executed attempts and retry counts are deterministic for a given
+    /// journal state; watchdog expiries and journal I/O errors are
+    /// host-dependent and recorded as non-deterministic.
+    pub fn record_campaign(&self, stats: &EngineReport) {
         let mut inner = lock(&self.inner);
-        inner.det.add("campaign.replayed", stats.replayed);
-        inner.det.add("campaign.executed", stats.executed);
+        inner.det.add("campaign.replayed", stats.cache_hits);
+        inner.det.add("campaign.executed", stats.simulations_run);
         inner.det.add("campaign.retried", stats.retried);
         inner
             .det
@@ -679,6 +678,7 @@ mod tests {
             spec_hashes: 3,
             tail_recordings: 1,
             tail_splices: 2,
+            ..EngineReport::default()
         });
         let jsonl = t.render(Format::Jsonl);
         for line in jsonl.lines().filter(|l| l.contains("\"det\":true")) {

@@ -9,10 +9,7 @@
 //! a silently dropped record.
 
 use mbta::store::CAMPAIGN_NAMESPACE;
-use mbta::{
-    BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, JobFailure, RecordSink, RetryPolicy,
-    SimJob, Store, Telemetry,
-};
+use mbta::{ExecEngine, JobFailure, RecordSink, SimJob, Store, Telemetry};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,16 +71,6 @@ fn batch() -> Vec<SimJob> {
     .collect()
 }
 
-fn config(strict: bool) -> CampaignConfig {
-    CampaignConfig {
-        retry: RetryPolicy::default(),
-        fault: None,
-        watchdog_millis: None,
-        journal_strict: strict,
-        timeout_fault: None,
-    }
-}
-
 /// Journal whose sink accepts `budget` record writes (the header is
 /// written before the budget applies — `with_sink` would fail
 /// otherwise, which is exactly the clean-surface behaviour we want on
@@ -106,18 +93,19 @@ fn dead_handle_at_open_is_a_clean_error_not_a_panic() {
 #[test]
 fn lenient_mode_counts_errors_warns_once_and_keeps_results() {
     let telemetry = Arc::new(Telemetry::new("journal-errors-lenient"));
-    let engine = ExecEngine::new(1).with_telemetry(Arc::clone(&telemetry));
+    let runner = ExecEngine::new(1)
+        .with_telemetry(Arc::clone(&telemetry))
+        .with_journal_strict(false);
     let writes = Arc::new(AtomicU64::new(0));
     // First record append succeeds, everything after fails.
-    let journal = fallible_journal(1, &writes, false);
-    let runner = CampaignRunner::with_journal(&engine, config(false), journal);
+    runner.attach_store(fallible_journal(1, &writes, false));
 
     let results = runner.run_batch_detailed(&batch());
     assert_eq!(results.len(), 3);
     for r in &results {
         assert!(r.is_ok(), "lenient mode must not fail jobs: {r:?}");
     }
-    let stats = runner.stats();
+    let stats = runner.report();
     assert_eq!(
         stats.journal_errors, 2,
         "both post-budget appends must be counted"
@@ -132,10 +120,9 @@ fn lenient_mode_counts_errors_warns_once_and_keeps_results() {
 
 #[test]
 fn strict_mode_surfaces_transient_failures_instead_of_dropping() {
-    let engine = ExecEngine::new(1);
+    let runner = ExecEngine::new(1).with_journal_strict(true);
     let writes = Arc::new(AtomicU64::new(0));
-    let journal = fallible_journal(1, &writes, false);
-    let runner = CampaignRunner::with_journal(&engine, config(true), journal);
+    runner.attach_store(fallible_journal(1, &writes, false));
 
     let results = runner.run_batch_detailed(&batch());
     assert_eq!(results.len(), 3);

@@ -2,10 +2,7 @@
 //! torn-trailing-record tolerance, and cross-worker-count resume
 //! bit-identity — the guarantees DESIGN.md §4c promises.
 
-use mbta::{
-    BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, FaultPlan, JobFailure, RetryPolicy,
-    SimJob, SimOutcome,
-};
+use mbta::{ExecEngine, FaultPlan, JobFailure, RetryPolicy, SimJob, SimOutcome};
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
 use workloads::{contender, control_loop, LoadLevel};
@@ -70,21 +67,19 @@ fn replayed_campaigns_are_idempotent_across_worker_counts() {
     let path = tmp("idempotent");
     let reference = {
         let engine = ExecEngine::new(4);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &path).unwrap();
-        values(&campaign.run_batch_detailed(&campaign_batch()))
+        engine.journal(&path).unwrap();
+        values(&engine.run_batch_detailed(&campaign_batch()))
     };
     // A journal written at --jobs 4 resumes bit-identically at --jobs 1
     // (and any other worker count) — repeatedly.
     for jobs in [1, 2, 4, 1] {
         let engine = ExecEngine::new(jobs);
-        let (campaign, report) =
-            CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap();
+        let report = engine.resume(&path).unwrap();
         assert_eq!(report.truncated_bytes, 0, "jobs = {jobs}");
-        let got = values(&campaign.run_batch_detailed(&campaign_batch()));
+        let got = values(&engine.run_batch_detailed(&campaign_batch()));
         assert_eq!(got, reference, "jobs = {jobs}");
         assert_eq!(
-            campaign.stats().executed,
+            engine.report().simulations_run,
             0,
             "jobs = {jobs}: replay must not re-simulate"
         );
@@ -102,9 +97,8 @@ fn every_torn_trailing_truncation_point_recovers() {
     let jobs = campaign_batch();
     let reference = {
         let engine = ExecEngine::new(2);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &complete).unwrap();
-        values(&campaign.run_batch_detailed(&jobs))
+        engine.journal(&complete).unwrap();
+        values(&engine.run_batch_detailed(&jobs))
     };
     let full = std::fs::read(&complete).unwrap();
     let last_line_start = full[..full.len() - 1]
@@ -124,17 +118,16 @@ fn every_torn_trailing_truncation_point_recovers() {
     ] {
         std::fs::write(&torn, &full[..cut]).unwrap();
         let engine = ExecEngine::new(2);
-        let (campaign, report) =
-            CampaignRunner::resumed(&engine, CampaignConfig::default(), &torn).unwrap();
+        let report = engine.resume(&torn).unwrap();
         assert!(
             report.truncated_bytes > 0,
             "cut at {cut}: the tear must be reported, never silent"
         );
-        let got = values(&campaign.run_batch_detailed(&jobs));
+        let got = values(&engine.run_batch_detailed(&jobs));
         assert_eq!(got, reference, "cut at {cut}");
-        assert!(campaign.manifest().is_complete(), "cut at {cut}");
+        assert!(engine.manifest().is_complete(), "cut at {cut}");
         // Only the torn job (plus nothing else) was re-executed.
-        assert_eq!(campaign.stats().executed, 1, "cut at {cut}");
+        assert_eq!(engine.report().simulations_run, 1, "cut at {cut}");
     }
     std::fs::remove_file(&complete).ok();
     std::fs::remove_file(&torn).ok();
@@ -148,26 +141,23 @@ fn recovered_journal_is_again_fully_replayable() {
     let jobs = campaign_batch();
     {
         let engine = ExecEngine::new(2);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &path).unwrap();
-        campaign.run_batch_detailed(&jobs);
+        engine.journal(&path).unwrap();
+        engine.run_batch_detailed(&jobs);
     }
     let full = std::fs::read(&path).unwrap();
     std::fs::write(&path, &full[..full.len() - 11]).unwrap();
     let reference = {
         let engine = ExecEngine::new(2);
-        let (campaign, _) =
-            CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap();
-        values(&campaign.run_batch_detailed(&jobs))
+        engine.resume(&path).unwrap();
+        values(&engine.run_batch_detailed(&jobs))
     };
     // Second resume: everything now comes from disk.
     let engine = ExecEngine::new(2);
-    let (campaign, report) =
-        CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap();
+    let report = engine.resume(&path).unwrap();
     assert_eq!(report.truncated_bytes, 0);
-    let got = values(&campaign.run_batch_detailed(&jobs));
+    let got = values(&engine.run_batch_detailed(&jobs));
     assert_eq!(got, reference);
-    assert_eq!(campaign.stats().executed, 0);
+    assert_eq!(engine.report().simulations_run, 0);
     std::fs::remove_file(&path).ok();
 }
 
@@ -176,36 +166,37 @@ fn recovered_journal_is_again_fully_replayable() {
 /// replays the retried successes.
 #[test]
 fn faulted_campaign_resume_matches_uninterrupted_run() {
-    let config = CampaignConfig {
-        retry: RetryPolicy { max_attempts: 4 },
-        fault: Some(FaultPlan {
-            rate_permille: 400,
-            seed: 11,
-        }),
-        watchdog_millis: None,
-        journal_strict: false,
-        timeout_fault: None,
+    let faulted = |jobs: usize| {
+        ExecEngine::new(jobs)
+            .with_retry(RetryPolicy { max_attempts: 4 })
+            .with_fault_plan(Some(FaultPlan {
+                rate_permille: 400,
+                seed: 11,
+            }))
     };
     let jobs = campaign_batch();
     let reference = {
-        let engine = ExecEngine::new(2);
-        let campaign = CampaignRunner::new(&engine, config);
-        let results = campaign.run_batch_detailed(&jobs);
-        assert!(campaign.stats().injected_faults > 0, "plan never fired");
+        let engine = faulted(2);
+        let results = engine.run_batch_detailed(&jobs);
+        assert!(engine.report().injected_faults > 0, "plan never fired");
         assert!(results.iter().all(Result::is_ok), "seed 11 must recover");
         values(&results)
     };
     let path = tmp("faulted");
     {
-        let engine = ExecEngine::new(4);
-        let campaign = CampaignRunner::journaled(&engine, config, &path).unwrap();
-        assert_eq!(values(&campaign.run_batch_detailed(&jobs)), reference);
+        let engine = faulted(4);
+        engine.journal(&path).unwrap();
+        assert_eq!(values(&engine.run_batch_detailed(&jobs)), reference);
     }
-    let engine = ExecEngine::new(1);
-    let (campaign, _) = CampaignRunner::resumed(&engine, config, &path).unwrap();
-    let got = values(&campaign.run_batch_detailed(&jobs));
+    let engine = faulted(1);
+    engine.resume(&path).unwrap();
+    let got = values(&engine.run_batch_detailed(&jobs));
     assert_eq!(got, reference);
-    assert_eq!(campaign.stats().executed, 0, "retried successes replay");
+    assert_eq!(
+        engine.report().simulations_run,
+        0,
+        "retried successes replay"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -216,16 +207,15 @@ fn interior_corruption_refuses_to_resume() {
     let path = tmp("interior");
     {
         let engine = ExecEngine::new(1);
-        let campaign =
-            CampaignRunner::journaled(&engine, CampaignConfig::default(), &path).unwrap();
-        campaign.run_batch_detailed(&campaign_batch());
+        engine.journal(&path).unwrap();
+        engine.run_batch_detailed(&campaign_batch());
     }
     let mut bytes = std::fs::read(&path).unwrap();
     let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 25;
     bytes[second_line] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
     let engine = ExecEngine::new(1);
-    let err = CampaignRunner::resumed(&engine, CampaignConfig::default(), &path).unwrap_err();
+    let err = engine.resume(&path).unwrap_err();
     assert!(
         matches!(err, mbta::JournalError::Corrupt { line: 2, .. }),
         "expected Corrupt, got {err}"

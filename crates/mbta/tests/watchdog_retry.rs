@@ -1,15 +1,12 @@
 //! Watchdog-vs-retry interaction: a watchdog expiry is environmental,
 //! so a job that times out on attempt 1 and succeeds on attempt 2 must
 //! produce **byte-identical** campaign output to a job that never timed
-//! out. The deterministic seam is `CampaignConfig::timeout_fault` — a
+//! out. The deterministic seam is `ExecEngine::with_timeout_fault` — a
 //! pure `(seed, key, attempt)` plan recording attempts as
 //! `JobFailure::TimedOut` without running them, exactly what a real
 //! watchdog expiry leaves behind in the journal.
 
-use mbta::{
-    job_key, BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, FaultPlan, JobFailure,
-    RetryPolicy, SimJob, SimOutcome,
-};
+use mbta::{job_key, ExecEngine, FaultPlan, JobFailure, RetryPolicy, SimJob, SimOutcome};
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
 use workloads::{contender, control_loop, LoadLevel};
@@ -79,21 +76,13 @@ fn recoverable_timeout_plan() -> FaultPlan {
 fn timeout_then_success_is_byte_identical_to_never_timing_out() {
     let jobs = batch();
     let reference = {
-        let engine = ExecEngine::new(2);
-        let campaign = CampaignRunner::new(&engine, CampaignConfig::default());
+        let campaign = ExecEngine::new(2);
         ccnts(&campaign.run_batch_detailed(&jobs))
     };
 
-    let engine = ExecEngine::new(2);
-    let campaign = CampaignRunner::new(
-        &engine,
-        CampaignConfig {
-            timeout_fault: Some(recoverable_timeout_plan()),
-            ..CampaignConfig::default()
-        },
-    );
+    let campaign = ExecEngine::new(2).with_timeout_fault(Some(recoverable_timeout_plan()));
     let got = ccnts(&campaign.run_batch_detailed(&jobs));
-    let stats = campaign.stats();
+    let stats = campaign.report();
     assert!(stats.timed_out > 0, "plan never fired");
     assert_eq!(
         stats.retried, stats.timed_out,
@@ -117,19 +106,16 @@ fn timeouts_and_transient_faults_fold_seeds_independently() {
         rate_permille: 300,
         seed: 11,
     };
+    let faulted = || {
+        ExecEngine::new(2)
+            .with_retry(RetryPolicy { max_attempts: 6 })
+            .with_fault_plan(Some(fault))
+    };
     let faulted_only = {
-        let engine = ExecEngine::new(2);
-        let campaign = CampaignRunner::new(
-            &engine,
-            CampaignConfig {
-                retry: RetryPolicy { max_attempts: 6 },
-                fault: Some(fault),
-                ..CampaignConfig::default()
-            },
-        );
+        let campaign = faulted();
         let out = ccnts(&campaign.run_batch_detailed(&jobs));
         assert!(campaign.manifest().is_complete());
-        (out, campaign.stats().injected_faults)
+        (out, campaign.report().injected_faults)
     };
     assert!(faulted_only.1 > 0, "fault plan never fired");
     // Same fault plan, plus timeouts — but the timeout plan fires on
@@ -141,22 +127,13 @@ fn timeouts_and_transient_faults_fold_seeds_independently() {
     // `timeout_then_success_is_byte_identical_to_never_timing_out`
     // already pins same-seed retries. Here we assert the zero-rate
     // plan is a true no-op on a faulted campaign.
-    let engine = ExecEngine::new(2);
-    let campaign = CampaignRunner::new(
-        &engine,
-        CampaignConfig {
-            retry: RetryPolicy { max_attempts: 6 },
-            fault: Some(fault),
-            timeout_fault: Some(FaultPlan {
-                rate_permille: 0,
-                seed: 99,
-            }),
-            ..CampaignConfig::default()
-        },
-    );
+    let campaign = faulted().with_timeout_fault(Some(FaultPlan {
+        rate_permille: 0,
+        seed: 99,
+    }));
     let got = ccnts(&campaign.run_batch_detailed(&jobs));
     assert_eq!(got, faulted_only.0);
-    assert_eq!(campaign.stats().injected_faults, faulted_only.1);
+    assert_eq!(campaign.report().injected_faults, faulted_only.1);
 }
 
 #[test]
@@ -166,8 +143,7 @@ fn journaled_timeout_recovery_resumes_byte_identical() {
     // rest. Merged output must equal an undisturbed journaled run.
     let jobs = batch();
     let reference = {
-        let engine = ExecEngine::new(2);
-        let campaign = CampaignRunner::new(&engine, CampaignConfig::default());
+        let campaign = ExecEngine::new(2);
         ccnts(&campaign.run_batch_detailed(&jobs))
     };
     let path = tmp("resume");
@@ -176,17 +152,10 @@ fn journaled_timeout_recovery_resumes_byte_identical() {
         seed: 3,
     };
     {
-        let engine = ExecEngine::new(2);
-        let campaign = CampaignRunner::journaled(
-            &engine,
-            CampaignConfig {
-                retry: RetryPolicy { max_attempts: 2 },
-                timeout_fault: Some(always_expire),
-                ..CampaignConfig::default()
-            },
-            &path,
-        )
-        .expect("journal create");
+        let campaign = ExecEngine::new(2)
+            .with_retry(RetryPolicy { max_attempts: 2 })
+            .with_timeout_fault(Some(always_expire));
+        campaign.journal(&path).expect("journal create");
         let results = campaign.run_batch_detailed(&jobs);
         assert!(
             results
@@ -200,16 +169,8 @@ fn journaled_timeout_recovery_resumes_byte_identical() {
     }
     // The timeout plan — like the watchdog — is not part of the config
     // fingerprint, so the journal opens without it and the jobs rerun.
-    let engine = ExecEngine::new(2);
-    let (campaign, report) = CampaignRunner::resumed(
-        &engine,
-        CampaignConfig {
-            retry: RetryPolicy { max_attempts: 2 },
-            ..CampaignConfig::default()
-        },
-        &path,
-    )
-    .expect("resume");
+    let campaign = ExecEngine::new(2).with_retry(RetryPolicy { max_attempts: 2 });
+    let report = campaign.resume(&path).expect("resume");
     assert!(report.records >= jobs.len(), "expiries were journaled");
     let got = ccnts(&campaign.run_batch_detailed(&jobs));
     assert_eq!(got, reference);

@@ -19,10 +19,11 @@
 //!    `SolveError::BudgetExhausted` plumbing behind
 //!    [`contention::Evaluator`]) and tags every response with its
 //!    provenance, so a degraded answer is never silent.
-//! 3. **Crash recovery** ([`server`]) — responses and isolation
-//!    profiles flow through two content-addressed persistent stores
-//!    ([`mbta::Store`], the journal discipline generalized), keyed by
-//!    FNV fingerprints. `kill -9` mid-batch restarts into replay and
+//! 3. **Crash recovery** ([`server`]) — responses flow through a
+//!    content-addressed persistent store ([`mbta::Store`], the journal
+//!    discipline generalized), and simulations through the engine's
+//!    durable memo, a second store; both are keyed by FNV
+//!    fingerprints. `kill -9` mid-batch restarts into replay and
 //!    re-serves byte-identical responses at any worker count.
 //! 4. **A chaos harness** ([`chaos`]) — SplitMix64-seeded fault plans
 //!    (slow-loris frames, truncated/garbage frames, mid-request

@@ -34,7 +34,7 @@ pub struct QueryOptions {
 }
 
 /// One computed answer: the canonical body plus what the server
-/// should persist and count.
+/// should count.
 #[derive(Clone, Debug)]
 pub struct Answer {
     /// Canonical `{"status":"ok",…}` JSON body (identity-free).
@@ -43,19 +43,10 @@ pub struct Answer {
     pub fallback: bool,
     /// `true` when an input profile needed repair.
     pub repaired: bool,
-    /// Isolation profiles produced on the way, keyed by engine job
-    /// key — the server feeds these to the profile store so a
-    /// restarted daemon can warm its memo cache.
-    pub profiles: Vec<(u64, contention::IsolationProfile)>,
 }
 
-/// Stored profiles (keyed by engine job key) plus the app and
-/// contender profiles of one query.
-type Pair = (
-    Vec<(u64, contention::IsolationProfile)>,
-    contention::IsolationProfile,
-    contention::IsolationProfile,
-);
+/// The app and contender profiles of one query.
+type Pair = (contention::IsolationProfile, contention::IsolationProfile);
 
 /// Stateless query evaluator over a shared [`ExecEngine`].
 pub struct QueryEngine<'e> {
@@ -92,7 +83,6 @@ impl<'e> QueryEngine<'e> {
                 .to_json(),
                 fallback: false,
                 repaired: false,
-                profiles: Vec::new(),
             }),
             QueryKind::Stats | QueryKind::Shutdown => {
                 Err(format!("`{}` is control-plane only", req.kind.token()))
@@ -144,26 +134,24 @@ impl<'e> QueryEngine<'e> {
         ]
     }
 
-    /// The two isolation profiles every data-plane query needs, with
-    /// their engine job keys (the profile-store addresses). A repeat
-    /// pair comes straight from the engine's recipe aliases: no spec is
-    /// built or hashed.
+    /// The two isolation profiles every data-plane query needs. A
+    /// repeat pair comes straight from the engine's recipe aliases: no
+    /// spec is built or hashed.
     fn isolation_pair(
         &self,
         scenario: DeploymentScenario,
         level: LoadLevel,
     ) -> Result<Pair, String> {
         let [app_recipe, load_recipe] = self.recipes(scenario, level);
-        let (app_key, app) = self
+        let (_, app) = self
             .engine
             .isolation_by_recipe(app_recipe)
             .map_err(|e| format!("app isolation failed: {e}"))?;
-        let (load_key, load) = self
+        let (_, load) = self
             .engine
             .isolation_by_recipe(load_recipe)
             .map_err(|e| format!("contender isolation failed: {e}"))?;
-        let profiles = vec![(app_key, app.clone()), (load_key, load.clone())];
-        Ok((profiles, app, load))
+        Ok((app, load))
     }
 
     fn bound_body(
@@ -173,7 +161,7 @@ impl<'e> QueryEngine<'e> {
         level: LoadLevel,
         rta_params: Option<(u64, u64)>,
     ) -> Result<Answer, String> {
-        let (profiles, app, load) = self.isolation_pair(scenario, level)?;
+        let (app, load) = self.isolation_pair(scenario, level)?;
         let evaluated = Evaluator::new(&self.platform, self.eval_options(req, scenario))
             .bound(&app, &load)
             .map_err(|e| format!("evaluation failed: {e}"))?;
@@ -234,7 +222,6 @@ impl<'e> QueryEngine<'e> {
             body: Val::Obj(pairs).to_json(),
             fallback: evaluated.source.is_fallback(),
             repaired: evaluated.any_repairs(),
-            profiles,
         })
     }
 
@@ -244,7 +231,7 @@ impl<'e> QueryEngine<'e> {
         scenario: DeploymentScenario,
         level: LoadLevel,
     ) -> Result<Answer, String> {
-        let (profiles, app, load) = self.isolation_pair(scenario, level)?;
+        let (app, load) = self.isolation_pair(scenario, level)?;
         let evaluated = Evaluator::new(&self.platform, self.eval_options(req, scenario))
             .bound(&app, &load)
             .map_err(|e| format!("evaluation failed: {e}"))?;
@@ -290,7 +277,6 @@ impl<'e> QueryEngine<'e> {
             body,
             fallback: evaluated.source.is_fallback(),
             repaired: ra.repaired || rb.repaired || evaluated.any_repairs(),
-            profiles,
         })
     }
 }
@@ -335,7 +321,7 @@ mod tests {
         assert_eq!(a.body, b.body, "body must not depend on worker count");
         assert!(a.body.starts_with("{\"status\":\"ok\""));
         assert!(!a.body.contains("tenant"));
-        assert_eq!(a.profiles.len(), 2);
+        assert_eq!(e1.cached_profiles(), 2, "the app and the contender");
     }
 
     #[test]
@@ -400,6 +386,13 @@ mod tests {
     #[test]
     fn repeat_bounds_hash_no_spec_and_survive_clear_cache() {
         let e = engine();
+        // The profile store the daemon attaches, in a scratch file.
+        let path = std::env::temp_dir().join(format!("serve-query-{}.store", std::process::id()));
+        e.attach_store(mbta::Store::create(&path, "profiles", 0).unwrap());
+        let stored = || {
+            let (_, records, report) = mbta::Store::open(&path, "profiles", 0).unwrap();
+            (records.into_keys().collect::<Vec<u64>>(), report.records)
+        };
         let qe = QueryEngine::new(&e, QueryOptions::default());
         let rta = |period| {
             req(
@@ -418,17 +411,16 @@ mod tests {
         // Repeats, and fresh periods over the same pair, hash nothing.
         let repeat = qe.answer(&rta(50_000_000)).unwrap();
         assert_eq!(repeat.body, first.body);
-        assert_eq!(repeat.profiles, first.profiles);
-        let bound = qe
-            .answer(&req(
-                QueryKind::Bound {
-                    scenario: DeploymentScenario::LowTraffic,
-                    level: LoadLevel::Low,
-                },
-                None,
-            ))
-            .unwrap();
-        assert_eq!(bound.profiles, first.profiles);
+        assert_eq!(e.report().simulations_run, 2, "the same profiles");
+        qe.answer(&req(
+            QueryKind::Bound {
+                scenario: DeploymentScenario::LowTraffic,
+                level: LoadLevel::Low,
+            },
+            None,
+        ))
+        .unwrap();
+        assert_eq!(e.report().simulations_run, 2, "the same profiles");
         qe.answer(&rta(60_000_000)).unwrap();
         assert_eq!(e.report().spec_hashes, 2);
 
@@ -457,15 +449,17 @@ mod tests {
             },
         ]
         .map(|job| mbta::job_key_on(&job, desc));
-        let keys: Vec<u64> = first.profiles.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, expected);
+        let mut expected = expected.to_vec();
+        expected.sort_unstable();
+        assert_eq!(stored(), (expected.clone(), 2));
 
         // After clear_cache the pair is rebuilt, re-keyed and re-run.
         e.clear_cache();
         let cleared = qe.answer(&rta(50_000_000)).unwrap();
         assert_eq!(cleared.body, first.body);
-        assert_eq!(cleared.profiles, first.profiles);
+        assert_eq!(stored(), (expected, 4), "re-run under the same keys");
         assert_eq!(e.report().spec_hashes, 4);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -504,7 +498,7 @@ mod tests {
         // A fresh budget makes a fresh request, not a fresh co-run.
         for budget in [None, Some(64), Some(4096)] {
             let again = qe.answer(&sweep(budget)).unwrap();
-            assert_eq!(again.profiles, first.profiles);
+            assert_eq!(e.cached_profiles(), 2, "the same profiles");
             if budget.is_none() {
                 assert_eq!(again.body, first.body);
             }

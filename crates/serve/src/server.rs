@@ -23,11 +23,13 @@
 //!
 //! Crash recovery: every computed response body is `put` into a
 //! content-addressed [`mbta::Store`] *before* the reply frame is
-//! written (write-ahead), and isolation profiles are stored the same
-//! way. On restart both stores replay; profiles warm the engine's memo
-//! cache and responses are served from cache byte-identically — at any
-//! worker count, because bodies are identity- and schedule-free by
-//! construction (see [`crate::query`]).
+//! written (write-ahead). The profile store is the engine's durable
+//! memo ([`mbta::ExecEngine::open_store`]): the engine appends every
+//! simulation it runs as it completes. On restart both stores replay;
+//! the profile store warms the engine's memo and responses are served
+//! from cache byte-identically — at any worker count, because bodies
+//! are identity- and schedule-free by construction (see
+//! [`crate::query`]).
 
 use crate::admission::{Admission, AdmissionOutcome};
 use crate::proto::{
@@ -171,9 +173,7 @@ struct Inner {
     engine: Arc<ExecEngine>,
     admission: Admission<Work>,
     responses: Store,
-    profiles: Store,
     cache: Mutex<BTreeMap<u64, String>>,
-    profile_keys: Mutex<std::collections::BTreeSet<u64>>,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
     counters: Counters,
@@ -205,8 +205,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the daemon: replays the stores, warms the engine, binds
-    /// the listeners and spawns the worker pool.
+    /// Starts the daemon: replays the response store, attaches the
+    /// profile store to the engine (which primes its memo), binds the
+    /// listeners and spawns the worker pool.
     ///
     /// # Errors
     ///
@@ -217,24 +218,13 @@ impl Server {
         let (responses, bodies, rec_r) =
             Store::open(&config.state_dir.join("responses.store"), "responses", fp)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let (profiles, stored_profiles, rec_p) =
-            Store::open(&config.state_dir.join("profiles.store"), "profiles", fp)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-
-        // Warm the restarted engine's memo cache from the profile
-        // store so replayed batches skip straight to evaluation.
-        let mut profile_keys = std::collections::BTreeSet::new();
-        let mut warmed = 0u64;
-        for value in stored_profiles.values() {
-            if let Ok((key, profile)) = mbta::store::decode_profile(value) {
-                engine.prime_keyed(key, profile);
-                profile_keys.insert(key);
-                warmed += 1;
-            }
-        }
+        let cached = engine.cached_profiles();
+        let rec_p = engine
+            .open_store(&config.state_dir.join("profiles.store"), "profiles", fp)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let recovery = RecoveryStats {
             responses: bodies.len() as u64,
-            profiles: warmed,
+            profiles: engine.cached_profiles().saturating_sub(cached) as u64,
             truncated_bytes: rec_r.truncated_bytes + rec_p.truncated_bytes,
         };
 
@@ -246,9 +236,7 @@ impl Server {
                 config.retry_after_ms,
             ),
             responses,
-            profiles,
             cache: Mutex::new(bodies),
-            profile_keys: Mutex::new(profile_keys),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             counters: Counters {
@@ -666,7 +654,6 @@ fn worker_loop(inner: &Arc<Inner>) {
         inner.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         match qe.answer(&request) {
             Ok(answer) => {
-                persist_profiles(inner, &answer.profiles);
                 // Write-ahead: persist the body before replying, so a
                 // crash after this line re-serves identical bytes.
                 if let Err(e) = inner.responses.put(fingerprint, &answer.body) {
@@ -697,34 +684,6 @@ fn worker_loop(inner: &Arc<Inner>) {
                 inner.count("serve.errors", 1);
                 reply(inner, &writer, &render_error(&request.id, &msg));
             }
-        }
-    }
-}
-
-fn persist_profiles(inner: &Inner, profiles: &[(u64, contention::IsolationProfile)]) {
-    for (key, profile) in profiles {
-        // The in-process memo is already warm (the engine computed the
-        // profile); this write keeps the *next* process warm too. The
-        // key set is held across the put so concurrent workers cannot
-        // double-append, and the key is only marked persisted once the
-        // append succeeds — a transient store failure is retried by the
-        // next request producing the same profile instead of silently
-        // dropping it from the next restart's warm-up.
-        let mut keys = inner
-            .profile_keys
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if keys.contains(key) {
-            continue;
-        }
-        match inner
-            .profiles
-            .put(*key, &mbta::store::encode_profile(*key, profile))
-        {
-            Ok(()) => {
-                keys.insert(*key);
-            }
-            Err(e) => store_warn(inner, "profiles", &e),
         }
     }
 }

@@ -30,7 +30,7 @@ use contention::{
 use mbta::args::{
     available_jobs, reject_rest, report_campaign, take_flag, take_parsed, CommonArgs,
 };
-use mbta::{BatchRunner, Telemetry};
+use mbta::{ExecEngine, Telemetry};
 use std::str::FromStr;
 use std::sync::Arc;
 use tc27x_sim::{CoreId, DeploymentScenario, Engine, Operation, SimConfig, System, Target};
@@ -271,7 +271,7 @@ OPTIONS:
 ";
 
 /// Executes a parsed invocation: builds the experiment engine from the
-/// shared flags, wraps it in a crash-safe campaign runner when
+/// shared flags, attaches a crash-safe campaign journal when
 /// `--journal`/`--resume` ask for one, and runs the subcommand on it.
 /// An incomplete campaign (jobs left unrecovered after retries and
 /// watchdog) prints its partial-result manifest to stderr and fails.
@@ -292,13 +292,9 @@ pub fn run_invocation(inv: Invocation) -> Result<(), Box<dyn std::error::Error>>
     let engine = common
         .engine_with(Some(&telemetry))
         .with_attribution(common.attribution.is_some() || attribute);
-    let campaign = common.campaign(&engine, Some(&telemetry))?;
-    let runner: &dyn BatchRunner = match campaign.as_ref() {
-        Some(c) => c,
-        None => &engine,
-    };
-    let result = run_with_telemetry(runner, inv.command, settings, Some(&telemetry));
-    let complete = report_campaign(campaign.as_ref(), Some(&telemetry));
+    common.campaign(&engine, Some(&telemetry))?;
+    let result = run_with_telemetry(&engine, inv.command, settings, Some(&telemetry));
+    let complete = report_campaign(&engine, Some(&telemetry));
     if common.telemetry.is_some() {
         telemetry.record_engine(&engine.report());
     }
@@ -332,9 +328,9 @@ fn warn_repaired(telemetry: Option<&Telemetry>, detail: &str) {
 }
 
 /// Executes a parsed command, writing human-readable output to stdout.
-/// All simulations go through `engine` — a bare [`mbta::ExecEngine`] or
-/// a crash-safe [`mbta::CampaignRunner`] — so repeated profiles are
-/// served from the memo cache (or journal replay). Profile validation
+/// All simulations go through `engine` — plain or journaled — so
+/// repeated profiles are served from the memo cache (or journal
+/// replay). Profile validation
 /// and the ILP solve budget follow `settings`. An optional telemetry
 /// recorder collects ILP solve records and the stderr diagnostics
 /// (repaired profiles, truncated traces).
@@ -343,7 +339,7 @@ fn warn_repaired(telemetry: Option<&Telemetry>, detail: &str) {
 ///
 /// Propagates simulation/model errors as boxed errors.
 pub fn run_with_telemetry(
-    engine: &dyn BatchRunner,
+    engine: &ExecEngine,
     cmd: Command,
     settings: PipelineSettings,
     telemetry: Option<&Telemetry>,
