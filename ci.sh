@@ -19,10 +19,12 @@
 #                  followed by --resume, a seeded shard-chaos run that
 #                  must reach full coverage, and a permanently hostile
 #                  shard that must exit 3 with a FAILED manifest line
-#   ci.sh platform cross-platform gate: golden sweep replay per
-#                  built-in profile (--jobs 1 vs 4), registry rejection
-#                  message, and state-store isolation (a campaign under
-#                  one platform refuses another's journals loudly)
+#   ci.sh platform cross-platform gate: sweep (sc1, sc2, low), figure4
+#                  and table6 on every built-in profile (sweeps equal at
+#                  --jobs 1 and 4 and equal to their goldens, figure4
+#                  sound), registry rejection message, and state-store
+#                  isolation (a campaign under one platform refuses
+#                  another's journals loudly)
 #   ci.sh attr     contention-attribution gate: the tightness audit
 #                  must report zero violations (observed <= bound) on
 #                  every builtin platform and scenario, the committed
@@ -399,32 +401,57 @@ stage_dse() {
         || { echo "manifest does not name the failed shard"; exit 1; }
 }
 
+# The committed golden of a builtin platform's sweep, if it has one.
+sweep_golden() {
+    case "$1/$2" in
+        tc27x/sc1)      echo crates/bench/tests/golden/sweep_sc1.csv ;;
+        tc27x/sc2)      echo crates/bench/tests/golden/sweep_sc2.csv ;;
+        tc27x-tdma/sc2) echo crates/bench/tests/golden/sweep_sc2_tdma.csv ;;
+        ahb2/sc1)       echo crates/bench/tests/golden/sweep_sc1_ahb2.csv ;;
+        ahb2/sc2)       echo crates/bench/tests/golden/sweep_sc2_ahb2.csv ;;
+        ahb2/low)       echo crates/bench/tests/golden/sweep_low_ahb2.csv ;;
+    esac
+}
+
 stage_platform() {
     cleanup
     SMOKE_DIR="$(mktemp -d)"
     SWEEP=target/release/sweep
+    FIG=target/release/figure4
+    T6=target/release/table6
     SUP=target/release/dse-supervisor
     WORKER=target/release/dse-worker
-    cargo build --release --offline -p contention-bench --bin sweep
+    cargo build --release --offline -p contention-bench --bin sweep --bin figure4 --bin table6
     cargo build --release --offline -p dse
 
-    echo "==> platform: golden sweep replay per profile (--jobs 1 vs 4)"
-    # Each built-in profile has a committed golden; the sweep must
-    # reproduce it byte for byte at any worker count. The explicit
-    # `--platform tc27x` spelling must equal the flagless default.
-    for jobs in 1 4; do
-        "$SWEEP" --scenario sc2 --platform tc27x --jobs "$jobs" \
-            > "$SMOKE_DIR/def.csv" 2> /dev/null
-        diff -u crates/bench/tests/golden/sweep_sc2.csv "$SMOKE_DIR/def.csv" \
-            || { echo "explicit --platform tc27x diverged from the default golden"; exit 1; }
-        "$SWEEP" --scenario sc2 --platform tc27x-tdma --jobs "$jobs" \
-            > "$SMOKE_DIR/tdma.csv" 2> /dev/null
-        diff -u crates/bench/tests/golden/sweep_sc2_tdma.csv "$SMOKE_DIR/tdma.csv" \
-            || { echo "tc27x-tdma sweep diverged from its golden at --jobs $jobs"; exit 1; }
-        "$SWEEP" --scenario low --platform ahb2 --jobs "$jobs" \
-            > "$SMOKE_DIR/ahb2.csv" 2> /dev/null
-        diff -u crates/bench/tests/golden/sweep_low_ahb2.csv "$SMOKE_DIR/ahb2.csv" \
-            || { echo "ahb2 sweep diverged from its golden at --jobs $jobs"; exit 1; }
+    echo "==> platform: sweep, figure4 and table6 on every builtin profile"
+    # Every sweep must be byte-identical at --jobs 1 and 4 and equal its
+    # committed golden where one exists; the explicit `--platform tc27x`
+    # spelling must equal the flagless default's golden. Every figure4
+    # panel must be sound, and table6 must run.
+    for p in tc27x tc27x-tdma ahb2; do
+        for s in sc1 sc2 low; do
+            for jobs in 1 4; do
+                "$SWEEP" --scenario "$s" --platform "$p" --jobs "$jobs" \
+                    > "$SMOKE_DIR/sweep_$jobs.csv" 2> /dev/null \
+                    || { echo "sweep failed on $p/$s at --jobs $jobs"; exit 1; }
+            done
+            cmp -s "$SMOKE_DIR/sweep_1.csv" "$SMOKE_DIR/sweep_4.csv" \
+                || { echo "$p/$s sweep differs between --jobs 1 and 4"; exit 1; }
+            GOLDEN="$(sweep_golden "$p" "$s")"
+            if [ -n "$GOLDEN" ]; then
+                diff -u "$GOLDEN" "$SMOKE_DIR/sweep_1.csv" \
+                    || { echo "$p/$s sweep diverged from $GOLDEN"; exit 1; }
+            fi
+        done
+        "$FIG" --platform "$p" --jobs 2 > "$SMOKE_DIR/figure4.txt" 2> /dev/null \
+            || { echo "figure4 failed on $p"; exit 1; }
+        PANELS="$(grep -c '^sound: ' "$SMOKE_DIR/figure4.txt" || true)"
+        SOUND="$(grep -c '^sound: yes' "$SMOKE_DIR/figure4.txt" || true)"
+        [ "$PANELS" -gt 0 ] && [ "$SOUND" -eq "$PANELS" ] \
+            || { echo "figure4 on $p is not sound:"; cat "$SMOKE_DIR/figure4.txt"; exit 1; }
+        "$T6" --platform "$p" --jobs 2 > /dev/null 2> "$SMOKE_DIR/table6.log" \
+            || { echo "table6 failed on $p:"; cat "$SMOKE_DIR/table6.log"; exit 1; }
     done
 
     echo "==> platform: unknown profile is rejected with the registry listing"

@@ -5,25 +5,23 @@ use contention::{ContentionModel, IlpPtacModel, IlpPtacOptions, Platform, Scenar
 use contention_bench::harness::Harness;
 use std::hint::black_box;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn main() {
     let platform = Platform::tc277_reference();
-    let app = mbta::isolation_profile(
-        &control_loop(DeploymentScenario::Scenario1, CoreId(1), 42),
+    let engine = mbta::ExecEngine::sequential();
+    let (desc, scenario, a, b) = (
+        engine.platform(),
+        DeploymentScenario::Scenario1,
         CoreId(1),
-    )
-    .unwrap();
-    let load = mbta::isolation_profile(
-        &contender(
-            DeploymentScenario::Scenario1,
-            LoadLevel::Medium,
-            CoreId(2),
-            7,
-        ),
         CoreId(2),
-    )
-    .unwrap();
+    );
+    let app = engine
+        .isolation(&control_loop_on(desc, scenario, a, 42), a)
+        .unwrap();
+    let load = engine
+        .isolation(&contender_on(desc, scenario, LoadLevel::Medium, b, 7), b)
+        .unwrap();
 
     let mut h = Harness::new("ablation");
     h.sample_size(20);

@@ -11,7 +11,7 @@ fn main() {
     h.sample_size(10);
 
     h.bench("full_table2_campaign", || {
-        black_box(mbta::calibrate().unwrap())
+        black_box(mbta::calibrate(&mbta::ExecEngine::sequential()).unwrap())
     });
 
     h.bench("single_probe_code_stream", || {

@@ -10,7 +10,7 @@ use mbta::{ExecEngine, SimJob, Store};
 use std::hint::black_box;
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -22,13 +22,14 @@ fn tmp(name: &str) -> PathBuf {
 /// contender levels, each with its isolation and co-run.
 fn panel_batch() -> Vec<SimJob> {
     let (a, b) = (CoreId(1), CoreId(2));
-    let app = control_loop(DeploymentScenario::Scenario1, a, 42);
+    let (desc, scenario) = (platform::default_platform(), DeploymentScenario::Scenario1);
+    let app = control_loop_on(desc, scenario, a, 42);
     let mut jobs = vec![SimJob::Isolation {
         spec: app.clone(),
         core: a,
     }];
     for level in LoadLevel::all() {
-        let load = contender(DeploymentScenario::Scenario1, level, b, 7);
+        let load = contender_on(desc, scenario, level, b, 7);
         jobs.push(SimJob::Isolation {
             spec: load.clone(),
             core: b,

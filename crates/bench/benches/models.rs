@@ -37,7 +37,7 @@ use serve::{QueryEngine, QueryKind, QueryOptions, Request};
 use std::hint::black_box;
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn main() {
     // `finish()` writes BENCH_<group>.json into the working directory;
@@ -48,16 +48,12 @@ fn main() {
     }
 
     let platform = Platform::tc277_reference();
-    let app = mbta::isolation_profile(
-        &control_loop(DeploymentScenario::Scenario1, CoreId(1), 42),
-        CoreId(1),
-    )
-    .unwrap();
-    let load = mbta::isolation_profile(
-        &contender(DeploymentScenario::Scenario1, LoadLevel::High, CoreId(2), 7),
-        CoreId(2),
-    )
-    .unwrap();
+    let engine = mbta::ExecEngine::sequential();
+    let (desc, a, b) = (engine.platform(), CoreId(1), CoreId(2));
+    let app_of = |s| engine.isolation(&control_loop_on(desc, s, a, 42), a);
+    let load_of = |s| engine.isolation(&contender_on(desc, s, LoadLevel::High, b, 7), b);
+    let app = app_of(DeploymentScenario::Scenario1).unwrap();
+    let load = load_of(DeploymentScenario::Scenario1).unwrap();
 
     let mut h = Harness::new("models");
     h.sample_size(30);
@@ -75,16 +71,8 @@ fn main() {
         black_box(ilp2.pairwise_bound(&app, &load).unwrap().delta_cycles)
     });
 
-    let app2 = mbta::isolation_profile(
-        &control_loop(DeploymentScenario::Scenario2, CoreId(1), 42),
-        CoreId(1),
-    )
-    .unwrap();
-    let load2 = mbta::isolation_profile(
-        &contender(DeploymentScenario::Scenario2, LoadLevel::High, CoreId(2), 7),
-        CoreId(2),
-    )
-    .unwrap();
+    let app2 = app_of(DeploymentScenario::Scenario2).unwrap();
+    let load2 = load_of(DeploymentScenario::Scenario2).unwrap();
     let evaluator = Evaluator::new(
         &platform,
         EvalOptions::for_scenario(ScenarioConstraints::scenario2()),
@@ -125,7 +113,7 @@ fn main() {
     });
 
     let (app_core, load_core) = (CoreId(1), CoreId(2));
-    let app_spec = control_loop(DeploymentScenario::Scenario1, app_core, 42);
+    let app_spec = control_loop_on(desc, DeploymentScenario::Scenario1, app_core, 42);
     let load_spec = contention_bench::scaled_contender(load_core, 500);
     let row = [
         SimJob::Isolation {
@@ -153,7 +141,7 @@ fn main() {
     // The same row with a contender never seen before: 450-550 permille
     // and a fresh seed each call, so its isolation always simulates
     // while the app's is keyed by identity and memoized.
-    let app_spec = control_loop(DeploymentScenario::Scenario1, app_core, 42);
+    let app_spec = control_loop_on(desc, DeploymentScenario::Scenario1, app_core, 42);
     let fresh_engine = mbta::ExecEngine::new(1);
     let mut call = 0u64;
     let mut fresh_row = || {

@@ -133,13 +133,10 @@ fn main() {
 
     // One contended case: the control-loop app against a high contender,
     // where SRI queueing keeps the event queue busiest.
-    let app = workloads::control_loop(tc27x_sim::DeploymentScenario::Scenario1, CoreId(1), 42);
-    let load = workloads::contender(
-        tc27x_sim::DeploymentScenario::Scenario1,
-        workloads::LoadLevel::High,
-        CoreId(2),
-        7,
-    );
+    let desc = platform::default_platform();
+    let scenario = tc27x_sim::DeploymentScenario::Scenario1;
+    let app = workloads::control_loop_on(desc, scenario, CoreId(1), 42);
+    let load = workloads::contender_on(desc, scenario, workloads::LoadLevel::High, CoreId(2), 7);
     let cycles = run_corun(&app, &load, VARIANTS[1]);
     for v in [VARIANTS[0], VARIANTS[2]] {
         assert_eq!(

@@ -4,7 +4,7 @@
 use contention_bench::harness::Harness;
 use std::hint::black_box;
 use tc27x_sim::{CoreId, DeploymentScenario, System};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn main() {
     let mut h = Harness::new("simulator");
@@ -12,7 +12,8 @@ fn main() {
 
     // Measure once to learn the cycle count, then report throughput.
     let core = CoreId(1);
-    let app = control_loop(DeploymentScenario::Scenario1, core, 42);
+    let (desc, scenario) = (platform::default_platform(), DeploymentScenario::Scenario1);
+    let app = control_loop_on(desc, scenario, core, 42);
     let cycles = {
         let mut sys = System::tc277();
         sys.load(core, &app).unwrap();
@@ -25,7 +26,7 @@ fn main() {
         black_box(sys.run().unwrap().counters(core).ccnt)
     });
 
-    let load = contender(DeploymentScenario::Scenario1, LoadLevel::High, CoreId(2), 7);
+    let load = contender_on(desc, scenario, LoadLevel::High, CoreId(2), 7);
     h.bench("corun_app_vs_hload_sc1", || {
         let mut sys = System::tc277();
         sys.load(core, &app).unwrap();

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for scenario in scenarios {
         let label = label(scenario);
-        let panel = mbta::figure4_panel_with(&engine, scenario, &platform, 42)?;
+        let panel = mbta::figure4_panel(&engine, scenario, &platform, 42)?;
         eprintln!(
             "{label}: {}",
             panel_fallback_report(&engine, scenario, 42, budget, telemetry.as_deref())?

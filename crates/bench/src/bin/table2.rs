@@ -9,7 +9,11 @@
 //! The calibration campaign (28 probe runs) accepts the shared flags:
 //! `--jobs N` sizes the engine, and `--journal`/`--resume` make the
 //! campaign crash-safe (`--ilp-budget` is accepted for driver
-//! uniformity; Table 2 runs no ILP solve).
+//! uniformity; Table 2 runs no ILP solve). The probes run on the
+//! `--platform`'s application core and address all four TC27x slaves
+//! (pf0, pf1, dfl, lmu), so a platform that lacks one, such as `ahb2`,
+//! is refused before any simulation with a one-line error naming the
+//! platform and the slave (exit 1).
 
 use contention::{Operation, Platform, Target};
 use contention_bench::{paper_vs, write_engine_report};
@@ -22,7 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = common.recorder("table2");
     let engine = common.engine_with(telemetry.as_ref());
     common.campaign(&engine, telemetry.as_deref())?;
-    let cal = mbta::calibrate_with(&engine)?;
+    // A platform without a probed slave is refused before any probe
+    // runs; every calibration error prints as one line.
+    let cal = mbta::calibrate(&engine).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let paper = Platform::tc277_reference();
 
     println!("Table 2: maximum latency and minimum stall cycles per SRI target");

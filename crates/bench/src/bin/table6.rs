@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Sc1", DeploymentScenario::Scenario1),
         ("Sc2", DeploymentScenario::Scenario2),
     ] {
-        let block = mbta::table6_block_with(&engine, scenario, 42)?;
+        let block = mbta::table6_block(&engine, scenario, 42)?;
         t.row(row(&format!("{label} Core1"), &block.core1));
         t.row(row(&format!("{label} Core2"), &block.core2));
     }

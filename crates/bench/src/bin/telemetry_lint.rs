@@ -272,7 +272,8 @@ mod tests {
             11,
         );
         let job = mbta::SimJob::Isolation {
-            spec: workloads::control_loop(
+            spec: workloads::control_loop_on(
+                platform::default_platform(),
                 tc27x_sim::DeploymentScenario::Scenario1,
                 tc27x_sim::CoreId(0),
                 1,

@@ -364,7 +364,7 @@ pub fn sweep_fallback_report(
 /// [`sweep_fallback_report`] for one Figure 4 panel: the three
 /// contender levels of `scenario` against the control-loop app, using
 /// the same specs (and thus the same memoized profiles) as
-/// [`mbta::figure4_panel_with`].
+/// [`mbta::figure4_panel`].
 ///
 /// # Errors
 ///

@@ -123,3 +123,22 @@ fn table6_names_the_tc27x_cores() {
     assert!(String::from_utf8_lossy(&out.stdout)
         .contains("(application on core 1, H-Load contender on core 2)"));
 }
+
+/// Table 2's probes address pf1 and the data flash, which ahb2 lacks:
+/// the campaign is refused before any simulation, with one line that
+/// names the platform and the absent slave.
+#[test]
+fn table2_refuses_a_platform_without_a_probed_slave() {
+    let out = run(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--platform", "ahb2", "--jobs", "2"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: platform ahb2 has no pf1 slave, which the Table 2 calibration campaign \
+         probes\n"
+    );
+    assert!(out.stdout.is_empty(), "nothing printed before the refusal");
+}

@@ -6,7 +6,7 @@
 
 use contention::Platform;
 use contention_bench::sweep_csv;
-use mbta::{figure4_panel_with, ExecEngine, Telemetry};
+use mbta::{figure4_panel, ExecEngine, Telemetry};
 use std::sync::Arc;
 use tc27x_sim::{DeploymentScenario, Engine};
 
@@ -57,10 +57,10 @@ fn three_ways(desc: &::platform::PlatformDesc, jobs: usize) -> [ExecEngine; 3] {
 /// the three, which keeps the reference stepper's share quick.
 const FIGURE4: DeploymentScenario = DeploymentScenario::Scenario2;
 
-/// The scenario each platform's sweep can run: the sweep builds the
-/// tc27x `control_loop`, whose Scenario 1 and 2 need a second flash
-/// bank `ahb2` lacks. figure4 builds its tasks for the engine's
-/// platform, so its panel runs everywhere.
+/// The scenario each platform's sweep is checked on: Scenario 1, whose
+/// eleven co-runs splice, and the low-traffic mix on `ahb2`, whose app
+/// ends before any contender. Every sweep and figure4 panel builds its
+/// tasks for the engine's platform.
 fn scenario_on(name: &str) -> DeploymentScenario {
     match name {
         "ahb2" => DeploymentScenario::LowTraffic,
@@ -80,7 +80,7 @@ fn spliced_runs_match_full_runs_on(name: &str) {
         assert_eq!(sweep_csv(full, scenario).unwrap(), sweep, "{name}");
     }
     let observed = |engine: &ExecEngine| {
-        let panel = figure4_panel_with(engine, FIGURE4, &platform, 42).unwrap();
+        let panel = figure4_panel(engine, FIGURE4, &platform, 42).unwrap();
         let cycles: Vec<u64> = panel.cells.iter().map(|c| c.observed_cycles).collect();
         (*panel.app.counters(), cycles)
     };
@@ -212,8 +212,8 @@ fn journaled_sweeps_splice_like_plain_ones_and_resume_without_simulating() {
     let journaled = ExecEngine::new(2);
     journaled.journal(&path).unwrap();
     let platform = Platform::from_desc(plain.platform());
-    let a = figure4_panel_with(&plain, FIGURE4, &platform, 42).unwrap();
-    let b = figure4_panel_with(&journaled, FIGURE4, &platform, 42).unwrap();
+    let a = figure4_panel(&plain, FIGURE4, &platform, 42).unwrap();
+    let b = figure4_panel(&journaled, FIGURE4, &platform, 42).unwrap();
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert_eq!(
         journaled.report().simulations_run,

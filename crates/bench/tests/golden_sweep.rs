@@ -12,6 +12,8 @@ const GOLDEN: &str = include_str!("golden/sweep_sc1.csv");
 const GOLDEN_SC2: &str = include_str!("golden/sweep_sc2.csv");
 const GOLDEN_SC2_TDMA: &str = include_str!("golden/sweep_sc2_tdma.csv");
 const GOLDEN_LOW_AHB2: &str = include_str!("golden/sweep_low_ahb2.csv");
+const GOLDEN_SC1_AHB2: &str = include_str!("golden/sweep_sc1_ahb2.csv");
+const GOLDEN_SC2_AHB2: &str = include_str!("golden/sweep_sc2_ahb2.csv");
 
 #[test]
 fn sweep_csv_matches_golden_capture_at_jobs_1_and_4() {
@@ -39,8 +41,7 @@ fn scenario2_sweep_csv_matches_golden_capture() {
 
 /// The non-default platforms have golden captures of their own: the
 /// TDMA TC27x variant on the Scenario 2 mix and the dual-core AHB
-/// machine on the low-traffic mix (the only deployment it can host —
-/// Pf1 is absent there). Worker-count invariance must hold on these
+/// machine on every mix. Worker-count invariance must hold on these
 /// platforms exactly as on the default.
 #[test]
 fn tdma_platform_sweep_matches_its_golden_capture() {
@@ -63,6 +64,25 @@ fn ahb2_platform_sweep_matches_its_golden_capture() {
             csv, GOLDEN_LOW_AHB2,
             "ahb2 sweep CSV diverged from the golden capture at --jobs {jobs}"
         );
+    }
+}
+
+/// The paper's two scenarios on ahb2: both flash banks of the app and
+/// contender fold onto its one flash slave.
+#[test]
+fn ahb2_scenario_sweeps_match_their_golden_captures() {
+    for (scenario, golden) in [
+        (DeploymentScenario::Scenario1, GOLDEN_SC1_AHB2),
+        (DeploymentScenario::Scenario2, GOLDEN_SC2_AHB2),
+    ] {
+        for jobs in [1usize, 4] {
+            let engine = ExecEngine::new(jobs).with_platform(platform::PlatformDesc::ahb2());
+            let csv = sweep_csv(&engine, scenario).unwrap();
+            assert_eq!(
+                csv, golden,
+                "ahb2 {scenario} sweep CSV diverged from the golden capture at --jobs {jobs}"
+            );
+        }
     }
 }
 

@@ -38,7 +38,7 @@ fn every_builtin_platform_produces_strictly_valid_profiles() {
         // two slots every built-in provides — so the same workload is
         // feasible on all of them.
         let core = CoreId(desc.app_core as u8);
-        let app = workloads::control_loop(DeploymentScenario::LowTraffic, core, 7);
+        let app = workloads::control_loop_on(&desc, DeploymentScenario::LowTraffic, core, 7);
         let profile = mbta::ExecEngine::sequential()
             .with_platform(desc.clone())
             .isolation(&app, core)

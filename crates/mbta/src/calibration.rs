@@ -20,6 +20,8 @@
 
 use crate::exec::{ExecEngine, JobError, SimJob};
 use contention::{DebugCounters, LatencyTable, Operation, Platform, StallTable, Target};
+use std::error::Error;
+use std::fmt;
 use tc27x_sim::{CoreId, DataObject, Pattern, Placement, Program, Region, TaskSpec};
 use workloads::micro;
 
@@ -73,7 +75,7 @@ const PF_BANKS: [(Target, Region); 2] = [
 const WORD_REGIONS: [(Target, Region); 2] =
     [(Target::Lmu, Region::Lmu), (Target::Dfl, Region::Dflash)];
 
-/// Builds the full probe batch, in the fixed order `calibrate_with`
+/// Builds the full probe batch, in the fixed order [`calibrate`]
 /// consumes it. The LMU/DFLASH word probes appear twice (stall and
 /// latency campaigns read different counters of the same run), so an
 /// engine serves the second appearance from its memo cache.
@@ -110,19 +112,69 @@ fn probe_batch(core: CoreId) -> Vec<SimJob> {
     batch
 }
 
-/// Runs the full calibration campaign on a fresh TC277, sequentially.
+/// Why a calibration campaign could not produce its tables.
+#[derive(Clone, Debug)]
+#[non_exhaustive]
+pub enum CalibrationError {
+    /// The platform lacks a slave the campaign probes. It is refused
+    /// before any probe runs.
+    SlaveAbsent {
+        /// The platform's registry name.
+        platform: &'static str,
+        /// The first probed slave the platform lacks.
+        slave: Target,
+    },
+    /// A probe run failed.
+    Job(JobError),
+}
+
+impl fmt::Display for CalibrationError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CalibrationError::SlaveAbsent { platform, slave } => write!(
+                f,
+                "platform {platform} has no {slave} slave, which the Table 2 calibration \
+                 campaign probes"
+            ),
+            CalibrationError::Job(e) => write!(f, "calibration probe {e}"),
+        }
+    }
+}
+
+impl Error for CalibrationError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            CalibrationError::SlaveAbsent { .. } => None,
+            CalibrationError::Job(e) => Some(e),
+        }
+    }
+}
+
+impl From<JobError> for CalibrationError {
+    fn from(e: JobError) -> Self {
+        CalibrationError::Job(e)
+    }
+}
+
+/// Runs the full calibration campaign on `engine`'s platform, probing
+/// from its application core. The whole campaign (28 probe runs) goes
+/// out as one batch, and the repeated LMU/DFLASH word probes are
+/// deduplicated by the engine's memo cache. A journaled engine makes
+/// the campaign crash-safe.
 ///
 /// # Errors
 ///
-/// Propagates simulation errors from the probe runs.
+/// [`CalibrationError::SlaveAbsent`], before anything runs, when the
+/// platform lacks one of the four probed slaves; otherwise the first
+/// failing probe run.
 ///
 /// # Examples
 ///
 /// ```
 /// use contention::{Operation, Platform, Target};
 ///
-/// # fn main() -> Result<(), mbta::JobError> {
-/// let cal = mbta::calibrate()?;
+/// # fn main() -> Result<(), mbta::CalibrationError> {
+/// let cal = mbta::calibrate(&mbta::ExecEngine::new(2))?;
 /// // The campaign recovers Table 2 exactly on the reference platform.
 /// let reference = Platform::tc277_reference();
 /// assert_eq!(cal.stall.get(Target::Pf0, Operation::Code),
@@ -130,20 +182,18 @@ fn probe_batch(core: CoreId) -> Vec<SimJob> {
 /// # Ok(())
 /// # }
 /// ```
-pub fn calibrate() -> Result<Calibration, JobError> {
-    calibrate_with(&ExecEngine::sequential())
-}
-
-/// [`calibrate`] on a caller-supplied engine: the whole campaign (28
-/// probe runs) goes out as one batch, and the repeated LMU/DFLASH word
-/// probes are deduplicated by the engine's memo cache. A journaled
-/// engine makes the campaign crash-safe.
-///
-/// # Errors
-///
-/// Propagates simulation errors from the probe runs.
-pub fn calibrate_with(engine: &ExecEngine) -> Result<Calibration, JobError> {
-    let core = CoreId(1);
+pub fn calibrate(engine: &ExecEngine) -> Result<Calibration, CalibrationError> {
+    let desc = engine.platform();
+    if let Some(slave) = Target::all()
+        .into_iter()
+        .find(|t| !desc.slave(t.index()).present)
+    {
+        return Err(CalibrationError::SlaveAbsent {
+            platform: desc.name,
+            slave,
+        });
+    }
+    let core = CoreId(desc.app_core as u8);
     let mut stall = StallTable::new();
     let mut latency = LatencyTable::new();
 
@@ -225,7 +275,7 @@ mod tests {
     /// Table 2 of the paper cell by cell.
     #[test]
     fn calibration_reproduces_table2() {
-        let cal = calibrate().unwrap();
+        let cal = calibrate(&ExecEngine::sequential()).unwrap();
         let reference = Platform::tc277_reference();
         for (t, o) in [
             (Target::Pf0, Operation::Code),
@@ -249,8 +299,8 @@ mod tests {
     #[test]
     fn parallel_calibration_matches_sequential_and_hits_cache() {
         let engine = ExecEngine::new(4);
-        let par = calibrate_with(&engine).unwrap();
-        assert_eq!(par, calibrate().unwrap());
+        let par = calibrate(&engine).unwrap();
+        assert_eq!(par, calibrate(&ExecEngine::sequential()).unwrap());
         let r = engine.report();
         // The LMU/DFLASH word probes appear twice in the batch (stall
         // and latency campaigns) — four cache hits, zero re-simulation.
@@ -259,8 +309,28 @@ mod tests {
     }
 
     #[test]
+    fn a_platform_without_a_probed_slave_is_refused_before_any_run() {
+        let engine = ExecEngine::sequential().with_platform(::platform::PlatformDesc::ahb2());
+        let err = calibrate(&engine).unwrap_err();
+        assert!(matches!(
+            err,
+            CalibrationError::SlaveAbsent {
+                platform: "ahb2",
+                slave: Target::Pf1
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "platform ahb2 has no pf1 slave, which the Table 2 calibration campaign probes"
+        );
+        assert_eq!(engine.report().simulations_run, 0);
+    }
+
+    #[test]
     fn calibrated_platform_behaves_like_reference() {
-        let p = calibrate().unwrap().into_platform();
+        let p = calibrate(&ExecEngine::sequential())
+            .unwrap()
+            .into_platform();
         assert_eq!(p.cs_code_min(), 6);
         assert_eq!(p.cs_data_min(), 10);
     }

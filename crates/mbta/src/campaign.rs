@@ -10,7 +10,7 @@
 //!   [`ExecEngine::resume`], [`ExecEngine::open_store`]): every attempt
 //!   of every job the engine executes — success or failure — is
 //!   appended to an attached [`Store`] and fsync'd as the job
-//!   completes, keyed by the job's stable FNV key ([`crate::job_key`]).
+//!   completes, keyed by the job's stable FNV key ([`crate::job_key_on`]).
 //!   Records use the campaign journal's codec ([`crate::journal`]).
 //!   Attaching an existing store primes the memo from its records:
 //!   isolation profiles, and co-run outcomes under their job keys. So
@@ -38,9 +38,7 @@
 //!   finishes with a [`CampaignManifest`] naming every unrecovered job
 //!   instead of aborting.
 
-use crate::exec::{
-    execute_job_with_stats, panic_message, ExecEngine, JobFailure, Mode, Ran, SimJob, SimOutcome,
-};
+use crate::exec::{panic_message, simulate, ExecEngine, JobFailure, Mode, Ran, SimJob, SimOutcome};
 use crate::journal::{failure_kind, parse_memo_value, render_record};
 use crate::retry::{classify, fold_seed, FailureClass, RetryPolicy};
 use crate::store::{JournalError, Store, StoreRecovery, CAMPAIGN_NAMESPACE};
@@ -436,14 +434,9 @@ impl ExecEngine {
         let Some(millis) = c.watchdog_millis else {
             return self.execute_caught(job, mode);
         };
-        let result = run_with_watchdog(
-            job,
-            self.cycle_budget(),
-            self.sim_engine(),
-            self.block_memo(),
-            self.platform().clone(),
-            millis,
-        );
+        // The statistics are discarded, so attribution is never recorded.
+        let config = self.sim_config().clone().with_attribution(false);
+        let result = run_with_watchdog(job, config, millis);
         if matches!(result, Err(JobFailure::TimedOut { .. })) {
             c.timed_out.fetch_add(1, Ordering::Relaxed);
         }
@@ -519,26 +512,21 @@ fn job_for_attempt(job: &SimJob, reseeds: u32) -> SimJob {
     run
 }
 
-/// Executes `job` on a helper thread and gives up after `millis` of
-/// wall-clock time. The helper is detached on timeout — it cannot be
-/// cancelled mid-simulation, but the simulator's own `max_cycles`
-/// budget bounds how long it can linger, and its eventual result is
-/// discarded through the closed channel.
+/// Executes `job` under `config` on a helper thread and gives up after
+/// `millis` of wall-clock time. The helper is detached on timeout — it
+/// cannot be cancelled mid-simulation, but the simulator's own
+/// `max_cycles` budget bounds how long it can linger, and its eventual
+/// result is discarded through the closed channel.
 fn run_with_watchdog(
     job: &SimJob,
-    cycle_budget: Option<u64>,
-    sim_engine: tc27x_sim::Engine,
-    block_memo: bool,
-    desc: ::platform::PlatformDesc,
+    config: tc27x_sim::SimConfig,
     millis: u64,
 ) -> Result<SimOutcome, JobFailure> {
     let (tx, rx) = mpsc::channel();
     let owned = job.clone();
     std::thread::spawn(move || {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            // The statistics snapshot is discarded, so attribution is
-            // never recorded.
-            execute_job_with_stats(&owned, cycle_budget, sim_engine, block_memo, false, &desc).0
+            simulate(config, &owned, &Mode::Plain).result
         }))
         .unwrap_or_else(|payload| Err(JobFailure::Panic(panic_message(payload))));
         let _ = tx.send(result);
@@ -557,7 +545,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use tc27x_sim::{CoreId, DeploymentScenario};
-    use workloads::{contender, control_loop, LoadLevel};
+    use workloads::{contender_on, control_loop_on, LoadLevel};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -567,13 +555,24 @@ mod tests {
 
     fn batch() -> Vec<SimJob> {
         let (a, b) = (CoreId(1), CoreId(2));
-        let app = control_loop(DeploymentScenario::Scenario1, a, 42);
+        let app = control_loop_on(
+            ::platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            a,
+            42,
+        );
         let mut jobs = vec![SimJob::Isolation {
             spec: app.clone(),
             core: a,
         }];
         for level in LoadLevel::all() {
-            let load = contender(DeploymentScenario::Scenario1, level, b, 7);
+            let load = contender_on(
+                ::platform::default_platform(),
+                DeploymentScenario::Scenario1,
+                level,
+                b,
+                7,
+            );
             jobs.push(SimJob::Isolation {
                 spec: load.clone(),
                 core: b,
@@ -755,7 +754,12 @@ mod tests {
             seed: 1,
         }));
         let job = SimJob::Isolation {
-            spec: control_loop(DeploymentScenario::Scenario1, CoreId(1), 42),
+            spec: control_loop_on(
+                ::platform::default_platform(),
+                DeploymentScenario::Scenario1,
+                CoreId(1),
+                42,
+            ),
             core: CoreId(1),
         };
         let five = vec![job; 5];

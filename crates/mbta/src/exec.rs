@@ -34,15 +34,16 @@
 //! # Examples
 //!
 //! ```
-//! use mbta::{ExecEngine, SimJob};
+//! use mbta::ExecEngine;
 //! use tc27x_sim::{CoreId, DeploymentScenario};
-//! use workloads::control_loop;
+//! use workloads::control_loop_on;
 //!
 //! # fn main() -> Result<(), mbta::JobError> {
 //! let engine = ExecEngine::new(2);
-//! let spec = control_loop(DeploymentScenario::Scenario1, CoreId(1), 42);
-//! let first = engine.isolation(&spec, CoreId(1))?;
-//! let second = engine.isolation(&spec, CoreId(1))?; // served from cache
+//! let core = CoreId(engine.platform().app_core as u8);
+//! let spec = control_loop_on(engine.platform(), DeploymentScenario::Scenario1, core, 42);
+//! let first = engine.isolation(&spec, core)?;
+//! let second = engine.isolation(&spec, core)?; // served from cache
 //! assert_eq!(first.counters(), second.counters());
 //! assert_eq!(engine.report().cache_hits, 1);
 //! # Ok(())
@@ -53,7 +54,7 @@ use crate::campaign::Campaign;
 use crate::intern::KeyIntern;
 use crate::pool;
 use crate::telemetry::Telemetry;
-use contention::IsolationProfile;
+use contention::{AccessCounts, IsolationProfile};
 use obs::Fnv;
 use std::collections::HashMap;
 use std::error::Error;
@@ -62,7 +63,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tc27x_sim::{CoreId, DeploymentScenario, Engine, SimError, SimStats, SoloTimeline, TaskSpec};
+use tc27x_sim::{
+    CoreId, DeploymentScenario, Engine, RunOutcome, SimConfig, SimError, SimStats, SoloTimeline,
+    System, TaskSpec,
+};
 use workloads::LoadLevel;
 
 /// Why one job in a batch failed.
@@ -329,9 +333,9 @@ impl EngineReport {
 pub struct ExecEngine {
     jobs: usize,
     cycle_budget: Option<u64>,
-    sim_engine: Engine,
-    block_memo: bool,
-    attribution: bool,
+    /// The configuration every job runs under: the platform's machine
+    /// plus the engine's kernel, memo, attribution and budget knobs.
+    config: SimConfig,
     platform: Arc<::platform::PlatformDesc>,
     telemetry: Option<Arc<Telemetry>>,
     /// The memo: job key → outcome. Isolation profiles always; co-run
@@ -502,9 +506,7 @@ impl ExecEngine {
         ExecEngine {
             jobs: jobs.max(1),
             cycle_budget: None,
-            sim_engine: Engine::default(),
-            block_memo: true,
-            attribution: false,
+            config: SimConfig::from_platform(::platform::default_platform()),
             platform: Arc::new(::platform::default_platform().clone()),
             telemetry: None,
             cache: Mutex::new(HashMap::new()),
@@ -532,6 +534,10 @@ impl ExecEngine {
     #[must_use]
     pub fn with_cycle_budget(mut self, limit: Option<u64>) -> Self {
         self.cycle_budget = limit;
+        self.config.max_cycles = match limit {
+            Some(limit) => limit,
+            None => SimConfig::from_platform(&self.platform).max_cycles,
+        };
         self
     }
 
@@ -546,13 +552,13 @@ impl ExecEngine {
     /// all stay valid — it only changes how fast jobs execute.
     #[must_use]
     pub fn with_sim_engine(mut self, engine: Engine) -> Self {
-        self.sim_engine = engine;
+        self.config.engine = engine;
         self
     }
 
     /// The simulator timing kernel jobs run on.
     pub fn sim_engine(&self) -> Engine {
-        self.sim_engine
+        self.config.engine
     }
 
     /// Variant running every job on an explicit platform description
@@ -565,6 +571,12 @@ impl ExecEngine {
     /// exactly as before, so existing journals and stores stay valid.
     #[must_use]
     pub fn with_platform(mut self, desc: ::platform::PlatformDesc) -> Self {
+        let knobs = &self.config;
+        self.config = SimConfig::from_platform(&desc)
+            .with_engine(knobs.engine)
+            .with_block_memo(knobs.block_memo)
+            .with_attribution(knobs.attribution)
+            .with_max_cycles(knobs.max_cycles);
         self.platform = Arc::new(desc);
         // Recipes build their specs on the platform, so their keys and
         // co-run answers go with it; so do the timelines recorded on it.
@@ -588,13 +600,13 @@ impl ExecEngine {
     /// equivalence gates in CI).
     #[must_use]
     pub fn with_block_memo(mut self, on: bool) -> Self {
-        self.block_memo = on;
+        self.config.block_memo = on;
         self
     }
 
     /// Whether jobs run with basic-block memoization enabled.
     pub fn block_memo(&self) -> bool {
-        self.block_memo
+        self.config.block_memo
     }
 
     /// Variant recording per-grant contention attribution on every job
@@ -606,13 +618,18 @@ impl ExecEngine {
     /// attributed and bare engines stay bit-identical.
     #[must_use]
     pub fn with_attribution(mut self, on: bool) -> Self {
-        self.attribution = on;
+        self.config.attribution = on;
         self
     }
 
     /// Whether jobs record contention attribution.
     pub fn attribution(&self) -> bool {
-        self.attribution
+        self.config.attribution
+    }
+
+    /// The configuration every job of this engine runs under.
+    pub(crate) fn sim_config(&self) -> &SimConfig {
+        &self.config
     }
 
     /// Variant with an attached telemetry recorder (builder style):
@@ -735,9 +752,9 @@ impl ExecEngine {
     /// stays the full-run oracle. A watchdogged job runs on its helper
     /// thread outside the engine, so it neither records nor splices.
     fn splices(&self) -> bool {
-        self.sim_engine == Engine::Event
+        self.config.engine == Engine::Event
             && self.telemetry.is_none()
-            && !self.attribution
+            && !self.config.attribution
             && self.campaign.watchdog_millis.is_none()
     }
 
@@ -1040,83 +1057,21 @@ impl ExecEngine {
         outcomes
     }
 
-    /// [`Self::execute`] with a panicking job contained to its result:
-    /// it poisons neither the pool nor the batch. `AssertUnwindSafe` is
+    /// Runs one job in `mode` under the engine's configuration
+    /// ([`simulate`]), with a panicking job contained to its result: it
+    /// poisons neither the pool nor the batch. `AssertUnwindSafe` is
     /// sound here: the job is borrowed, and the unwinding run cannot
     /// have mutated it.
     pub(crate) fn execute_caught(&self, job: &SimJob, mode: &Mode) -> Ran {
-        panic::catch_unwind(AssertUnwindSafe(|| self.execute(job, mode)))
-            .unwrap_or_else(|payload| Ran::failed(JobFailure::Panic(panic_message(payload))))
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            simulate(self.config.clone(), job, mode)
+        }))
+        .unwrap_or_else(|payload| Ran::failed(JobFailure::Panic(panic_message(payload))))
     }
 
     /// Counts one executed simulation attempt.
     pub(crate) fn count_run(&self) {
         self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Runs one job in `mode`.
-    fn execute(&self, job: &SimJob, mode: &Mode) -> Ran {
-        let config = || {
-            crate::runner::sim_config(
-                &self.platform,
-                self.cycle_budget,
-                self.sim_engine,
-                self.block_memo,
-                self.attribution,
-            )
-        };
-        match (mode, job) {
-            (Mode::Record | Mode::RecordOnly, SimJob::Isolation { spec, core }) => {
-                match crate::runner::isolation_profile_recording(spec, *core, config()) {
-                    Ok((profile, stats, timeline)) => Ran {
-                        result: Ok(SimOutcome::Isolation(profile)),
-                        stats: Some(stats),
-                        timeline: Some(timeline),
-                        spliced: false,
-                    },
-                    Err(e) => Ran::failed(e.into()),
-                }
-            }
-            (
-                Mode::Splice(timeline),
-                SimJob::Corun {
-                    app,
-                    app_core,
-                    load,
-                    load_core,
-                },
-            ) => match crate::runner::observed_corun_spliced(
-                app,
-                *app_core,
-                load,
-                *load_core,
-                config(),
-                timeline,
-            ) {
-                Ok(run) => Ran {
-                    result: Ok(SimOutcome::Corun(run.cycles)),
-                    stats: None,
-                    timeline: None,
-                    spliced: run.spliced,
-                },
-                Err(e) => Ran::failed(e.into()),
-            },
-            _ => {
-                let (result, stats) = execute_job_with_stats(
-                    job,
-                    self.cycle_budget,
-                    self.sim_engine,
-                    self.block_memo,
-                    self.attribution,
-                    &self.platform,
-                );
-                Ran {
-                    result,
-                    stats,
-                    timeline: None,
-                    spliced: false,
-                }
-            }
-        }
     }
 
     /// Memoized single isolation run. A cache hit hashes the borrowed
@@ -1285,97 +1240,85 @@ impl ExecEngine {
         }
     }
 
-    /// Inserts an externally obtained isolation profile into the memo
-    /// cache under its job's fingerprint, so follow-up lookups are
-    /// served without re-simulating. Non-isolation jobs are ignored.
-    pub fn prime(&self, job: &SimJob, profile: IsolationProfile) {
-        if let SimJob::Isolation { spec, core } = job {
-            let (key, _) = self.isolation_key(spec, *core);
-            self.prime_keyed(key, profile);
-        }
-    }
-
-    /// [`ExecEngine::prime`] by raw job key (see [`job_key`]): the form
-    /// a persistent record can use after a restart, when the profile's
-    /// originating `TaskSpec` is no longer in memory.
-    pub fn prime_keyed(&self, key: u64, profile: IsolationProfile) {
-        self.prime_all([(key, SimOutcome::Isolation(profile))]);
-    }
-
     /// Memoizes outcomes under their job keys.
     pub(crate) fn prime_all(&self, outcomes: impl IntoIterator<Item = (u64, SimOutcome)>) {
         self.cache_lock().extend(outcomes);
     }
 }
 
-/// Executes one job inline with an optional simulated-cycle budget on
-/// an explicit timing kernel, and returns the simulator's post-run
-/// statistics snapshot for the telemetry layer (`None` on failure).
-/// `attribution` switches on the simulator's per-grant contention
-/// attribution recorder, whose matrices ride back on the snapshot.
-pub(crate) fn execute_job_with_stats(
-    job: &SimJob,
-    cycle_budget: Option<u64>,
-    engine: Engine,
-    block_memo: bool,
-    attribution: bool,
-    desc: &::platform::PlatformDesc,
-) -> (Result<SimOutcome, JobFailure>, Option<SimStats>) {
-    match job {
-        SimJob::Isolation { spec, core } => {
-            match crate::runner::isolation_profile_stats(
-                spec,
-                *core,
-                cycle_budget,
-                engine,
-                block_memo,
-                attribution,
-                desc,
-            ) {
-                Ok((p, s)) => (Ok(SimOutcome::Isolation(p)), Some(s)),
-                Err(e) => (Err(e.into()), None),
-            }
-        }
+/// Runs `job` in `mode` on a fresh system under `config`, and snapshots
+/// the simulator's post-run statistics ([`SimStats`]) for the telemetry
+/// layer. A spliced co-run has no statistics; a failed run has none
+/// either.
+pub(crate) fn simulate(config: SimConfig, job: &SimJob, mode: &Mode) -> Ran {
+    let mut sys = System::with_config(config);
+    let loaded = match job {
+        SimJob::Isolation { spec, core } => sys.load(*core, spec),
         SimJob::Corun {
             app,
             app_core,
             load,
             load_core,
-        } => {
-            match crate::runner::observed_corun_stats(
-                app,
-                *app_core,
-                load,
-                *load_core,
-                cycle_budget,
-                engine,
-                block_memo,
-                attribution,
-                desc,
-            ) {
-                Ok((c, s)) => (Ok(SimOutcome::Corun(c)), Some(s)),
-                Err(e) => (Err(e.into()), None),
-            }
-        }
+        } => sys
+            .load(*app_core, app)
+            .and_then(|()| sys.load(*load_core, load)),
         SimJob::Poison => panic!("deliberately poisoned job"),
-    }
+    };
+    let ran = loaded.and_then(|()| match (mode, job) {
+        (Mode::Record | Mode::RecordOnly, SimJob::Isolation { spec, core }) => {
+            let (out, timeline) = sys.run_solo()?;
+            Ok(Ran {
+                result: Ok(SimOutcome::Isolation(profile_of(spec, *core, &out))),
+                stats: Some(sys.stats()),
+                timeline: Some(timeline),
+                spliced: false,
+            })
+        }
+        (Mode::Splice(timeline), SimJob::Corun { app_core, .. }) => {
+            let run = sys.run_until_spliced(*app_core, timeline)?;
+            Ok(Ran {
+                spliced: run.spliced,
+                ..Ran::full(Ok(SimOutcome::Corun(run.cycles)))
+            })
+        }
+        (_, SimJob::Isolation { spec, core }) => {
+            let out = sys.run()?;
+            Ok(Ran {
+                stats: Some(sys.stats()),
+                ..Ran::full(Ok(SimOutcome::Isolation(profile_of(spec, *core, &out))))
+            })
+        }
+        (_, SimJob::Corun { app_core, .. }) => {
+            let cycles = sys.run_until(*app_core)?.counters(*app_core).ccnt;
+            Ok(Ran {
+                stats: Some(sys.stats()),
+                ..Ran::full(Ok(SimOutcome::Corun(cycles)))
+            })
+        }
+        (_, SimJob::Poison) => unreachable!("a poisoned job panics before it runs"),
+    });
+    ran.unwrap_or_else(|e| Ran::failed(e.into()))
 }
 
-/// The stable FNV key of one job — the identity under which the
-/// campaign journal records its outcome. Isolation jobs reuse the memo
-/// cache's fingerprint (spec, core, platform tag); co-runs hash both
-/// task/core pairs under their own tag. Equal jobs get equal keys on
-/// every platform and in every process, which is what lets a journal
-/// written at `--jobs 4` resume at `--jobs 1`.
-pub fn job_key(job: &SimJob) -> u64 {
-    job_key_on(job, ::platform::default_platform())
+/// The isolation profile of `spec` from a run's outcome: its debug
+/// counters plus the simulator's ground-truth PTAC, which only the
+/// ideal model consumes.
+fn profile_of(spec: &TaskSpec, core: CoreId, out: &RunOutcome) -> IsolationProfile {
+    let truth = out.ground_truth(core);
+    IsolationProfile::new(spec.name.clone(), out.counters(core))
+        .with_ptac(AccessCounts::from_fn(|t, o| truth.accesses(t, o)))
 }
 
-/// [`job_key`] on an explicit platform description. Non-default
-/// descriptions fold their fingerprint into every key, so the same job
-/// on two platforms journals (and memoizes) under distinct identities;
-/// the default description reproduces [`job_key`] bit for bit, which is
-/// what keeps journals written before platforms were pluggable valid.
+/// The stable FNV key of one job on a platform description — the
+/// identity under which a store records its outcome. Isolation jobs
+/// reuse the memo cache's fingerprint (spec, core, platform tag);
+/// co-runs hash both task/core pairs under their own tag. Equal jobs
+/// get equal keys in every process, which is what lets a journal
+/// written at `--jobs 4` resume at `--jobs 1`. Non-default descriptions
+/// fold their fingerprint into every key, so the same job on two
+/// platforms journals (and memoizes) under distinct identities; the
+/// default description keys as it did before platforms were pluggable,
+/// which keeps older journals valid.
 pub fn job_key_on(job: &SimJob, desc: &::platform::PlatformDesc) -> u64 {
     match job {
         SimJob::Isolation { spec, core } => ExecEngine::fingerprint_on(spec, *core, desc),
@@ -1417,22 +1360,71 @@ fn corun_key(mut prefix: Fnv, load: &TaskSpec, load_core: CoreId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::isolation_profile;
+    use ::platform::default_platform;
     use tc27x_sim::DeploymentScenario;
-    use workloads::{contender, control_loop, LoadLevel};
+    use workloads::{contender_on, control_loop_on, LoadLevel};
 
     fn app() -> TaskSpec {
-        control_loop(DeploymentScenario::Scenario1, CoreId(1), 42)
+        control_loop_on(
+            default_platform(),
+            DeploymentScenario::Scenario1,
+            CoreId(1),
+            42,
+        )
     }
 
     fn load(level: LoadLevel) -> TaskSpec {
-        contender(DeploymentScenario::Scenario1, level, CoreId(2), 7)
+        contender_on(
+            default_platform(),
+            DeploymentScenario::Scenario1,
+            level,
+            CoreId(2),
+            7,
+        )
+    }
+
+    /// [`job_key_on`] the default platform.
+    fn job_key(job: &SimJob) -> u64 {
+        job_key_on(job, default_platform())
+    }
+
+    /// The independent reference the engine is checked against: a
+    /// direct run on a fresh default system, outside the engine.
+    fn reference_system() -> System {
+        System::with_config(SimConfig::from_platform(default_platform()))
+    }
+
+    /// `spec`'s isolation profile from a direct run.
+    fn direct_profile(spec: &TaskSpec, core: CoreId) -> IsolationProfile {
+        let mut sys = reference_system();
+        sys.load(core, spec).unwrap();
+        profile_of(spec, core, &sys.run().unwrap())
+    }
+
+    /// The app's observed cycles against `load` from a direct run.
+    fn direct_corun(app: &TaskSpec, app_core: CoreId, load: &TaskSpec, load_core: CoreId) -> u64 {
+        let mut sys = reference_system();
+        sys.load(app_core, app).unwrap();
+        sys.load(load_core, load).unwrap();
+        sys.run_until(app_core).unwrap().counters(app_core).ccnt
+    }
+
+    /// Memoizes `profile` under `spec`'s isolation key on `engine`'s
+    /// platform, as a store record would.
+    fn prime(engine: &ExecEngine, spec: &TaskSpec, core: CoreId, profile: IsolationProfile) {
+        let key = ExecEngine::fingerprint_on(spec, core, engine.platform());
+        prime_keyed(engine, key, profile);
+    }
+
+    /// Memoizes `profile` under a raw job key.
+    fn prime_keyed(engine: &ExecEngine, key: u64, profile: IsolationProfile) {
+        engine.prime_all([(key, SimOutcome::Isolation(profile))]);
     }
 
     #[test]
     fn memoized_profile_equals_fresh_profile() {
         let engine = ExecEngine::new(2);
-        let fresh = isolation_profile(&app(), CoreId(1)).unwrap();
+        let fresh = direct_profile(&app(), CoreId(1));
         let first = engine.isolation(&app(), CoreId(1)).unwrap();
         let second = engine.isolation(&app(), CoreId(1)).unwrap();
         assert_eq!(first.counters(), fresh.counters());
@@ -1574,7 +1566,7 @@ mod tests {
         // included) remains fully usable afterwards.
         let detailed = engine.run_batch_detailed(&batch);
         assert_eq!(detailed.len(), 3);
-        let expected = isolation_profile(&app(), CoreId(1)).unwrap();
+        let expected = direct_profile(&app(), CoreId(1));
         let profile = detailed[0].clone().unwrap().into_profile();
         assert_eq!(profile.counters(), expected.counters());
         assert!(detailed[1].is_err());
@@ -1702,13 +1694,7 @@ mod tests {
         // default engine primed with a TDMA job's profile must miss.
         let profile = tdma.isolation(&app(), CoreId(1)).unwrap();
         let fresh = ExecEngine::sequential();
-        fresh.prime(
-            &SimJob::Isolation {
-                spec: app(),
-                core: CoreId(1),
-            },
-            profile,
-        );
+        prime(&fresh, &app(), CoreId(1), profile);
         assert_eq!(
             fresh.cached_profiles(),
             1,
@@ -1765,13 +1751,7 @@ mod tests {
         let donor = ExecEngine::sequential();
         let profile = donor.isolation(&app(), CoreId(1)).unwrap();
         let engine = ExecEngine::new(2);
-        engine.prime(
-            &SimJob::Isolation {
-                spec: app(),
-                core: CoreId(1),
-            },
-            profile.clone(),
-        );
+        prime(&engine, &app(), CoreId(1), profile.clone());
         assert_eq!(engine.cached_profiles(), 1);
         let served = engine.isolation(&app(), CoreId(1)).unwrap();
         assert_eq!(served.counters(), profile.counters());
@@ -1814,7 +1794,7 @@ mod tests {
                         };
                         let key = job_key_on(&job, &desc);
                         let profile = stand_in(&format!("{recipe:?}"));
-                        engine.prime_keyed(key, profile.clone());
+                        prime_keyed(&engine, key, profile.clone());
                         let (got, served) = engine.isolation_by_recipe(recipe).unwrap();
                         assert_eq!(got, key, "{name}: {recipe:?}");
                         assert_eq!(served, profile, "{name}: {recipe:?}");
@@ -1831,7 +1811,7 @@ mod tests {
     #[test]
     fn recipe_lookups_resolve_pinned_store_keys() {
         let engine = ExecEngine::sequential();
-        engine.prime_keyed(0x6ead_d9ba_fccc_1903, stand_in("stored"));
+        prime_keyed(&engine, 0x6ead_d9ba_fccc_1903, stand_in("stored"));
         let (key, profile) = engine
             .isolation_by_recipe(Recipe::ControlLoop {
                 scenario: DeploymentScenario::Scenario1,
@@ -1888,7 +1868,7 @@ mod tests {
 
         // A restarted engine primed by key pays one hash per recipe.
         let restarted = ExecEngine::sequential();
-        restarted.prime_keyed(key, first.clone());
+        prime_keyed(&restarted, key, first.clone());
         for _ in 0..2 {
             assert_eq!(
                 restarted.isolation_by_recipe(recipe).unwrap(),
@@ -1971,7 +1951,12 @@ mod tests {
 
     /// A short app: 290 SRI posts, four solo checkpoints.
     fn small_app() -> TaskSpec {
-        control_loop(DeploymentScenario::LowTraffic, CoreId(1), 42)
+        control_loop_on(
+            default_platform(),
+            DeploymentScenario::LowTraffic,
+            CoreId(1),
+            42,
+        )
     }
 
     /// A contender that ends early in the app's run: `n` LMU loads from
@@ -2075,8 +2060,7 @@ mod tests {
         assert_eq!(engine.cached_timelines(), 0);
         assert_eq!(
             observed,
-            crate::runner::observed_corun(&app(), CoreId(1), &load(LoadLevel::High), CoreId(2))
-                .unwrap()
+            direct_corun(&app(), CoreId(1), &load(LoadLevel::High), CoreId(2))
         );
     }
 
@@ -2150,13 +2134,7 @@ mod tests {
         ];
         let engine = ExecEngine::sequential();
         let desc = ::platform::default_platform();
-        let expected = crate::runner::observed_corun(
-            &app.build(desc),
-            app.core(),
-            &load.build(desc),
-            load.core(),
-        )
-        .unwrap();
+        let expected = direct_corun(&app.build(desc), app.core(), &load.build(desc), load.core());
         for _ in 0..3 {
             assert_eq!(engine.corun_by_recipe(app, load).unwrap(), expected);
         }
@@ -2170,6 +2148,87 @@ mod tests {
         let tdma = ExecEngine::sequential().with_platform(::platform::PlatformDesc::tc27x_tdma());
         tdma.corun_by_recipe(app, load).unwrap();
         assert_eq!(tdma.report().simulations_run, 1);
+    }
+
+    /// A lone isolation on a fresh engine, as a benchmark's set-up runs
+    /// one per platform, is one plain run: one simulation, one spec
+    /// hash and no timeline. A repeat call runs and hashes nothing.
+    #[test]
+    fn a_lone_isolation_runs_once_hashes_once_and_records_no_timeline() {
+        for name in ::platform::PlatformDesc::names() {
+            let desc = ::platform::PlatformDesc::by_name(name).unwrap();
+            let core = CoreId(desc.app_core as u8);
+            let spec = control_loop_on(&desc, DeploymentScenario::Scenario1, core, 42);
+            let engine = ExecEngine::new(1).with_platform(desc);
+            let first = engine.isolation(&spec, core).unwrap();
+            for _ in 0..2 {
+                let r = engine.report();
+                assert_eq!(
+                    (r.simulations_run, r.spec_hashes, r.tail_recordings),
+                    (1, 1, 0),
+                    "{name}"
+                );
+                assert_eq!(engine.cached_timelines(), 0, "{name}");
+                assert_eq!(engine.isolation(&spec, core).unwrap(), first, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn isolation_profile_carries_ptac() {
+        let p = ExecEngine::sequential()
+            .isolation(&small_app(), CoreId(1))
+            .unwrap();
+        assert!(p.ptac().is_some());
+        assert!(p.counters().ccnt > 0);
+        assert_eq!(p.name(), "cruise-control-low");
+    }
+
+    #[test]
+    fn corun_is_slower_than_isolation() {
+        let (a, b) = (CoreId(1), CoreId(2));
+        let engine = ExecEngine::sequential();
+        let iso = engine.isolation(&app(), a).unwrap().counters().ccnt;
+        let co = engine.corun(&app(), a, &load(LoadLevel::High), b).unwrap();
+        assert!(co > iso, "co-run {co} must exceed isolation {iso}");
+    }
+
+    #[test]
+    fn cycle_budget_aborts_or_matches_the_unbudgeted_run() {
+        let core = CoreId(1);
+        let budgeted = |max_cycles| {
+            ExecEngine::sequential()
+                .with_cycle_budget(max_cycles)
+                .isolation(&app(), core)
+        };
+        // A starvation budget aborts deterministically…
+        let err = budgeted(Some(10)).unwrap_err();
+        assert!(matches!(
+            err.cause,
+            JobFailure::Sim(SimError::CycleLimit { limit: 10 })
+        ));
+        // …while a sufficient budget reproduces the unbudgeted profile
+        // bit for bit.
+        let free = direct_profile(&app(), core);
+        let budgeted = budgeted(Some(free.counters().ccnt + 1)).unwrap();
+        assert_eq!(budgeted.counters(), free.counters());
+        assert_eq!(budgeted.ptac(), free.ptac());
+    }
+
+    #[test]
+    fn profiles_are_engine_invariant() {
+        let (a, b) = (CoreId(1), CoreId(2));
+        let on = |kernel| ExecEngine::sequential().with_sim_engine(kernel);
+        let iso = |kernel| on(kernel).isolation(&app(), a).unwrap();
+        let (tick, event) = (iso(Engine::Tick), iso(Engine::Event));
+        assert_eq!(tick.counters(), event.counters());
+        assert_eq!(tick.ptac(), event.ptac());
+        let co = |kernel| {
+            on(kernel)
+                .corun(&app(), a, &load(LoadLevel::High), b)
+                .unwrap()
+        };
+        assert_eq!(co(Engine::Tick), co(Engine::Event));
     }
 
     #[test]

@@ -3,12 +3,12 @@
 
 use crate::exec::{ExecEngine, JobError, SimJob};
 use contention::{
-    ContentionModel, FtcModel, IdealModel, IlpPtacModel, IsolationProfile, ModelError, Platform,
-    ScenarioConstraints, WcetEstimate,
+    AccessCounts, ContentionModel, DebugCounters, FtcModel, IdealModel, IlpPtacModel,
+    IsolationProfile, ModelError, Platform, ScenarioConstraints, WcetEstimate,
 };
 use std::error::Error;
 use std::fmt;
-use tc27x_sim::{CoreId, DeploymentScenario, SimError};
+use tc27x_sim::{CoreId, DeploymentScenario, SimError, TaskSpec};
 use workloads::{contender_on, control_loop_on, LoadLevel};
 
 /// Errors from running an experiment.
@@ -119,33 +119,19 @@ impl Figure4Panel {
     }
 }
 
-/// Runs the Figure 4 experiment for one scenario: app on the platform's
-/// application core, contender on its load core (cores 1 and 2 on the
-/// paper's TC277). Executes sequentially; use [`figure4_panel_with`] to
-/// share an [`ExecEngine`].
+/// Runs the Figure 4 experiment for one scenario on `engine`'s
+/// platform: app on the platform's application core, contender on its
+/// load core (cores 1 and 2 on the paper's TC277). All seven
+/// simulations of a panel (one app isolation, three contender
+/// isolations, three co-runs) go out as one batch, so they spread
+/// across the engine's workers and repeated profiles come from the
+/// memo cache. A journaled engine ([`ExecEngine::journal`]) makes the
+/// panel a crash-safe campaign.
 ///
 /// # Errors
 ///
 /// Propagates simulation and model errors.
 pub fn figure4_panel(
-    scenario: DeploymentScenario,
-    platform: &Platform,
-    seed: u64,
-) -> Result<Figure4Panel, ExperimentError> {
-    figure4_panel_with(&ExecEngine::sequential(), scenario, platform, seed)
-}
-
-/// [`figure4_panel`] on a caller-supplied engine: all seven simulations
-/// of a panel (one app isolation, three contender isolations, three
-/// co-runs) are submitted as one batch, so they spread across the
-/// engine's workers and repeated profiles come from the memo cache. A
-/// journaled engine ([`ExecEngine::journal`]) makes the panel a
-/// crash-safe campaign.
-///
-/// # Errors
-///
-/// Propagates simulation and model errors.
-pub fn figure4_panel_with(
     engine: &ExecEngine,
     scenario: DeploymentScenario,
     platform: &Platform,
@@ -202,8 +188,9 @@ pub fn figure4_panel_with(
     })
 }
 
-/// A Table 6 block: counter readings of the application (core 1) and the
-/// H-Load contender (core 2) for one scenario.
+/// A Table 6 block: counter readings of the application (the
+/// platform's application core, core 1 on the TC277) and the H-Load
+/// contender (its load core, core 2) for one scenario.
 #[derive(Clone, Debug)]
 pub struct Table6Block {
     /// The deployment scenario.
@@ -214,27 +201,13 @@ pub struct Table6Block {
     pub core2: IsolationProfile,
 }
 
-/// Regenerates the Table 6 counter readings for one scenario.
-/// Executes sequentially; use [`table6_block_with`] to share an
-/// [`ExecEngine`].
+/// Regenerates the Table 6 counter readings for one scenario on
+/// `engine`'s platform: both isolation runs go out as one batch.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn table6_block(
-    scenario: DeploymentScenario,
-    seed: u64,
-) -> Result<Table6Block, ExperimentError> {
-    table6_block_with(&ExecEngine::sequential(), scenario, seed)
-}
-
-/// [`table6_block`] on a caller-supplied engine: both isolation runs go
-/// out as one batch.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table6_block_with(
     engine: &ExecEngine,
     scenario: DeploymentScenario,
     seed: u64,
@@ -259,6 +232,76 @@ pub fn table6_block_with(
     })
 }
 
+/// A high-water-mark measurement campaign: the task is run `runs` times
+/// with perturbed seeds (standard MBTA input variation) and the
+/// *envelope* of all counter readings is kept — each counter's maximum
+/// across runs, the conservative direction for every model input.
+#[derive(Clone, Debug)]
+pub struct HwmMeasurement {
+    /// Envelope profile (per-counter maxima).
+    pub profile: IsolationProfile,
+    /// Execution times of the individual runs.
+    pub ccnt_per_run: Vec<u64>,
+}
+
+impl HwmMeasurement {
+    /// The observed execution-time high-water mark.
+    pub fn ccnt_hwm(&self) -> u64 {
+        self.ccnt_per_run.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Runs the MBTA campaign for `spec` on `engine`: `runs` isolation runs
+/// with seeds `seed₀ … seed₀+runs-1`, envelope over counters. The runs
+/// are independent, so they go out as one batch and spread across the
+/// engine's workers; the envelope folds the index-ordered results, so
+/// it is identical for any worker count.
+///
+/// # Errors
+///
+/// Propagates link and simulation errors.
+///
+/// # Panics
+///
+/// Panics if `runs == 0`.
+pub fn hwm_campaign(
+    engine: &ExecEngine,
+    spec: &TaskSpec,
+    core: CoreId,
+    runs: u32,
+) -> Result<HwmMeasurement, JobError> {
+    assert!(runs > 0, "a campaign needs at least one run");
+    let batch: Vec<SimJob> = (0..runs)
+        .map(|r| {
+            let mut varied = spec.clone();
+            varied.seed = spec.seed.wrapping_add(r as u64);
+            SimJob::Isolation { spec: varied, core }
+        })
+        .collect();
+    let mut envelope = DebugCounters::default();
+    let mut ptac = AccessCounts::new();
+    let mut ccnts = Vec::with_capacity(runs as usize);
+    for outcome in engine.run_batch(&batch)? {
+        let p = outcome.into_profile();
+        let c = *p.counters();
+        envelope.ccnt = envelope.ccnt.max(c.ccnt);
+        envelope.pmem_stall = envelope.pmem_stall.max(c.pmem_stall);
+        envelope.dmem_stall = envelope.dmem_stall.max(c.dmem_stall);
+        envelope.pcache_miss = envelope.pcache_miss.max(c.pcache_miss);
+        envelope.dcache_miss_clean = envelope.dcache_miss_clean.max(c.dcache_miss_clean);
+        envelope.dcache_miss_dirty = envelope.dcache_miss_dirty.max(c.dcache_miss_dirty);
+        let g = p
+            .ptac()
+            .unwrap_or_else(|| unreachable!("isolation profiles carry ground truth"));
+        ptac = AccessCounts::from_fn(|t, o| ptac.get(t, o).max(g.get(t, o)));
+        ccnts.push(c.ccnt);
+    }
+    Ok(HwmMeasurement {
+        profile: IsolationProfile::new(spec.name.clone(), envelope).with_ptac(ptac),
+        ccnt_per_run: ccnts,
+    })
+}
+
 /// `run_batch` returns exactly one outcome per submitted job, so a
 /// local batch always yields as many outcomes as it listed jobs.
 fn next_outcome(outcomes: &mut std::vec::IntoIter<crate::SimOutcome>) -> crate::SimOutcome {
@@ -274,7 +317,13 @@ mod tests {
     #[test]
     fn figure4_scenario1_has_paper_shape() {
         let platform = Platform::tc277_reference();
-        let panel = figure4_panel(DeploymentScenario::Scenario1, &platform, 42).unwrap();
+        let panel = figure4_panel(
+            &ExecEngine::sequential(),
+            DeploymentScenario::Scenario1,
+            &platform,
+            42,
+        )
+        .unwrap();
         assert_eq!(panel.cells.len(), 3);
         // fTC is load-invariant; ILP adapts monotonically.
         let f: Vec<u64> = panel.cells.iter().map(|c| c.ftc.bound_cycles()).collect();
@@ -308,7 +357,13 @@ mod tests {
     #[test]
     fn figure4_scenario2_has_paper_shape() {
         let platform = Platform::tc277_reference();
-        let panel = figure4_panel(DeploymentScenario::Scenario2, &platform, 42).unwrap();
+        let panel = figure4_panel(
+            &ExecEngine::sequential(),
+            DeploymentScenario::Scenario2,
+            &platform,
+            42,
+        )
+        .unwrap();
         assert!(panel.all_bounds_sound());
         let h = &panel.cells[2];
         let l = &panel.cells[0];
@@ -331,7 +386,13 @@ mod tests {
     #[test]
     fn low_traffic_bounds_are_small() {
         let platform = Platform::tc277_reference();
-        let panel = figure4_panel(DeploymentScenario::LowTraffic, &platform, 42).unwrap();
+        let panel = figure4_panel(
+            &ExecEngine::sequential(),
+            DeploymentScenario::LowTraffic,
+            &platform,
+            42,
+        )
+        .unwrap();
         assert!(panel.all_bounds_sound());
         // The paper reports ~10% contention bounds on real use cases.
         let h = &panel.cells[2];
@@ -344,8 +405,10 @@ mod tests {
 
     #[test]
     fn table6_shape_matches_paper() {
-        let sc1 = table6_block(DeploymentScenario::Scenario1, 42).unwrap();
-        let sc2 = table6_block(DeploymentScenario::Scenario2, 42).unwrap();
+        let sc1 =
+            table6_block(&ExecEngine::sequential(), DeploymentScenario::Scenario1, 42).unwrap();
+        let sc2 =
+            table6_block(&ExecEngine::sequential(), DeploymentScenario::Scenario2, 42).unwrap();
         // Sc1: no d-cache misses at all; Sc2: clean misses only.
         assert_eq!(sc1.core1.counters().dcache_miss_total(), 0);
         assert!(sc2.core1.counters().dcache_miss_clean > 0);
@@ -358,10 +421,15 @@ mod tests {
     #[test]
     fn panel_is_worker_count_invariant() {
         let platform = Platform::tc277_reference();
-        let seq = figure4_panel(DeploymentScenario::Scenario1, &platform, 42).unwrap();
+        let seq = figure4_panel(
+            &ExecEngine::sequential(),
+            DeploymentScenario::Scenario1,
+            &platform,
+            42,
+        )
+        .unwrap();
         let engine = ExecEngine::new(4);
-        let par =
-            figure4_panel_with(&engine, DeploymentScenario::Scenario1, &platform, 42).unwrap();
+        let par = figure4_panel(&engine, DeploymentScenario::Scenario1, &platform, 42).unwrap();
         assert_eq!(seq.app.counters(), par.app.counters());
         for (a, b) in seq.cells.iter().zip(&par.cells) {
             assert_eq!(a.level, b.level);
@@ -373,16 +441,51 @@ mod tests {
         // Re-running the panel on the same engine reuses all four
         // isolation profiles from the memo cache.
         let before = engine.report();
-        figure4_panel_with(&engine, DeploymentScenario::Scenario1, &platform, 42).unwrap();
+        figure4_panel(&engine, DeploymentScenario::Scenario1, &platform, 42).unwrap();
         let after = engine.report();
         assert_eq!(after.cache_hits, before.cache_hits + 4);
         assert_eq!(after.cache_misses, before.cache_misses);
     }
 
+    fn hwm_app() -> TaskSpec {
+        control_loop_on(
+            ::platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            CoreId(1),
+            10,
+        )
+    }
+
+    #[test]
+    fn hwm_envelope_dominates_every_run() {
+        let m = hwm_campaign(&ExecEngine::sequential(), &hwm_app(), CoreId(1), 4).unwrap();
+        assert_eq!(m.ccnt_per_run.len(), 4);
+        for c in &m.ccnt_per_run {
+            assert!(m.profile.counters().ccnt >= *c);
+        }
+        assert_eq!(m.ccnt_hwm(), *m.ccnt_per_run.iter().max().unwrap());
+    }
+
+    #[test]
+    fn hwm_campaign_is_worker_count_invariant() {
+        let (app, core) = (hwm_app(), CoreId(1));
+        let seq = hwm_campaign(&ExecEngine::sequential(), &app, core, 4).unwrap();
+        let par = hwm_campaign(&ExecEngine::new(4), &app, core, 4).unwrap();
+        assert_eq!(seq.ccnt_per_run, par.ccnt_per_run);
+        assert_eq!(seq.profile.counters(), par.profile.counters());
+        assert_eq!(seq.profile.ptac(), par.profile.ptac());
+    }
+
     #[test]
     fn ideal_model_is_tightest() {
         let platform = Platform::tc277_reference();
-        let panel = figure4_panel(DeploymentScenario::Scenario1, &platform, 42).unwrap();
+        let panel = figure4_panel(
+            &ExecEngine::sequential(),
+            DeploymentScenario::Scenario1,
+            &platform,
+            42,
+        )
+        .unwrap();
         for c in &panel.cells {
             assert!(c.ideal.bound_cycles() <= c.ilp.bound_cycles());
         }

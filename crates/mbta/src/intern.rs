@@ -108,7 +108,12 @@ mod tests {
     use tc27x_sim::DeploymentScenario;
 
     fn app() -> TaskSpec {
-        workloads::control_loop(DeploymentScenario::Scenario1, CoreId(1), 42)
+        workloads::control_loop_on(
+            ::platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            CoreId(1),
+            42,
+        )
     }
 
     #[test]

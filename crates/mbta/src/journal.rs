@@ -5,7 +5,7 @@
 //! is appended to a [`Store`](crate::Store) opened under the campaign namespace and
 //! fsync'd before the campaign proceeds (see [`crate::store`] for the
 //! framing, escaping and recovery guarantees). The record's key is the
-//! job's stable FNV key ([`crate::job_key`]); the store's config
+//! job's stable FNV key ([`crate::job_key_on`]); the store's config
 //! fingerprint is the campaign's, so a journal can never silently
 //! replay into a campaign with different retry/fault/budget settings.
 //! This module renders and parses the value:

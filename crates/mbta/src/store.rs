@@ -4,7 +4,7 @@
 //! verdicts.
 //!
 //! A [`Store`] persists single-line values keyed by a 64-bit FNV
-//! fingerprint (the stable keys of [`crate::job_key`], request
+//! fingerprint (the stable keys of [`crate::job_key_on`], request
 //! fingerprints, [`content_key`]). The format is deliberately
 //! human-greppable: certification-oriented interference methodologies
 //! ask for an auditable evidence trail for every measurement, and a
@@ -596,7 +596,7 @@ pub fn decode_profile(value: &str) -> Result<(u64, IsolationProfile), String> {
 }
 
 /// The FNV-1a fingerprint of `parts` joined under `domain` — the store
-/// flavour of [`crate::job_key`], for content-addressing values that
+/// flavour of [`crate::job_key_on`], for content-addressing values that
 /// are not simulation jobs (e.g. serve request fingerprints).
 pub fn content_key(domain: &str, parts: &[&str]) -> u64 {
     let mut body = String::from(domain);

@@ -14,7 +14,7 @@
 //!
 //! Every mutation is commutative or keyed:
 //!
-//! * job spans are keyed by [`crate::job_key`] and first-write-wins, so
+//! * job spans are keyed by [`crate::job_key_on`] and first-write-wins, so
 //!   concurrent workers and repeated batches produce one span per job,
 //!   emitted in key order;
 //! * metric registries merge additively ([`obs::Registry`] is
@@ -46,7 +46,7 @@ pub const SCHEMA_VERSION: u64 = 2;
 /// per-core simulation tracks (cores are 0–2 on the TC27x).
 const SOLVER_TRACK: u32 = 7;
 
-/// One recorded simulation job, keyed by [`crate::job_key`].
+/// One recorded simulation job, keyed by [`crate::job_key_on`].
 #[derive(Clone, Debug)]
 struct JobRec {
     name: String,
@@ -520,10 +520,15 @@ impl Telemetry {
 mod tests {
     use super::*;
     use tc27x_sim::CoreId;
-    use workloads::control_loop;
+    use workloads::control_loop_on;
 
     fn iso_job(seed: u64) -> SimJob {
-        let mut spec = control_loop(tc27x_sim::DeploymentScenario::Scenario1, CoreId(1), 42);
+        let mut spec = control_loop_on(
+            ::platform::default_platform(),
+            tc27x_sim::DeploymentScenario::Scenario1,
+            CoreId(1),
+            42,
+        );
         spec.seed = seed;
         SimJob::Isolation {
             spec,

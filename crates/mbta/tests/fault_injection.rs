@@ -22,8 +22,15 @@ const TRIALS: u64 = 1_000;
 
 /// One real isolation profile to corrupt, straight from the simulator.
 fn base_profile() -> contention::IsolationProfile {
-    let spec = workloads::control_loop(DeploymentScenario::Scenario1, CoreId(1), 42);
-    mbta::isolation_profile(&spec, CoreId(1)).expect("reference workload simulates")
+    let spec = workloads::control_loop_on(
+        platform::default_platform(),
+        DeploymentScenario::Scenario1,
+        CoreId(1),
+        42,
+    );
+    mbta::ExecEngine::sequential()
+        .isolation(&spec, CoreId(1))
+        .expect("reference workload simulates")
 }
 
 #[test]

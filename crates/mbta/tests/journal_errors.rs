@@ -65,7 +65,7 @@ fn batch() -> Vec<SimJob> {
     ]
     .into_iter()
     .map(|scenario| SimJob::Isolation {
-        spec: workloads::control_loop(scenario, CoreId(1), 42),
+        spec: workloads::control_loop_on(platform::default_platform(), scenario, CoreId(1), 42),
         core: CoreId(1),
     })
     .collect()

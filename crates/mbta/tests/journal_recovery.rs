@@ -5,7 +5,7 @@
 use mbta::{ExecEngine, FaultPlan, JobFailure, RetryPolicy, SimJob, SimOutcome};
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -17,13 +17,24 @@ fn tmp(name: &str) -> PathBuf {
 /// contender levels and intensities, with deliberate duplicates.
 fn campaign_batch() -> Vec<SimJob> {
     let (a, b) = (CoreId(1), CoreId(2));
-    let app = control_loop(DeploymentScenario::Scenario1, a, 42);
+    let app = control_loop_on(
+        platform::default_platform(),
+        DeploymentScenario::Scenario1,
+        a,
+        42,
+    );
     let mut jobs = vec![SimJob::Isolation {
         spec: app.clone(),
         core: a,
     }];
     for level in LoadLevel::all() {
-        let load = contender(DeploymentScenario::Scenario1, level, b, 7);
+        let load = contender_on(
+            platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            level,
+            b,
+            7,
+        );
         jobs.push(SimJob::Isolation {
             spec: load.clone(),
             core: b,
@@ -36,7 +47,13 @@ fn campaign_batch() -> Vec<SimJob> {
         });
     }
     for seed in [250, 750] {
-        let load = contender(DeploymentScenario::Scenario1, LoadLevel::Medium, b, seed);
+        let load = contender_on(
+            platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            LoadLevel::Medium,
+            b,
+            seed,
+        );
         jobs.push(SimJob::Corun {
             app: app.clone(),
             app_core: a,

@@ -8,7 +8,7 @@ use mbta::{ExecEngine, Format, SimJob, Telemetry};
 use std::sync::Arc;
 use tc27x_sim::rng::SplitMix64;
 use tc27x_sim::{CoreId, DeploymentScenario, Engine};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 /// A seeded mixed batch: isolations and co-runs across both deployment
 /// scenarios, with duplicates so the memo cache participates.
@@ -23,14 +23,26 @@ fn seeded_batch(seed: u64, len: usize) -> Vec<SimJob> {
         let task_seed = rng.below(4); // small range => in-batch duplicates
         if rng.flip() {
             batch.push(SimJob::Isolation {
-                spec: contender(scenario, level, CoreId(2), task_seed),
+                spec: contender_on(
+                    platform::default_platform(),
+                    scenario,
+                    level,
+                    CoreId(2),
+                    task_seed,
+                ),
                 core: CoreId(2),
             });
         } else {
             batch.push(SimJob::Corun {
-                app: control_loop(scenario, CoreId(1), 42),
+                app: control_loop_on(platform::default_platform(), scenario, CoreId(1), 42),
                 app_core: CoreId(1),
-                load: contender(scenario, level, CoreId(2), task_seed),
+                load: contender_on(
+                    platform::default_platform(),
+                    scenario,
+                    level,
+                    CoreId(2),
+                    task_seed,
+                ),
                 load_core: CoreId(2),
             });
         }

@@ -6,10 +6,10 @@
 //! `JobFailure::TimedOut` without running them, exactly what a real
 //! watchdog expiry leaves behind in the journal.
 
-use mbta::{job_key, ExecEngine, FaultPlan, JobFailure, RetryPolicy, SimJob, SimOutcome};
+use mbta::{job_key_on, ExecEngine, FaultPlan, JobFailure, RetryPolicy, SimJob, SimOutcome};
 use std::path::PathBuf;
 use tc27x_sim::{CoreId, DeploymentScenario};
-use workloads::{contender, control_loop, LoadLevel};
+use workloads::{contender_on, control_loop_on, LoadLevel};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -20,13 +20,24 @@ fn tmp(name: &str) -> PathBuf {
 
 fn batch() -> Vec<SimJob> {
     let (a, b) = (CoreId(1), CoreId(2));
-    let app = control_loop(DeploymentScenario::Scenario1, a, 42);
+    let app = control_loop_on(
+        platform::default_platform(),
+        DeploymentScenario::Scenario1,
+        a,
+        42,
+    );
     let mut jobs = vec![SimJob::Isolation {
         spec: app.clone(),
         core: a,
     }];
     for level in LoadLevel::all() {
-        let load = contender(DeploymentScenario::Scenario1, level, b, 7);
+        let load = contender_on(
+            platform::default_platform(),
+            DeploymentScenario::Scenario1,
+            level,
+            b,
+            7,
+        );
         jobs.push(SimJob::Isolation {
             spec: load.clone(),
             core: b,
@@ -58,7 +69,10 @@ fn recoverable_timeout_plan() -> FaultPlan {
         rate_permille: 350,
         seed: 5,
     };
-    let keys: Vec<u64> = batch().iter().map(job_key).collect();
+    let keys: Vec<u64> = batch()
+        .iter()
+        .map(|job| job_key_on(job, platform::default_platform()))
+        .collect();
     assert!(
         keys.iter().any(|&k| plan.injects(k, 0)),
         "plan must expire at least one first attempt"

@@ -392,7 +392,7 @@ fn round_robin_grant_gap_is_bounded_under_saturation() {
 /// engines.
 #[test]
 fn tdma_and_fixed_priority_systems_match_across_engines() {
-    let contender = || {
+    let load_task = || {
         let prog = Program::build(|b| {
             b.repeat(40, |b| {
                 b.load("buf", Pattern::Stride(64));
@@ -413,7 +413,7 @@ fn tdma_and_fixed_priority_systems_match_across_engines() {
             let cfg = SimConfig::from_platform(&desc).with_engine(engine);
             let mut sys = System::with_config(cfg);
             for &core in &cores {
-                sys.load(core, &contender()).unwrap();
+                sys.load(core, &load_task()).unwrap();
             }
             let out = sys.run().unwrap();
             let per_core: Vec<_> = cores

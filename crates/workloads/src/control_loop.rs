@@ -78,7 +78,11 @@ fn init_segment() -> Program {
     })
 }
 
-/// Builds the control-loop application for one deployment scenario.
+/// Builds the control-loop application for one deployment scenario on
+/// a platform description: placements that name the second flash bank
+/// fold onto the platform's available code slave (see
+/// `second_code_bank`), so on the default TC27x the two banks are pf0
+/// and pf1.
 ///
 /// `core` is the core the task will run on (its scratchpads hold the
 /// init code and local state); `seed` drives the random access
@@ -87,26 +91,20 @@ fn init_segment() -> Program {
 /// # Examples
 ///
 /// ```
-/// use tc27x_sim::{CoreId, DeploymentScenario, System};
-/// use workloads::control_loop;
+/// use platform::PlatformDesc;
+/// use tc27x_sim::{CoreId, DeploymentScenario, SimConfig, System};
+/// use workloads::control_loop_on;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let app = control_loop(DeploymentScenario::Scenario1, CoreId(1), 42);
-/// let mut sys = System::tc277();
+/// let desc = PlatformDesc::tc27x();
+/// let app = control_loop_on(&desc, DeploymentScenario::Scenario1, CoreId(1), 42);
+/// let mut sys = System::with_config(SimConfig::from_platform(&desc));
 /// sys.load(CoreId(1), &app)?;
 /// let out = sys.run()?;
 /// assert!(out.counters(CoreId(1)).pcache_miss > 0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn control_loop(scenario: DeploymentScenario, core: CoreId, seed: u64) -> TaskSpec {
-    control_loop_on(platform::default_platform(), scenario, core, seed)
-}
-
-/// [`control_loop`] for an explicit platform description: placements
-/// that name the second flash bank fold onto the platform's available
-/// code slave (see `second_code_bank`). On the default TC27x this is
-/// exactly [`control_loop`].
 pub fn control_loop_on(
     desc: &platform::PlatformDesc,
     scenario: DeploymentScenario,
@@ -209,7 +207,7 @@ mod tests {
 
     fn run(scenario: DeploymentScenario) -> (tc27x_sim::DebugCounters, tc27x_sim::GroundTruth) {
         let core = CoreId(1);
-        let app = control_loop(scenario, core, 42);
+        let app = control_loop_on(platform::default_platform(), scenario, core, 42);
         let mut sys = System::tc277();
         sys.load(core, &app).unwrap();
         let out = sys.run().unwrap();

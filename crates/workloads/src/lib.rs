@@ -2,29 +2,36 @@
 //!
 //! The tasks the paper's evaluation (§4.2) runs on the TC277:
 //!
-//! * [`control_loop`] — the application under analysis, a cruise-control
-//!   style *acquire → compute → update* loop over two medium-size data
-//!   structures, deployed per scenario (Figure 3);
-//! * [`contender`] — the H/M/L-Load co-runners that put an increasing
-//!   load on the SRI;
-//! * [`fir_filter`] — a second application with a different memory
-//!   shape (sliding-window convolution), for generality checks;
+//! * [`control_loop_on`] — the application under analysis, a
+//!   cruise-control style *acquire → compute → update* loop over two
+//!   medium-size data structures, deployed per scenario (Figure 3);
+//! * [`contender_on`] — the H/M/L-Load co-runners that put an
+//!   increasing load on the SRI;
 //! * [`micro`] — calibration microbenchmarks with a known number of
 //!   requests per (target, operation) pair, used to regenerate Table 2.
+//!
+//! The two paper workloads are built for a named platform description:
+//! placements that name the second flash bank fold onto the platform's
+//! available code slave, so the same workload runs on every builtin
+//! platform. Run them through `mbta::ExecEngine` on that platform.
 //!
 //! # Examples
 //!
 //! ```
-//! use tc27x_sim::{CoreId, DeploymentScenario, System};
-//! use workloads::{contender, control_loop, LoadLevel};
+//! use platform::PlatformDesc;
+//! use tc27x_sim::{CoreId, DeploymentScenario, SimConfig, System};
+//! use workloads::{contender_on, control_loop_on, LoadLevel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // The paper's co-run setup: app on core 1, contender on core 2.
-//! let mut sys = System::tc277();
-//! sys.load(CoreId(1), &control_loop(DeploymentScenario::Scenario1, CoreId(1), 42))?;
-//! sys.load(CoreId(2), &contender(DeploymentScenario::Scenario1, LoadLevel::High, CoreId(2), 7))?;
-//! let out = sys.run_until(CoreId(1))?;
-//! assert!(out.counters(CoreId(1)).ccnt > 0);
+//! let desc = PlatformDesc::tc27x();
+//! let (app, load) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
+//! let scenario = DeploymentScenario::Scenario1;
+//! let mut sys = System::with_config(SimConfig::from_platform(&desc));
+//! sys.load(app, &control_loop_on(&desc, scenario, app, 42))?;
+//! sys.load(load, &contender_on(&desc, scenario, LoadLevel::High, load, 7))?;
+//! let out = sys.run_until(app)?;
+//! assert!(out.counters(app).ccnt > 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -34,13 +41,11 @@
 #![warn(missing_docs)]
 
 mod control_loop;
-mod fir;
 mod loads;
 pub mod micro;
 
-pub use control_loop::{control_loop, control_loop_on, ITERS_PER_BANK, UNITS_PER_ITER};
-pub use fir::{fir_filter, FIR_SAMPLES, FIR_TAPS};
-pub use loads::{contender, contender_on, LoadLevel};
+pub use control_loop::{control_loop_on, ITERS_PER_BANK, UNITS_PER_ITER};
+pub use loads::{contender_on, LoadLevel};
 
 /// The region hosting a workload's *second* flash code bank on this
 /// platform: Pflash1 where it exists, else the platform's single flash

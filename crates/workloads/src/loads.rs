@@ -140,36 +140,27 @@ fn padding(cycles: u32) -> Program {
     })
 }
 
-/// Builds a contender task for a scenario and load level.
+/// Builds a contender task for a scenario and load level on a platform
+/// description: the second flash bank folds onto the platform's
+/// available code slave (see `second_code_bank`).
 ///
 /// # Examples
 ///
 /// ```
-/// use tc27x_sim::{CoreId, DeploymentScenario, System};
-/// use workloads::{contender, LoadLevel};
+/// use platform::PlatformDesc;
+/// use tc27x_sim::{CoreId, DeploymentScenario, SimConfig, System};
+/// use workloads::{contender_on, LoadLevel};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let load = contender(DeploymentScenario::Scenario1, LoadLevel::Low, CoreId(2), 7);
-/// let mut sys = System::tc277();
+/// let desc = PlatformDesc::tc27x();
+/// let load = contender_on(&desc, DeploymentScenario::Scenario1, LoadLevel::Low, CoreId(2), 7);
+/// let mut sys = System::with_config(SimConfig::from_platform(&desc));
 /// sys.load(CoreId(2), &load)?;
 /// let out = sys.run()?;
 /// assert!(out.counters(CoreId(2)).dmem_stall > 0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn contender(
-    scenario: DeploymentScenario,
-    level: LoadLevel,
-    core: CoreId,
-    seed: u64,
-) -> TaskSpec {
-    contender_on(platform::default_platform(), scenario, level, core, seed)
-}
-
-/// [`contender`] for an explicit platform description: the second
-/// flash bank folds onto the platform's available code slave (see
-/// `second_code_bank`). On the default TC27x this is exactly
-/// [`contender`].
 pub fn contender_on(
     desc: &platform::PlatformDesc,
     scenario: DeploymentScenario,
@@ -241,7 +232,7 @@ mod tests {
 
     fn profile(scenario: DeploymentScenario, level: LoadLevel) -> tc27x_sim::DebugCounters {
         let core = CoreId(2);
-        let spec = contender(scenario, level, core, 7);
+        let spec = contender_on(platform::default_platform(), scenario, level, core, 7);
         let mut sys = System::tc277();
         sys.load(core, &spec).unwrap();
         sys.run().unwrap().counters(core)

@@ -11,9 +11,10 @@ use aurix_contention::prelude::*;
 use mbta::report::Table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = mbta::ExecEngine::new(2);
     // 1. Calibration campaign: recover the Table 2 constants from
     //    DSU-observable measurements (no platform documentation used).
-    let calibration = mbta::calibrate()?;
+    let calibration = mbta::calibrate(&engine)?;
     let platform = calibration.into_platform();
     println!(
         "calibrated: cs_co_min = {}, cs_da_min = {}, lmu dirty = {} cycles\n",
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for scenario in [DeploymentScenario::Scenario1, DeploymentScenario::Scenario2] {
-        let panel = mbta::figure4_panel(scenario, &platform, 42)?;
+        let panel = mbta::figure4_panel(&engine, scenario, &platform, 42)?;
         println!(
             "{scenario}: isolation = {} cycles",
             panel.app.counters().ccnt

@@ -15,7 +15,8 @@ use aurix_contention::prelude::*;
 use mbta::report::Table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let platform = Platform::tc277_reference();
+    let engine = mbta::ExecEngine::new(2);
+    let platform = Platform::from_desc(engine.platform());
     // The OEM's time budget for this task (cycles).
     let budget: u64 = 1_500_000;
 
@@ -34,15 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DeploymentScenario::Scenario2,
         DeploymentScenario::LowTraffic,
     ] {
-        let app_spec = workloads::control_loop(scenario, CoreId(1), 42);
-        let app = mbta::isolation_profile(&app_spec, CoreId(1))?;
+        let app_spec = workloads::control_loop_on(engine.platform(), scenario, CoreId(1), 42);
+        let app = engine.isolation(&app_spec, CoreId(1))?;
         let model = IlpPtacModel::new(&platform, mbta::constraints_for(scenario));
 
         // The provider does not know the final co-runner; it explores
         // the contender intensities the OEM allows.
         for level in [LoadLevel::Low, LoadLevel::High] {
-            let load_spec = workloads::contender(scenario, level, CoreId(2), 7);
-            let load = mbta::isolation_profile(&load_spec, CoreId(2))?;
+            let load_spec =
+                workloads::contender_on(engine.platform(), scenario, level, CoreId(2), 7);
+            let load = engine.isolation(&load_spec, CoreId(2))?;
             let est = model.wcet_estimate(&app, &[&load])?;
             let use_pct = 100.0 * est.bound_cycles() as f64 / budget as f64;
             table.row(vec![

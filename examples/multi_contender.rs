@@ -11,18 +11,21 @@
 use aurix_contention::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let platform = Platform::tc277_reference();
+    let engine = mbta::ExecEngine::new(2);
+    let platform = Platform::from_desc(engine.platform());
     let scenario = DeploymentScenario::Scenario1;
 
     // App on core 1; contenders on core 2 (high load) and on the
     // efficiency core 0 (low load).
-    let app_spec = workloads::control_loop(scenario, CoreId(1), 42);
-    let heavy_spec = workloads::contender(scenario, LoadLevel::High, CoreId(2), 7);
-    let light_spec = workloads::contender(scenario, LoadLevel::Low, CoreId(0), 9);
+    let app_spec = workloads::control_loop_on(engine.platform(), scenario, CoreId(1), 42);
+    let heavy_spec =
+        workloads::contender_on(engine.platform(), scenario, LoadLevel::High, CoreId(2), 7);
+    let light_spec =
+        workloads::contender_on(engine.platform(), scenario, LoadLevel::Low, CoreId(0), 9);
 
-    let app = mbta::isolation_profile(&app_spec, CoreId(1))?;
-    let heavy = mbta::isolation_profile(&heavy_spec, CoreId(2))?;
-    let light = mbta::isolation_profile(&light_spec, CoreId(0))?;
+    let app = engine.isolation(&app_spec, CoreId(1))?;
+    let heavy = engine.isolation(&heavy_spec, CoreId(2))?;
+    let light = engine.isolation(&light_spec, CoreId(0))?;
 
     let model = IlpPtacModel::new(&platform, ScenarioConstraints::scenario1());
 
@@ -41,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Validate against a 3-core co-run.
-    let mut sys = System::tc277();
+    let mut sys = System::with_config(SimConfig::from_platform(engine.platform()));
     sys.load(CoreId(1), &app_spec)?;
     sys.load(CoreId(2), &heavy_spec)?;
     sys.load(CoreId(0), &light_spec)?;

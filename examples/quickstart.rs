@@ -8,6 +8,7 @@
 use aurix_contention::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = mbta::ExecEngine::new(2);
     // 1. Describe a small task: sequential loads from a shared LMU
     //    buffer, with code fetched from program flash.
     let program = Program::build(|b| {
@@ -33,16 +34,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             DataObject::new("rival_buf", 4 << 10, Placement::new(Region::Lmu, false)),
         );
 
-    // 3. Measure each in isolation on the simulated TC277 (this is all
-    //    the information the models are allowed to use).
-    let task_profile = mbta::isolation_profile(&task, CoreId(1))?;
-    let rival_profile = mbta::isolation_profile(&rival, CoreId(2))?;
+    // 3. Measure each in isolation on the engine's platform, the
+    //    simulated TC277 (this is all the information the models are
+    //    allowed to use).
+    let task_profile = engine.isolation(&task, CoreId(1))?;
+    let rival_profile = engine.isolation(&rival, CoreId(2))?;
     println!("isolation profiles:");
     println!("  {task_profile}");
     println!("  {rival_profile}");
 
-    // 4. Bound the interference with both models.
-    let platform = Platform::tc277_reference();
+    // 4. Bound the interference with both models, on the tables of
+    //    the same platform.
+    let platform = Platform::from_desc(engine.platform());
     let ftc = FtcModel::new(&platform).wcet_estimate(&task_profile, &[&rival_profile])?;
     let ilp = IlpPtacModel::new(&platform, ScenarioConstraints::unconstrained())
         .wcet_estimate(&task_profile, &[&rival_profile])?;
@@ -51,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ILP-PTAC : {ilp}");
 
     // 5. Validate: actually co-run the two tasks and compare.
-    let observed = mbta::observed_corun(&task, CoreId(1), &rival, CoreId(2))?;
+    let observed = engine.corun(&task, CoreId(1), &rival, CoreId(2))?;
     println!("\nobserved co-run: {observed} cycles");
     assert!(ftc.bound_cycles() >= observed, "fTC bound must be sound");
     assert!(ilp.bound_cycles() >= observed, "ILP bound must be sound");

@@ -11,13 +11,14 @@ use aurix_contention::prelude::*;
 use contention::rta::{analyze, PeriodicTask};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let platform = Platform::tc277_reference();
+    let engine = mbta::ExecEngine::new(2);
+    let platform = Platform::from_desc(engine.platform());
     let scenario = DeploymentScenario::Scenario1;
 
     // The core-1 task set: a fast control task (modelled as a fixed
     // budget) and the cruise-control application under analysis.
-    let app_spec = workloads::control_loop(scenario, CoreId(1), 42);
-    let app = mbta::isolation_profile(&app_spec, CoreId(1))?;
+    let app_spec = workloads::control_loop_on(engine.platform(), scenario, CoreId(1), 42);
+    let app = engine.isolation(&app_spec, CoreId(1))?;
     let model = IlpPtacModel::new(&platform, ScenarioConstraints::scenario1());
 
     // Periods chosen around the measured isolation time.
@@ -37,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 app.counters().ccnt
             }),
             Some(l) => {
-                let load = mbta::isolation_profile(
-                    &workloads::contender(scenario, l, CoreId(2), 7),
+                let load = engine.isolation(
+                    &workloads::contender_on(engine.platform(), scenario, l, CoreId(2), 7),
                     CoreId(2),
                 )?;
                 let est = model.wcet_estimate(&app, &[&load])?;

@@ -12,12 +12,13 @@ use aurix_contention::prelude::*;
 use contention::ContenderSignature;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let platform = Platform::tc277_reference();
+    let engine = mbta::ExecEngine::new(2);
+    let platform = Platform::from_desc(engine.platform());
     let scenario = DeploymentScenario::Scenario1;
 
     // Our own task, measured in isolation.
-    let app_spec = workloads::control_loop(scenario, CoreId(1), 42);
-    let app = mbta::isolation_profile(&app_spec, CoreId(1))?;
+    let app_spec = workloads::control_loop_on(engine.platform(), scenario, CoreId(1), 42);
+    let app = engine.isolation(&app_spec, CoreId(1))?;
     println!("app isolation: {} cycles\n", app.counters().ccnt);
 
     // The integration contract: the co-runner may issue at most this
@@ -36,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Months later, the real co-runner arrives. Check it against the
     // contract and against the pre-computed bound.
     for level in [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High] {
-        let real_spec = workloads::contender(scenario, level, CoreId(2), 7);
-        let real = mbta::isolation_profile(&real_spec, CoreId(2))?;
+        let real_spec = workloads::contender_on(engine.platform(), scenario, level, CoreId(2), 7);
+        let real = engine.isolation(&real_spec, CoreId(2))?;
         let admitted = contract.admits(&platform, &real);
         let est = model.wcet_estimate(&app, &[&real])?;
         println!(
@@ -57,8 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ncovering signature for the H-Load contender: {}",
         ContenderSignature::covering(
             &platform,
-            &mbta::isolation_profile(
-                &workloads::contender(scenario, LoadLevel::High, CoreId(2), 7),
+            &engine.isolation(
+                &workloads::contender_on(
+                    engine.platform(),
+                    scenario,
+                    LoadLevel::High,
+                    CoreId(2),
+                    7
+                ),
                 CoreId(2)
             )?
         )

@@ -350,7 +350,7 @@ pub fn run_with_telemetry(
             Ok(())
         }
         Command::Calibrate => {
-            let cal = mbta::calibrate_with(engine)?;
+            let cal = mbta::calibrate(engine)?;
             let p = cal.into_platform();
             println!("calibrated Table 2 constants:");
             for (t, o, v) in cal.latency.iter() {

@@ -10,8 +10,9 @@
 //!   caches, SRI crossbar, flash/LMU slaves, DSU debug counters);
 //! * [`workloads`] — control-loop application, H/M/L-load contenders
 //!   and calibration microbenchmarks;
-//! * [`mbta`] — measurement-based timing-analysis harness (isolation
-//!   runs, calibration, model-vs-observation experiments);
+//! * [`mbta`] — measurement-based timing-analysis harness: the
+//!   `ExecEngine` every simulation runs through, calibration and the
+//!   model-vs-observation experiments;
 //! * [`ilp`] — exact rational ILP solver used by the ILP-PTAC model.
 //!
 //! # Examples
@@ -23,15 +24,19 @@
 //! use aurix_contention::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let platform = Platform::tc277_reference();
+//! // Every run goes through an engine on a named platform (the TC277
+//! // by default); the models derive their tables from the same one.
+//! let engine = mbta::ExecEngine::new(2);
+//! let desc = engine.platform();
+//! let platform = Platform::from_desc(desc);
 //! let scenario = DeploymentScenario::Scenario1;
-//! let (app_core, load_core) = (CoreId(1), CoreId(2));
+//! let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
 //!
-//! // Measure both tasks in isolation on the simulated TC277.
-//! let app = workloads::control_loop(scenario, app_core, 42);
-//! let load = workloads::contender(scenario, LoadLevel::High, load_core, 7);
-//! let app_profile = mbta::isolation_profile(&app, app_core)?;
-//! let load_profile = mbta::isolation_profile(&load, load_core)?;
+//! // Measure both tasks in isolation.
+//! let app = workloads::control_loop_on(desc, scenario, app_core, 42);
+//! let load = workloads::contender_on(desc, scenario, LoadLevel::High, load_core, 7);
+//! let app_profile = engine.isolation(&app, app_core)?;
+//! let load_profile = engine.isolation(&load, load_core)?;
 //!
 //! // Feed the counter readings to the ILP-PTAC model.
 //! let model = IlpPtacModel::new(&platform, ScenarioConstraints::scenario1());

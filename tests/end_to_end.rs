@@ -5,7 +5,7 @@ use aurix_contention::prelude::*;
 
 #[test]
 fn calibrated_platform_reproduces_reference_tables() {
-    let cal = mbta::calibrate().expect("calibration campaign");
+    let cal = mbta::calibrate(&mbta::ExecEngine::sequential()).expect("calibration campaign");
     let reference = Platform::tc277_reference();
     for (t, o, v) in reference.stall_table().iter() {
         if reference.paths().is_feasible(t, o) {
@@ -24,9 +24,16 @@ fn calibrated_platform_reproduces_reference_tables() {
 fn full_pipeline_with_calibrated_tables() {
     // Use the *calibrated* platform end to end, not the reference one:
     // this is exactly the paper's deployment story.
-    let platform = mbta::calibrate().expect("calibration").into_platform();
-    let panel =
-        mbta::figure4_panel(DeploymentScenario::Scenario1, &platform, 42).expect("figure 4 panel");
+    let platform = mbta::calibrate(&mbta::ExecEngine::sequential())
+        .expect("calibration")
+        .into_platform();
+    let panel = mbta::figure4_panel(
+        &mbta::ExecEngine::sequential(),
+        DeploymentScenario::Scenario1,
+        &platform,
+        42,
+    )
+    .expect("figure 4 panel");
     assert!(panel.all_bounds_sound());
     // fTC stays load-invariant, ILP adapts.
     assert_eq!(
@@ -38,12 +45,23 @@ fn full_pipeline_with_calibrated_tables() {
 
 #[test]
 fn wcet_estimates_scale_with_isolation_time() {
+    let engine = mbta::ExecEngine::sequential();
     let platform = Platform::tc277_reference();
-    let app_spec = workloads::control_loop(DeploymentScenario::Scenario1, CoreId(1), 42);
-    let load_spec =
-        workloads::contender(DeploymentScenario::Scenario1, LoadLevel::High, CoreId(2), 7);
-    let app = mbta::isolation_profile(&app_spec, CoreId(1)).unwrap();
-    let load = mbta::isolation_profile(&load_spec, CoreId(2)).unwrap();
+    let app_spec = workloads::control_loop_on(
+        engine.platform(),
+        DeploymentScenario::Scenario1,
+        CoreId(1),
+        42,
+    );
+    let load_spec = workloads::contender_on(
+        engine.platform(),
+        DeploymentScenario::Scenario1,
+        LoadLevel::High,
+        CoreId(2),
+        7,
+    );
+    let app = engine.isolation(&app_spec, CoreId(1)).unwrap();
+    let load = engine.isolation(&load_spec, CoreId(2)).unwrap();
     let model = IlpPtacModel::new(&platform, ScenarioConstraints::scenario1());
     let est = model.wcet_estimate(&app, &[&load]).unwrap();
     assert_eq!(est.isolation_cycles, app.counters().ccnt);
@@ -55,17 +73,30 @@ fn wcet_estimates_scale_with_isolation_time() {
 
 #[test]
 fn hwm_campaign_feeds_models_conservatively() {
+    let engine = mbta::ExecEngine::sequential();
     let platform = Platform::tc277_reference();
-    let spec = workloads::control_loop(DeploymentScenario::Scenario1, CoreId(1), 3);
-    let hwm = mbta::hwm_campaign(&spec, CoreId(1), 3).unwrap();
-    let single = mbta::isolation_profile(&spec, CoreId(1)).unwrap();
+    let spec = workloads::control_loop_on(
+        engine.platform(),
+        DeploymentScenario::Scenario1,
+        CoreId(1),
+        3,
+    );
+    let hwm = mbta::hwm_campaign(&engine, &spec, CoreId(1), 3).unwrap();
+    let single = engine.isolation(&spec, CoreId(1)).unwrap();
     // Envelope counters dominate the single-run profile, so the fTC
     // bound from the campaign dominates the single-run bound.
-    let load = mbta::isolation_profile(
-        &workloads::contender(DeploymentScenario::Scenario1, LoadLevel::Low, CoreId(2), 7),
-        CoreId(2),
-    )
-    .unwrap();
+    let load = engine
+        .isolation(
+            &workloads::contender_on(
+                engine.platform(),
+                DeploymentScenario::Scenario1,
+                LoadLevel::Low,
+                CoreId(2),
+                7,
+            ),
+            CoreId(2),
+        )
+        .unwrap();
     let ftc = FtcModel::new(&platform);
     let from_hwm = ftc.contention_bound(&hwm.profile, &[&load]).unwrap();
     let from_single = ftc.contention_bound(&single, &[&load]).unwrap();
@@ -76,7 +107,12 @@ fn hwm_campaign_feeds_models_conservatively() {
 fn table6_counter_identities() {
     // Scenario 1: P$_MISS equals the exact number of SRI code requests
     // — the identity the tailoring exploits.
-    let block = mbta::table6_block(DeploymentScenario::Scenario1, 42).unwrap();
+    let block = mbta::table6_block(
+        &mbta::ExecEngine::sequential(),
+        DeploymentScenario::Scenario1,
+        42,
+    )
+    .unwrap();
     for profile in [&block.core1, &block.core2] {
         let ptac = profile.ptac().expect("simulator attaches PTAC");
         let code_reqs = ptac.op_total(Operation::Code);
@@ -97,7 +133,13 @@ fn table6_counter_identities() {
 fn low_traffic_contention_is_about_ten_percent() {
     // §4.2 closing remark: realistic applications see ~10% bounds.
     let platform = Platform::tc277_reference();
-    let panel = mbta::figure4_panel(DeploymentScenario::LowTraffic, &platform, 42).unwrap();
+    let panel = mbta::figure4_panel(
+        &mbta::ExecEngine::sequential(),
+        DeploymentScenario::LowTraffic,
+        &platform,
+        42,
+    )
+    .unwrap();
     let h = panel.cells.last().unwrap();
     let overhead = h.ilp.ratio() - 1.0;
     assert!(
@@ -105,7 +147,13 @@ fn low_traffic_contention_is_about_ten_percent() {
         "low-traffic ILP overhead {overhead:.2} should be small"
     );
     // And far below the stressing benchmark's 30-50%.
-    let stress = mbta::figure4_panel(DeploymentScenario::Scenario1, &platform, 42).unwrap();
+    let stress = mbta::figure4_panel(
+        &mbta::ExecEngine::sequential(),
+        DeploymentScenario::Scenario1,
+        &platform,
+        42,
+    )
+    .unwrap();
     let stress_overhead = stress.cells.last().unwrap().ilp.ratio() - 1.0;
     assert!(overhead < stress_overhead / 2.0);
 }

@@ -34,8 +34,9 @@ fn enforcement_restores_signature_soundness() {
     let rogue = lmu_hammer(rogue_core, 4_000);
     let contract = ContenderSignature::new("contract", 0, 60);
 
-    let victim_profile = mbta::isolation_profile(&victim, victim_core).unwrap();
-    let rogue_profile = mbta::isolation_profile(&rogue, rogue_core).unwrap();
+    let engine = mbta::ExecEngine::sequential();
+    let victim_profile = engine.isolation(&victim, victim_core).unwrap();
+    let rogue_profile = engine.isolation(&rogue, rogue_core).unwrap();
     assert!(
         !contract.admits(&platform, &rogue_profile),
         "the rogue must actually violate its contract"

@@ -8,8 +8,39 @@
 //! [`SplitMix64`]; each case index is a deterministic reproducer.
 
 use contention::{ContentionModel, FtcModel, IlpPtacModel, Platform, ScenarioConstraints};
+use mbta::ExecEngine;
 use tc27x_sim::rng::SplitMix64;
-use tc27x_sim::{CoreId, DataObject, Pattern, Placement, Program, Region, TaskSpec};
+use tc27x_sim::{
+    CoreId, DataObject, Pattern, Placement, Program, Region, SimConfig, System, TaskSpec,
+};
+
+/// A fresh system of `engine`'s platform, outside the engine: the
+/// independent reference the engine's profiles are checked against.
+fn reference_system(engine: &ExecEngine) -> System {
+    System::with_config(SimConfig::from_platform(engine.platform()))
+}
+
+/// The CCNT of `spec` run alone on the reference system.
+fn direct_ccnt(engine: &ExecEngine, spec: &TaskSpec, core: CoreId) -> u64 {
+    let mut sys = reference_system(engine);
+    sys.load(core, spec).unwrap();
+    sys.run().unwrap().counters(core).ccnt
+}
+
+/// The app's observed CCNT co-running against `load` on the reference
+/// system.
+fn direct_corun(
+    engine: &ExecEngine,
+    app: &TaskSpec,
+    app_core: CoreId,
+    load: &TaskSpec,
+    load_core: CoreId,
+) -> u64 {
+    let mut sys = reference_system(engine);
+    sys.load(app_core, app).unwrap();
+    sys.load(load_core, load).unwrap();
+    sys.run_until(app_core).unwrap().counters(app_core).ccnt
+}
 
 /// A randomly shaped task: loops of loads/stores/computes over objects
 /// in randomly chosen (admissible) shared placements.
@@ -80,7 +111,8 @@ fn build_spec(t: &RandTask, name: &str) -> TaskSpec {
 /// workloads look like.
 #[test]
 fn bounds_dominate_random_corun() {
-    let platform = Platform::tc277_reference();
+    let engine = ExecEngine::sequential();
+    let platform = Platform::from_desc(engine.platform());
     for case in 0..20u64 {
         let mut rng = SplitMix64::new(0xb0d0_0000 + case);
         let a = rand_task(&mut rng);
@@ -89,9 +121,9 @@ fn bounds_dominate_random_corun() {
         let spec_a = build_spec(&a, "rand-a");
         let spec_b = build_spec(&b, "rand-b");
 
-        let pa = mbta::isolation_profile(&spec_a, ca).unwrap();
-        let pb = mbta::isolation_profile(&spec_b, cb).unwrap();
-        let observed = mbta::observed_corun(&spec_a, ca, &spec_b, cb).unwrap();
+        let pa = engine.isolation(&spec_a, ca).unwrap();
+        let pb = engine.isolation(&spec_b, cb).unwrap();
+        let observed = direct_corun(&engine, &spec_a, ca, &spec_b, cb);
 
         let ftc = FtcModel::new(&platform).wcet_estimate(&pa, &[&pb]).unwrap();
         assert!(
@@ -118,6 +150,7 @@ fn bounds_dominate_random_corun() {
 /// deterministic.
 #[test]
 fn corun_never_speeds_up() {
+    let engine = ExecEngine::sequential();
     for case in 0..20u64 {
         let mut rng = SplitMix64::new(0xc0f0_0000 + case);
         let a = rand_task(&mut rng);
@@ -125,16 +158,10 @@ fn corun_never_speeds_up() {
         let (ca, cb) = (CoreId(1), CoreId(2));
         let spec_a = build_spec(&a, "rand-a");
         let spec_b = build_spec(&b, "rand-b");
-        let iso1 = mbta::isolation_profile(&spec_a, ca)
-            .unwrap()
-            .counters()
-            .ccnt;
-        let iso2 = mbta::isolation_profile(&spec_a, ca)
-            .unwrap()
-            .counters()
-            .ccnt;
+        let iso1 = engine.isolation(&spec_a, ca).unwrap().counters().ccnt;
+        let iso2 = direct_ccnt(&engine, &spec_a, ca);
         assert_eq!(iso1, iso2, "case {case}: isolation runs are deterministic");
-        let co = mbta::observed_corun(&spec_a, ca, &spec_b, cb).unwrap();
+        let co = direct_corun(&engine, &spec_a, ca, &spec_b, cb);
         assert!(co >= iso1, "case {case}");
     }
 }
@@ -143,7 +170,8 @@ fn corun_never_speeds_up() {
 /// the same flash bank with non-cacheable code and the LMU with data).
 #[test]
 fn worst_alignment_pair_is_still_bounded() {
-    let platform = Platform::tc277_reference();
+    let engine = ExecEngine::sequential();
+    let platform = Platform::from_desc(engine.platform());
     let mk = |_core: CoreId| {
         let prog = Program::build(|b| {
             b.repeat(300, |b| {
@@ -156,9 +184,9 @@ fn worst_alignment_pair_is_still_bounded() {
     };
     let (ca, cb) = (CoreId(1), CoreId(2));
     let (sa, sb) = (mk(ca), mk(cb));
-    let pa = mbta::isolation_profile(&sa, ca).unwrap();
-    let pb = mbta::isolation_profile(&sb, cb).unwrap();
-    let observed = mbta::observed_corun(&sa, ca, &sb, cb).unwrap();
+    let pa = engine.isolation(&sa, ca).unwrap();
+    let pb = engine.isolation(&sb, cb).unwrap();
+    let observed = direct_corun(&engine, &sa, ca, &sb, cb);
     let ftc = FtcModel::new(&platform).wcet_estimate(&pa, &[&pb]).unwrap();
     let ilp = IlpPtacModel::new(&platform, ScenarioConstraints::unconstrained())
         .wcet_estimate(&pa, &[&pb])
